@@ -64,8 +64,14 @@ _U_FLOOR = 1e-9
 #: tie, where sigma_star has a kink.
 _TIE_TOL = 1e-10
 
+_EPS = float(np.finfo(float).eps)
+
 #: Relative step of the one-sided difference quotients at the kinks.
-_FD_STEP = float(np.finfo(float).eps) ** 0.5
+_FD_STEP = _EPS ** 0.5
+
+#: Residual size, in ulps of the largest weighted variance, that counts as
+#: rounding when deciding whether a start has fitted the data.
+_FLOOR_ULPS = 16.0
 
 #: Box coordinate indices, which are also the Jacobian's columns.
 _RHO, _BP, _U, _Q, _V = range(5)
@@ -154,7 +160,12 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class StartResult:
-    """Outcome of one start: where it began, where it stopped, and the cost."""
+    """Outcome of one start: where it began, where it stopped, and the cost.
+
+    ``x is None`` (with ``cost`` infinite) means the start either failed
+    or was not run because an earlier start reached the rounding floor;
+    ``error`` says which.
+    """
 
     index: int
     x0: tuple[float, ...]
@@ -509,9 +520,14 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     Draws ``n_starts`` uniform box starts plus one deterministic
     quasi-explicit start, polishes each with bounded least squares on the
     (optionally vega-weighted) total-variance residuals, and keeps the
-    lowest cost.  Starts that exhaust their evaluation budget still report
-    their best point; only starts that die outright are discarded, and
-    NoConvergedStart is raised if none survive.
+    lowest cost.  The quasi-explicit start runs first, then the uniform
+    ones in index order; once a start's cost is at or below the rounding
+    floor 0.5*n*(16*eps*max|weights*w_mid|)^2 the data is one smile to
+    rounding, and the remaining starts are recorded as not run.  Starts
+    that exhaust their evaluation budget still report their best point;
+    starts that die outright or are not run are discarded, and
+    NoConvergedStart is raised if none survive.  ``starts`` is ordered by
+    index, with the quasi-explicit start last.
     """
     if config is None:
         config = CalibrationConfig()
@@ -543,19 +559,34 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     except ButterfreeError:
         pass  # the uniform starts still run
 
+    # A cost at or below this floor leaves every residual within a few ulps
+    # of the largest weighted variance: the data is one smile to rounding,
+    # and no later start can improve on it by more than rounding.
+    scale = float(np.max(np.abs(weights * w_mid)))
+    floor = 0.5 * len(slice_) * (_FLOOR_ULPS * _EPS * scale) ** 2
     starts: list[StartResult] = []
-    for i, x0 in enumerate(x0s):
+    stopped_by: int | None = None
+    # the informed start (index n_starts, when present) runs first
+    for i in [*range(config.n_starts, len(x0s)), *range(config.n_starts)]:
+        x0 = tuple(x0s[i])
+        if stopped_by is not None:
+            starts.append(StartResult(
+                i, x0, None, math.inf, False,
+                error=f"not run: start {stopped_by} reached the rounding floor",
+            ))
+            continue
         try:
             x, cost, converged = least_squares_bounded(
-                objective.residuals, x0, lower, upper, config.lsq,
+                objective.residuals, x0s[i], lower, upper, config.lsq,
                 jac=objective.jacobian,
             )
         except ButterfreeError as exc:
-            starts.append(
-                StartResult(i, tuple(x0), None, math.inf, False, error=str(exc))
-            )
+            starts.append(StartResult(i, x0, None, math.inf, False, error=str(exc)))
             continue
-        starts.append(StartResult(i, tuple(x0), tuple(x), float(cost), converged))
+        starts.append(StartResult(i, x0, tuple(x), float(cost), converged))
+        if cost <= floor:
+            stopped_by = i
+    starts.sort(key=lambda s: s.index)
 
     usable = [s for s in starts if s.x is not None]
     if not usable:

@@ -158,7 +158,8 @@ def result_to_dict(result: CalibrationResult) -> dict:
                 "index": s.index,
                 "x0": list(s.x0),
                 "x": None if s.x is None else list(s.x),
-                "cost": s.cost,
+                # strict JSON has no Infinity: a start with no point has no cost
+                "cost": s.cost if math.isfinite(s.cost) else None,
                 "converged": s.converged,
                 "error": s.error,
             }

@@ -13,7 +13,9 @@ import csv
 import datetime as dt
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from .errors import (
     ParseError,
     PriceOutOfRange,
 )
+
+_strike = attrgetter("strike")
 
 _REQUIRED_COLUMNS = ("expiry", "strike", "kind", "bid", "ask")
 
@@ -98,6 +102,9 @@ class OptionChain:
             seen.add(key)
         if self.spot is not None and not self.spot > 0.0:
             raise InvalidInput(f"spot must be positive, got {self.spot}")
+        # legs() bisects this strike-sorted view; it holds references only,
+        # so it costs far less memory than a dict index of the quotes
+        object.__setattr__(self, "_by_strike", tuple(sorted(self.quotes, key=_strike)))
 
     def strikes(self) -> list[float]:
         return sorted({q.strike for q in self.quotes})
@@ -105,7 +112,8 @@ class OptionChain:
     def legs(self, strike: float) -> tuple[OptionQuote | None, OptionQuote | None]:
         """The (call, put) pair quoted at a strike, either possibly absent."""
         call = put = None
-        for q in self.quotes:
+        i = bisect_left(self._by_strike, strike, key=_strike)
+        for q in self._by_strike[i:i + 2]:
             if q.strike == strike:
                 if q.kind == "call":
                     call = q

@@ -209,6 +209,47 @@ class TestCalibrate:
             calibrate(model_slice(MODEL_ROWS[2]), FAST)
 
 
+class TestRoundingFloor:
+    """The informed start runs first; once a start fits the data to
+    rounding, the remaining starts are recorded as not run."""
+
+    def test_exact_row_stops_after_the_informed_start(self):
+        s = model_slice(MODEL_ROWS[2])
+        config = CalibrationConfig()
+        n = config.n_starts
+        result = calibrate(s, config)
+        assert [st.index for st in result.starts] == list(range(n + 1))
+
+        floor = 0.5 * len(s) * (16.0 * np.finfo(float).eps * np.max(s.w_mid)) ** 2
+        informed = result.starts[n]
+        assert informed.x is not None
+        assert informed.cost <= floor
+        for st in result.starts[:n]:
+            assert st.x is None
+            assert st.cost == math.inf
+            assert st.converged is False
+            assert st.error == f"not run: start {n} reached the rounding floor"
+
+        # the uniform starts are still drawn, and recorded, as before
+        lower = np.array([-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0])
+        upper = np.array([
+            1.0 - 1e-6, 1.0, config.alpha_cap + 2.0, 1.0 - 1e-6,
+            sigma_upper_bound(s, 0.0, config.r),
+        ])
+        x0s = np.random.default_rng(config.seed).uniform(lower, upper, (n, 5))
+        assert [st.x0 for st in result.starts[:n]] == [tuple(x0) for x0 in x0s]
+
+        assert calibrate(s, config).starts == result.starts
+
+    def test_noisy_data_runs_every_start(self):
+        truth = MODEL_ROWS[0]
+        rng = np.random.default_rng(5)
+        w = np.asarray(svi(truth, MODEL_GRID)) * (1.0 + 0.002 * rng.standard_normal(len(MODEL_GRID)))
+        result = calibrate(MarketSlice(k=MODEL_GRID.copy(), w_mid=w), FAST)
+        assert len(result.starts) == FAST.n_starts + 1
+        assert all(st.x is not None for st in result.starts)
+
+
 def chart_objective(alpha_cap: float = 1.0) -> _Objective:
     """Unweighted residuals of a criterion-3 slice over calibrate's box."""
     s = model_slice(MODEL_ROWS[0])

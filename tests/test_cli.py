@@ -282,6 +282,21 @@ class TestCalibrateCommand:
         # two starts recorded: the informed one plus one random draw
         assert len(doc["starts"]) == 2
 
+    def test_result_is_strict_json(self, capsys, tmp_path):
+        # exact data stops after the informed start, so the other starts
+        # have no finite cost; RFC 8259 has no Infinity or NaN
+        slice_path = self._write_row2(tmp_path)
+        out = str(tmp_path / "r.json")
+        assert run(capsys, ["calibrate", "--slice", slice_path, "--out", out])[0] == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        with open(out) as handle:
+            doc = json.loads(handle.read(), parse_constant=reject)
+        assert [s["cost"] for s in doc["starts"][:-1]] == [None] * 8
+        assert math.isfinite(doc["starts"][-1]["cost"])
+
     def test_seeded_rerun_is_byte_identical(self, capsys, tmp_path):
         slice_path = self._write_row2(tmp_path)
         argv = ["calibrate", "--slice", slice_path, "--starts", "1", "--seed", "0"]

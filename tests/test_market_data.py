@@ -136,6 +136,25 @@ class TestQuoteAndChain:
         with pytest.raises(InvalidInput):
             OptionChain(expiry="e", quotes=(q, q))
 
+    def test_legs_match_a_linear_scan(self):
+        # 90 has both legs, 95 only a call, 105 only a put, 110 both
+        quotes = tuple(
+            OptionQuote(strike=strike, expiry="e", kind=kind, bid=1.0, ask=2.0)
+            for strike, kind in (
+                (110.0, "put"), (90.0, "call"), (95.0, "call"),
+                (105.0, "put"), (90.0, "put"), (110.0, "call"),
+            )
+        )
+        chain = OptionChain(expiry="e", quotes=quotes)
+
+        def scan(strike, kind):
+            hits = [q for q in quotes if q.strike == strike and q.kind == kind]
+            return hits[0] if hits else None
+
+        # unquoted strikes below, inside and above the quoted range too
+        for strike in (*chain.strikes(), 80.0, 100.0, 120.0):
+            assert chain.legs(strike) == (scan(strike, "call"), scan(strike, "put"))
+
     def test_forward_discount_validation(self):
         with pytest.raises(InvalidInput):
             ForwardDiscount(forward=0.0, discount=0.99, residual_rmse=0.0)
