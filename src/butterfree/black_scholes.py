@@ -12,7 +12,6 @@ and the vega against total vol is simply phi(d1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.special import log_ndtr
 
@@ -29,20 +28,6 @@ THETA_MIN = 1e-9
 THETA_MAX = 50.0
 
 _MAX_NEWTON_ITER = 200
-
-
-@dataclass(frozen=True)
-class MoneyVol:
-    """A (log-forward moneyness, total volatility) pair."""
-
-    k: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and math.isfinite(self.theta)):
-            raise DomainError("k and theta must be finite")
-        if self.theta < 0.0:
-            raise DomainError(f"theta must be non-negative, got {self.theta}")
 
 
 def norm_cdf(x: float) -> float:

@@ -5,14 +5,11 @@ Least squares runs on total variances in the box coordinates
 and no penalty terms or post-hoc repairs are needed.  Multi-start with a
 seeded generator keeps the whole procedure deterministic.
 
-The box-to-smile chart evaluates the threshold, the shift interval and
-the curvature floor once per residual evaluation.  The solver gets the
-exact Jacobian of the residuals in box coordinates: each chart quantity is
-a root or an optimum, so the implicit function and envelope theorems give
-its partials from the point already solved, at the cost of two extra
-one-dimensional root solves for the threshold and two for the interval.
-Only at the chart's kinks does a column fall back to a one-sided
-difference quotient.
+The box-to-smile chart (domain.BoxChart) evaluates the threshold, the
+shift interval and the curvature floor once per residual evaluation.  The
+solver gets the exact Jacobian of the residuals in box coordinates, from
+the chart's partials; only at the chart's kinks does a column fall back to
+a one-sided difference quotient.
 """
 
 from __future__ import annotations
@@ -20,20 +17,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .black_scholes import d1_d2, norm_pdf
 from .domain import (
-    _PROFILE_CAP,
     ArbitrageDiagnostic,
+    BoxChart,
     BoxCoords,
+    ChartPoint,
     Status,
-    _profile_partials,
-    _tail_maxima,
     check_no_arbitrage,
-    g2_zeros,
     params_to_box,
 )
 from .errors import (
@@ -43,26 +37,11 @@ from .errors import (
     NoConvergedStart,
     NumericFailure,
 )
-from .fukasawa import (
-    SLOPE_EQ_TOL,
-    MuInterval,
-    bound_partials,
-    fukasawa_threshold,
-    l_pm_of_alpha,
-    mu_interval,
-)
-from .numerics import LsqOptions, least_squares_bounded
-from .svi import SviParams
+from .numerics import LsqOptions, least_squares_bounded, require_int, require_real
+from .svi import SviParams, svi, svi_raw
 
 #: Margin keeping box samples off the open boundaries of the rectangle.
 _EDGE = 1e-6
-
-#: Floor for the effective alpha margin once the cap clamp is applied.
-_U_FLOOR = 1e-9
-
-#: Relative gap below which the two tail maxima of sigma_star count as a
-#: tie, where sigma_star has a kink.
-_TIE_TOL = 1e-10
 
 _EPS = float(np.finfo(float).eps)
 
@@ -72,9 +51,6 @@ _FD_STEP = _EPS ** 0.5
 #: Residual size, in ulps of the largest weighted variance, that counts as
 #: rounding when deciding whether a start has fitted the data.
 _FLOOR_ULPS = 16.0
-
-#: Box coordinate indices, which are also the Jacobian's columns.
-_RHO, _BP, _U, _Q, _V = range(5)
 
 
 @dataclass(frozen=True)
@@ -150,12 +126,14 @@ class CalibrationConfig:
     lsq: LsqOptions = field(default_factory=LsqOptions)
 
     def __post_init__(self) -> None:
-        if self.n_starts < 1:
-            raise InvalidInput(f"n_starts must be at least 1, got {self.n_starts}")
-        if not self.r > 0.0:
-            raise InvalidInput(f"r must be positive, got {self.r}")
-        if not self.alpha_cap > 0.0:
-            raise InvalidInput(f"alpha_cap must be positive, got {self.alpha_cap}")
+        require_int("n_starts", self.n_starts, 1)
+        require_int("seed", self.seed, 0)
+        require_real("r", self.r, 0.0, strict=True)
+        require_real("alpha_cap", self.alpha_cap, 0.0, strict=True)
+        if not isinstance(self.vega_weighted, bool):
+            raise InvalidInput(
+                f"vega_weighted must be true or false, got {self.vega_weighted!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -204,160 +182,6 @@ def vega_weights(slice_: MarketSlice) -> np.ndarray:
     return out
 
 
-class _ChartPoint(NamedTuple):
-    """One box point and every intermediate of its image under the chart."""
-
-    x: tuple[float, float, float, float, float]
-    b: float
-    threshold: float
-    room: float
-    u_eff: float
-    alpha: float
-    interval: MuInterval
-    mu: float
-    tails: tuple[tuple[float, float], ...]
-    sigma_star: float
-    h_star: float
-    sigma: float
-
-    @property
-    def raw(self) -> tuple[float, float, float, float, float]:
-        """(a, b, rho, m, sigma)."""
-        return (
-            self.alpha * self.sigma, self.b, self.x[0], self.mu * self.sigma, self.sigma
-        )
-
-
-class _Pipeline:
-    """Box -> smile chart and its exact partials.
-
-    The cap on alpha is enforced by clamping the margin u inside the
-    mapping, which keeps the solver rectangle fixed while guaranteeing
-    alpha <= alpha_cap for every evaluated point.
-
-    Every chart quantity is a root or an optimum, so its partials come from
-    the solved point alone: the threshold F(b, rho) by the implicit
-    function theorem on the interval gap, the interval bounds and
-    sigma_star by the envelope theorem at their optimizers l-, l+ and h*.
-    partials() reports the columns where the chart has a kink instead:
-    rho = 0 (through |rho|), the clamps on u, a wing slope at its limit,
-    the profile cap, and a tie between the two tail maxima.
-    """
-
-    def __init__(self, alpha_cap: float) -> None:
-        self.alpha_cap = alpha_cap
-
-    def point(self, x: np.ndarray) -> _ChartPoint:
-        rho, b_prime, u, q, v = (float(c) for c in x)
-        b = b_prime * 2.0 / (1.0 + abs(rho))
-        threshold = fukasawa_threshold(b, rho)
-        room = self.alpha_cap - threshold
-        u_eff = min(u, room)
-        if u_eff < _U_FLOOR:
-            u_eff = min(u, _U_FLOOR)
-        alpha = threshold + u_eff
-        interval = mu_interval(alpha, b, rho)
-        mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
-        tails = _tail_maxima(alpha, b, rho, mu, g2_zeros(alpha, b, rho))
-        floor, h_star = 0.0, math.nan
-        for value, h in tails:
-            if value > floor:
-                floor, h_star = value, h
-        return _ChartPoint(
-            (rho, b_prime, u, q, v), b, threshold, room, u_eff, alpha,
-            interval, mu, tails, floor, h_star, floor + v,
-        )
-
-    def partials(self, p: _ChartPoint) -> tuple[np.ndarray, frozenset[int]]:
-        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array,
-        and the set of columns that sit on a kink, whose entries are not
-        derivatives and must be replaced."""
-        rho, _, u, q, _ = p.x
-        b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
-        eye = np.eye(5)
-        kinks: set[int] = set()
-        if rho == 0.0:
-            kinks.add(_RHO)
-        d_rho = eye[_RHO]
-        d_b = np.array([
-            -math.copysign(b, rho) / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)),
-            0.0, 0.0, 0.0,
-        ])
-        on_limit = (
-            b * (1.0 - rho) >= 2.0 - SLOPE_EQ_TOL,
-            b * (1.0 + rho) >= 2.0 - SLOPE_EQ_TOL,
-        )
-        if any(on_limit):
-            # the limit branch switches on at a slope within SLOPE_EQ_TOL
-            # of 2, which only rho and b' move
-            kinks.update((_RHO, _BP))
-            d_threshold = np.zeros(5)
-        else:
-            f_b, f_rho = _threshold_partials(b, rho, p.threshold)
-            d_threshold = f_b * d_b + f_rho * d_rho
-
-        if u == p.room or p.room == _U_FLOOR or u == _U_FLOOR:
-            kinks.update((_RHO, _BP, _U))
-        if p.u_eff == u:
-            d_u_eff = eye[_U]
-        elif p.u_eff == p.room:
-            d_u_eff = -d_threshold
-        else:
-            d_u_eff = np.zeros(5)
-        d_alpha = d_threshold + d_u_eff
-
-        d_bounds = []
-        for side, limited in zip("-+", on_limit):
-            if limited:
-                # the bound is -+alpha/2 on the limit branch
-                d_bounds.append((0.5 if side == "+" else -0.5) * d_alpha)
-                continue
-            l = l_pm_of_alpha(alpha, b, rho, side)
-            pa, pb, pr = bound_partials(l, alpha, b, rho, side)
-            d_bounds.append(pa * d_alpha + pb * d_b + pr * d_rho)
-        d_lower, d_upper = d_bounds
-        d_mu = 0.5 * (1.0 + q) * d_upper + 0.5 * (1.0 - q) * d_lower
-        d_mu[_Q] += 0.5 * p.interval.width()
-
-        d_sigma = eye[_V].copy()
-        maxima = [value for value, _ in p.tails]
-        tie = len(maxima) == 2 and abs(maxima[0] - maxima[1]) <= _TIE_TOL * max(maxima)
-        if p.sigma_star >= _PROFILE_CAP or tie:
-            kinks.update((_RHO, _BP, _U, _Q))
-        elif math.isfinite(p.h_star):
-            sa, sb, sr, sm = _profile_partials(alpha, b, rho, mu, p.h_star)
-            d_sigma += sa * d_alpha + sb * d_b + sr * d_rho + sm * d_mu
-        d_raw = np.vstack([
-            sigma * d_alpha + alpha * d_sigma,
-            d_b,
-            d_rho,
-            sigma * d_mu + mu * d_sigma,
-            d_sigma,
-        ])
-        return d_raw, frozenset(kinks)
-
-
-def _threshold_partials(b: float, rho: float, threshold: float) -> tuple[float, float]:
-    """(dF/db, dF/drho) off the slope limits.
-
-    F solves D(F) = 0 for the gap D = inf L_plus - sup L_minus, so
-    dF = -D_(b, rho)/D_alpha, each partial of D taken at the optimizers
-    l-(F), l+(F).  Where the gap is open at the positivity floor,
-    fukasawa_threshold returns the floor -b*sqrt(1-rho^2) itself.
-    """
-    root = math.sqrt(1.0 - rho * rho)
-    if threshold == -b * root:
-        return -root, b * rho / root
-    la, lb, lr = bound_partials(
-        l_pm_of_alpha(threshold, b, rho, "-"), threshold, b, rho, "-"
-    )
-    ua, ub, ur = bound_partials(
-        l_pm_of_alpha(threshold, b, rho, "+"), threshold, b, rho, "+"
-    )
-    d_alpha = ua - la
-    return -(ub - lb) / d_alpha, -(ur - lr) / d_alpha
-
-
 class _Objective:
     """Weighted total-variance residuals over the chart, and their Jacobian.
 
@@ -371,7 +195,7 @@ class _Objective:
         self,
         slice_: MarketSlice,
         weights: np.ndarray,
-        pipeline: _Pipeline,
+        pipeline: BoxChart,
         lower: np.ndarray,
         upper: np.ndarray,
     ) -> None:
@@ -381,13 +205,10 @@ class _Objective:
         self.pipeline = pipeline
         self.lower = lower
         self.upper = upper
-        self._last: _ChartPoint | None = None
+        self._last: ChartPoint | None = None
 
     def _of_raw(self, raw: tuple[float, float, float, float, float]) -> np.ndarray:
-        a, b, rho, m, sigma = raw
-        dk = self.k - m
-        w_model = a + b * (rho * dk + np.sqrt(dk * dk + sigma * sigma))
-        return (w_model - self.w_mid) * self.weights
+        return (svi_raw(self.k, *raw) - self.w_mid) * self.weights
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         self._last = self.pipeline.point(x)
@@ -473,9 +294,7 @@ def _natural_polish(
     )
 
     def residuals(x: np.ndarray) -> np.ndarray:
-        a, b, rho, m, sigma = x
-        dk = k - m
-        return (a + b * (rho * dk + np.sqrt(dk * dk + sigma * sigma)) - w_mid) * weights
+        return (svi_raw(k, *x) - w_mid) * weights
 
     from scipy.optimize import least_squares
 
@@ -487,31 +306,6 @@ def _natural_polish(
     b = max(b, 1e-9)
     a = max(a, -b * sigma * math.sqrt(1.0 - rho * rho) + 1e-12)
     return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
-
-
-def _project_into_box(
-    params: SviParams,
-    pipeline: _Pipeline,
-    u_max: float,
-    v_max: float,
-) -> np.ndarray:
-    """Box coordinates whose image is the closest expressible free smile.
-
-    Each coordinate is clipped into its rectangle; q keeps a margin of a
-    thousandth of the interval width because sigma_star blows up against
-    the walls.
-    """
-    sigma = max(params.sigma, 1e-6)
-    rho = min(max(params.rho, -1.0 + _EDGE), 1.0 - _EDGE)
-    b_prime = min(max(params.b * (1.0 + abs(rho)) / 2.0, _EDGE), 1.0)
-    threshold = fukasawa_threshold(b_prime * 2.0 / (1.0 + abs(rho)), rho)
-    u = min(max(params.a / sigma - threshold, _EDGE), u_max)
-    interval = pipeline.point(np.array([rho, b_prime, u, 0.0, 0.0])).interval
-    q = (2.0 * params.m / sigma - interval.upper - interval.lower) / interval.width()
-    q = min(max(q, -1.0 + 1e-3), 1.0 - 1e-3)
-    floor = pipeline.point(np.array([rho, b_prime, u, q, 0.0])).sigma_star
-    v = min(max(sigma - floor, 0.0), v_max)
-    return np.array([rho, b_prime, u, q, v])
 
 
 def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:
@@ -545,7 +339,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     lower = np.array([-1.0 + _EDGE, _EDGE, _EDGE, -1.0 + _EDGE, 0.0])
     upper = np.array([1.0 - _EDGE, 1.0, u_max, 1.0 - _EDGE, v_max])
 
-    pipeline = _Pipeline(config.alpha_cap)
+    pipeline = BoxChart(config.alpha_cap)
     objective = _Objective(slice_, weights, pipeline, lower, upper)
 
     rng = np.random.default_rng(config.seed)
@@ -553,9 +347,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     try:
         guess = _quasi_explicit_guess(k, w_mid, weights)
         guess = _natural_polish(k, w_mid, weights, guess)
-        x0s.append(
-            np.clip(_project_into_box(guess, pipeline, u_max, v_max), lower, upper)
-        )
+        x0s.append(pipeline.project(guess, lower, upper))
     except ButterfreeError:
         pass  # the uniform starts still run
 
@@ -622,10 +414,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
             f"{diagnostic.status.value}"
         )
     box = params_to_box(params)
-    a, b, rho, m, sigma = params.a, params.b, params.rho, params.m, params.sigma
-    dk = k - m
-    w_model = a + b * (rho * dk + np.sqrt(dk * dk + sigma * sigma))
-    rel = float(np.linalg.norm(w_model - w_mid) / np.linalg.norm(w_mid))
+    rel = float(np.linalg.norm(svi(params, k) - w_mid) / np.linalg.norm(w_mid))
     return CalibrationResult(
         params=params,
         box=box,

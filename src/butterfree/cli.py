@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -127,14 +128,19 @@ def write_slice(path: str, slice_: MarketSlice) -> None:
 
 
 def config_from_dict(doc: dict) -> CalibrationConfig:
+    if not isinstance(doc, dict) or not isinstance(doc.get("lsq") or {}, dict):
+        raise InvalidInput("a config and its lsq block must be JSON objects")
     lsq_doc = doc.get("lsq") or {}
-    lsq = LsqOptions(**{k: lsq_doc[k] for k in lsq_doc})
     known = {"n_starts", "seed", "r", "alpha_cap", "vega_weighted"}
-    extra = set(doc) - known - {"lsq"}
-    if extra:
-        raise InvalidInput(f"unknown config keys: {', '.join(sorted(extra))}")
+    for keys, allowed, what in (
+        (set(doc) - {"lsq"}, known, "config keys"),
+        (set(lsq_doc), {f.name for f in fields(LsqOptions)}, "lsq keys"),
+    ):
+        extra = keys - allowed
+        if extra:
+            raise InvalidInput(f"unknown {what}: {', '.join(sorted(extra))}")
     kwargs = {k: doc[k] for k in known if k in doc}
-    return CalibrationConfig(lsq=lsq, **kwargs)
+    return CalibrationConfig(lsq=LsqOptions(**lsq_doc), **kwargs)
 
 
 def result_to_dict(result: CalibrationResult) -> dict:
@@ -302,7 +308,9 @@ def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
         rows = []
         for x in xs:
             n0, n1, n2, _ = n_funcs(alpha, b, rho, float(x))
-            rows.append((float(x), n2 - n1 * n1 / (2.0 * n0)))
+            # G2 divides by N, which is not positive here
+            g2 = n2 - n1 * n1 / (2.0 * n0) if n0 > 0.0 else math.nan
+            rows.append((float(x), g2))
         return ["l", "g2"], rows
     if which == "gpm":
         rows = []

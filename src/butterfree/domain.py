@@ -17,6 +17,8 @@ Surviving all four steps is equivalent to g >= 0 on the whole line.  The
 same four quantities give a bijection between the strictly free region and
 a simple box (rho, b', u, q, v), which is what the calibrator optimizes
 over: every box point maps to an arbitrage-free smile by construction.
+This module owns that chart: its forward map, its exact partials and the
+projection of a raw smile into the box.
 """
 
 from __future__ import annotations
@@ -24,17 +26,22 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateSigma, DomainError, FukasawaViolated, NotInDomain
-from .fukasawa import MuInterval, fukasawa_threshold, l_star, mu_interval
+from .fukasawa import (
+    SLOPE_EQ_TOL,
+    MuInterval,
+    bound_partials,
+    fukasawa_threshold,
+    l_pm_of_alpha,
+    l_star,
+    mu_interval,
+)
 from .numerics import expand_bracket, find_root, golden_section_max
-from .svi import NormalizedParams, SviParams, denormalize, n_funcs, normalize
-
-#: Tolerance on the strict wing-slope inequality; values within this of the
-#: limit 2 are routed to the boundary-regime interval formulas instead.
-SLOPE_TOL = 1e-12
+from .svi import SviParams, n_funcs, normalize
 
 #: Grid size per reciprocal side used to locate the tail supremum.
 _PROFILE_GRID = 64
@@ -46,6 +53,16 @@ _REFINE_TOL = 1e-9
 #: few ulp of an interval wall; capping keeps the calibrator's residuals
 #: finite there instead of propagating an infinity.
 _PROFILE_CAP = 1e12
+
+#: Floor for the effective alpha margin once the cap clamp is applied.
+_U_FLOOR = 1e-9
+
+#: Relative gap below which the two tail maxima of sigma_star count as a
+#: tie, where sigma_star has a kink.
+_TIE_TOL = 1e-10
+
+#: Box coordinate indices, which are also the chart Jacobian's columns.
+_RHO, _BP, _U, _Q, _V = range(5)
 
 
 class Status(enum.Enum):
@@ -207,13 +224,7 @@ def sigma_star(alpha: float, b: float, rho: float, mu: float) -> float:
     best few grid points.  Raises FukasawaViolated when mu is not strictly
     admissible, since G1 must be positive on both tails.
     """
-    interval = mu_interval(alpha, b, rho)
-    if not interval.contains(mu):
-        raise FukasawaViolated(
-            f"mu = {mu} is not strictly inside ({interval.lower}, {interval.upper})"
-        )
-    zeros = g2_zeros(alpha, b, rho)
-    return _sigma_star_trusted(alpha, b, rho, mu, zeros)
+    return sigma_star_with_argmax(alpha, b, rho, mu)[0]
 
 
 def sigma_star_with_argmax(
@@ -228,30 +239,19 @@ def sigma_star_with_argmax(
             f"mu = {mu} is not strictly inside ({interval.lower}, {interval.upper})"
         )
     zeros = g2_zeros(alpha, b, rho)
-    return _sigma_star_impl(alpha, b, rho, mu, zeros)
+    value, h, _ = _sigma_star_trusted(alpha, b, rho, mu, zeros)
+    return value, h
 
 
 def _sigma_star_trusted(
     alpha: float, b: float, rho: float, mu: float, zeros: G2Zeros
-) -> float:
-    return _sigma_star_impl(alpha, b, rho, mu, zeros)[0]
+) -> tuple[float, float, tuple[tuple[float, float], ...]]:
+    """sigma_star, its argmax h, and the (supremum, argmax h) of the tail
+    deficit on each finite tail, left tail first.
 
-
-def _sigma_star_impl(
-    alpha: float, b: float, rho: float, mu: float, zeros: G2Zeros
-) -> tuple[float, float]:
-    best, h_best = 0.0, math.nan
-    for v, h in _tail_maxima(alpha, b, rho, mu, zeros):
-        if v > best:
-            best, h_best = v, h
-    return best, h_best
-
-
-def _tail_maxima(
-    alpha: float, b: float, rho: float, mu: float, zeros: G2Zeros
-) -> tuple[tuple[float, float], ...]:
-    """(supremum, argmax h) of the tail deficit on each finite tail, left
-    tail first; sigma_star is the larger supremum."""
+    The caller vouches that mu lies strictly inside its interval and that
+    zeros are the roots of G2 at (alpha, b, rho).
+    """
 
     def profile(h: float) -> float:
         g1, g2 = _g1_g2(alpha, b, rho, mu, 1.0 / h)
@@ -264,7 +264,11 @@ def _tail_maxima(
         tails.append(_side_max(alpha, b, rho, mu, profile, 1.0 / zeros.l1, 0.0))
     if math.isfinite(zeros.l2):
         tails.append(_side_max(alpha, b, rho, mu, profile, 0.0, 1.0 / zeros.l2))
-    return tuple(tails)
+    best, h_best = 0.0, math.nan
+    for value, h in tails:
+        if value > best:
+            best, h_best = value, h
+    return best, h_best, tuple(tails)
 
 
 def _profile_partials(
@@ -374,7 +378,7 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     norm = normalize(params)
     alpha, b, rho, mu = norm.alpha, norm.b, norm.rho, norm.mu
 
-    if slope_left > 2.0 + SLOPE_TOL or slope_right > 2.0 + SLOPE_TOL:
+    if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
         return ArbitrageDiagnostic(
             Status.FAILURE1, params, slope_left, slope_right, alpha=alpha, mu=mu,
             message=(
@@ -415,7 +419,7 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
         )
 
     zeros = g2_zeros(alpha, b, rho)
-    s_star = _sigma_star_trusted(alpha, b, rho, mu, zeros)
+    s_star = _sigma_star_trusted(alpha, b, rho, mu, zeros)[0]
     if params.sigma < s_star:
         return ArbitrageDiagnostic(
             Status.FAILURE4, params, slope_left, slope_right,
@@ -434,6 +438,183 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     )
 
 
+class ChartPoint(NamedTuple):
+    """One box point and every intermediate of its image under the chart."""
+
+    x: tuple[float, float, float, float, float]
+    b: float
+    threshold: float
+    room: float
+    u_eff: float
+    alpha: float
+    interval: MuInterval
+    mu: float
+    tails: tuple[tuple[float, float], ...]
+    sigma_star: float
+    h_star: float
+    sigma: float
+
+    @property
+    def raw(self) -> tuple[float, float, float, float, float]:
+        """(a, b, rho, m, sigma)."""
+        return (
+            self.alpha * self.sigma, self.b, self.x[0], self.mu * self.sigma, self.sigma
+        )
+
+
+class BoxChart:
+    """The box (rho, b', u, q, v) -> smile chart, its exact partials and
+    the projection of a raw smile into the box.
+
+    b = 2b'/(1+|rho|), alpha = F(b, rho) + u, mu sits at relative position
+    q inside its interval and sigma = sigma_star + v.  An optional cap on
+    alpha is enforced by clamping the margin u inside the mapping, which
+    keeps a solver's rectangle fixed while guaranteeing alpha <= alpha_cap
+    for every evaluated point; with the default infinite cap the chart is
+    box_to_params.
+
+    Every chart quantity is a root or an optimum, so its partials come from
+    the solved point alone: the threshold F(b, rho) by the implicit
+    function theorem on the interval gap, the interval bounds and
+    sigma_star by the envelope theorem at their optimizers l-, l+ and h*.
+    partials() reports the columns where the chart has a kink instead:
+    rho = 0 (through |rho|), the clamps on u, a wing slope at its limit,
+    the profile cap, and a tie between the two tail maxima.
+    """
+
+    def __init__(self, alpha_cap: float = math.inf) -> None:
+        self.alpha_cap = alpha_cap
+
+    def point(self, x) -> ChartPoint:
+        rho, b_prime, u, q, v = (float(c) for c in x)
+        b = b_prime * 2.0 / (1.0 + abs(rho))
+        threshold = fukasawa_threshold(b, rho)
+        room = self.alpha_cap - threshold
+        u_eff = min(u, room)
+        if u_eff < _U_FLOOR:
+            u_eff = min(u, _U_FLOOR)
+        alpha = threshold + u_eff
+        interval = mu_interval(alpha, b, rho)
+        mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
+        floor, h_star, tails = _sigma_star_trusted(
+            alpha, b, rho, mu, g2_zeros(alpha, b, rho)
+        )
+        return ChartPoint(
+            (rho, b_prime, u, q, v), b, threshold, room, u_eff, alpha,
+            interval, mu, tails, floor, h_star, floor + v,
+        )
+
+    def partials(self, p: ChartPoint) -> tuple[np.ndarray, frozenset[int]]:
+        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array,
+        and the set of columns that sit on a kink, whose entries are not
+        derivatives and must be replaced."""
+        rho, _, u, q, _ = p.x
+        b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
+        eye = np.eye(5)
+        kinks: set[int] = set()
+        if rho == 0.0:
+            kinks.add(_RHO)
+        d_rho = eye[_RHO]
+        d_b = np.array([
+            -math.copysign(b, rho) / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)),
+            0.0, 0.0, 0.0,
+        ])
+        on_limit = (
+            b * (1.0 - rho) >= 2.0 - SLOPE_EQ_TOL,
+            b * (1.0 + rho) >= 2.0 - SLOPE_EQ_TOL,
+        )
+        if any(on_limit):
+            # the limit branch switches on at a slope within SLOPE_EQ_TOL
+            # of 2, which only rho and b' move
+            kinks.update((_RHO, _BP))
+            d_threshold = np.zeros(5)
+        else:
+            f_b, f_rho = _threshold_partials(b, rho, p.threshold)
+            d_threshold = f_b * d_b + f_rho * d_rho
+
+        if u == p.room or p.room == _U_FLOOR or u == _U_FLOOR:
+            kinks.update((_RHO, _BP, _U))
+        if p.u_eff == u:
+            d_u_eff = eye[_U]
+        elif p.u_eff == p.room:
+            d_u_eff = -d_threshold
+        else:
+            d_u_eff = np.zeros(5)
+        d_alpha = d_threshold + d_u_eff
+
+        d_bounds = []
+        for side, limited in zip("-+", on_limit):
+            if limited:
+                # the bound is -+alpha/2 on the limit branch
+                d_bounds.append((0.5 if side == "+" else -0.5) * d_alpha)
+                continue
+            l = l_pm_of_alpha(alpha, b, rho, side)
+            pa, pb, pr = bound_partials(l, alpha, b, rho, side)
+            d_bounds.append(pa * d_alpha + pb * d_b + pr * d_rho)
+        d_lower, d_upper = d_bounds
+        d_mu = 0.5 * (1.0 + q) * d_upper + 0.5 * (1.0 - q) * d_lower
+        d_mu[_Q] += 0.5 * p.interval.width()
+
+        d_sigma = eye[_V].copy()
+        maxima = [value for value, _ in p.tails]
+        tie = len(maxima) == 2 and abs(maxima[0] - maxima[1]) <= _TIE_TOL * max(maxima)
+        if p.sigma_star >= _PROFILE_CAP or tie:
+            kinks.update((_RHO, _BP, _U, _Q))
+        elif math.isfinite(p.h_star):
+            sa, sb, sr, sm = _profile_partials(alpha, b, rho, mu, p.h_star)
+            d_sigma += sa * d_alpha + sb * d_b + sr * d_rho + sm * d_mu
+        d_raw = np.vstack([
+            sigma * d_alpha + alpha * d_sigma,
+            d_b,
+            d_rho,
+            sigma * d_mu + mu * d_sigma,
+            d_sigma,
+        ])
+        return d_raw, frozenset(kinks)
+
+    def project(self, params: SviParams, lower, upper) -> np.ndarray:
+        """Box coordinates whose image is the closest expressible free smile.
+
+        Each coordinate is clipped into [lower, upper], except q, which
+        keeps a margin of a thousandth of the interval width because
+        sigma_star blows up against the walls.  params need not be free.
+        """
+        lower = [float(c) for c in lower]
+        upper = [float(c) for c in upper]
+        sigma = max(params.sigma, 1e-6)
+        rho = min(max(params.rho, lower[_RHO]), upper[_RHO])
+        b_prime = min(max(params.b * (1.0 + abs(rho)) / 2.0, lower[_BP]), upper[_BP])
+        threshold = fukasawa_threshold(b_prime * 2.0 / (1.0 + abs(rho)), rho)
+        u = min(max(params.a / sigma - threshold, lower[_U]), upper[_U])
+        interval = self.point((rho, b_prime, u, 0.0, 0.0)).interval
+        q = (2.0 * params.m / sigma - interval.upper - interval.lower) / interval.width()
+        q = min(max(q, -1.0 + 1e-3), 1.0 - 1e-3)
+        floor = self.point((rho, b_prime, u, q, 0.0)).sigma_star
+        v = min(max(sigma - floor, lower[_V]), upper[_V])
+        return np.array([rho, b_prime, u, q, v])
+
+
+def _threshold_partials(b: float, rho: float, threshold: float) -> tuple[float, float]:
+    """(dF/db, dF/drho) off the slope limits.
+
+    F solves D(F) = 0 for the gap D = inf L_plus - sup L_minus, so
+    dF = -D_(b, rho)/D_alpha, each partial of D taken at the optimizers
+    l-(F), l+(F).  Where the gap is open at the positivity floor,
+    fukasawa_threshold returns the floor -b*sqrt(1-rho^2) itself.
+    """
+    root = math.sqrt(1.0 - rho * rho)
+    if threshold == -b * root:
+        return -root, b * rho / root
+    la, lb, lr = bound_partials(
+        l_pm_of_alpha(threshold, b, rho, "-"), threshold, b, rho, "-"
+    )
+    ua, ub, ur = bound_partials(
+        l_pm_of_alpha(threshold, b, rho, "+"), threshold, b, rho, "+"
+    )
+    d_alpha = ua - la
+    return -(ub - lb) / d_alpha, -(ur - lr) / d_alpha
+
+
 def box_to_params(box: BoxCoords) -> SviParams:
     """Map box coordinates to raw smile parameters.
 
@@ -441,21 +622,8 @@ def box_to_params(box: BoxCoords) -> SviParams:
     and at or above the sigma_star floor, so the result is always free of
     butterfly arbitrage.
     """
-    norm, _, _, _ = _box_pipeline(box)
-    return denormalize(norm)
-
-
-def _box_pipeline(box: BoxCoords) -> tuple[NormalizedParams, float, MuInterval, float]:
-    b = box.b_prime * 2.0 / (1.0 + abs(box.rho))
-    threshold = fukasawa_threshold(b, box.rho)
-    alpha = threshold + box.u
-    interval = mu_interval(alpha, b, box.rho)
-    mu = 0.5 * (1.0 + box.q) * interval.upper + 0.5 * (1.0 - box.q) * interval.lower
-    zeros = g2_zeros(alpha, b, box.rho)
-    s_star = _sigma_star_trusted(alpha, b, box.rho, mu, zeros)
-    sigma = s_star + box.v
-    norm = NormalizedParams(alpha=alpha, b=b, rho=box.rho, mu=mu, sigma=sigma)
-    return norm, threshold, interval, s_star
+    x = (box.rho, box.b_prime, box.u, box.q, box.v)
+    return SviParams(*BoxChart().point(x).raw)
 
 
 def params_to_box(params: SviParams) -> BoxCoords:

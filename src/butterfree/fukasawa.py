@@ -38,7 +38,9 @@ from .numerics import DEFAULT_X_TOL, Bracket, expand_bracket, find_root
 from .svi import n_funcs
 
 #: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
-#: boundary regime, where the one-sided optimum moves to infinity.
+#: boundary regime, where the one-sided optimum moves to infinity, and a
+#: slope above 2 + SLOPE_EQ_TOL is over the limit (a DomainError here and
+#: Failure1 in the domain waterfall).
 SLOPE_EQ_TOL = 1e-12
 
 #: Offset above the lower alpha boundary used when probing the interval gap.
@@ -58,21 +60,6 @@ class MuInterval:
 
     def width(self) -> float:
         return self.upper - self.lower
-
-
-@dataclass(frozen=True)
-class GShape:
-    """Shape summary of g_pm on its half-line.
-
-    ``monotone`` means g heads straight down (minus side) or up (plus side)
-    toward the vertex; otherwise the function turns at ``m`` and ``s`` marks
-    where it crosses the vertex level -sqrt(1-rho^2) away from the vertex.
-    """
-
-    side: str
-    monotone: bool
-    m: float | None
-    s: float
 
 
 def l_star(rho: float) -> float:
@@ -190,27 +177,6 @@ def _anchor(b: float, rho: float, side: str) -> tuple[bool, float]:
             return True, l_star(rho)
         m = b / math.sqrt((2.0 - b * (1.0 + rho)) * (2.0 + b * (1.0 - rho)))
     return False, m
-
-
-def g_shape(b: float, rho: float, side: str) -> GShape:
-    """Classify g_pm on its half-line: monotone toward the vertex, or a
-    single turn at m with the vertex-level crossing at s.
-
-    Requires the matching wing slope b*(1 -+ rho) to sit strictly below 2;
-    at the limit the optimum escapes to infinity (NoFiniteOptimum).
-    """
-    monotone, anchor = _anchor(b, rho, side)
-    if monotone:
-        return GShape(side, True, None, anchor)
-    level = -math.sqrt(1.0 - rho * rho)
-
-    def f(l: float) -> float:
-        return g_pm(b, rho, l, side) - level
-
-    direction = -1 if side == "-" else 1
-    bracket = expand_bracket(f, anchor, direction)
-    s = find_root(f, bracket, DEFAULT_X_TOL)
-    return GShape(side, False, anchor, s)
 
 
 def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:

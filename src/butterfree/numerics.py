@@ -1,5 +1,6 @@
 """Shared numeric plumbing: bracketed root finding, bounded scalar
-maximization and bound-constrained least squares.
+maximization, bound-constrained least squares and the checks on numeric
+settings.
 
 The heavy lifting is delegated to scipy (Brent's method, dogbox trust
 region); this module pins down brackets, tolerances and failure modes so
@@ -9,6 +10,7 @@ the rest of the package gets deterministic behaviour and typed errors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -18,6 +20,7 @@ from scipy.optimize import brentq, least_squares
 from .errors import (
     DomainError,
     InfeasibleStart,
+    InvalidInput,
     MaxIterations,
     NoBracketFound,
     NoSignChange,
@@ -65,10 +68,41 @@ class LsqOptions:
     g_tol: float = field(default_factory=lambda: float(np.finfo(float).eps))
     max_evals: int = 1000
 
+    def __post_init__(self) -> None:
+        for name in ("f_tol", "x_tol", "g_tol"):
+            require_real(name, getattr(self, name), 0.0)
+        if max(self.f_tol, self.x_tol, self.g_tol) < np.finfo(float).eps:
+            raise InvalidInput(
+                "at least one of f_tol, x_tol and g_tol must reach machine epsilon"
+            )
+        require_int("max_evals", self.max_evals, 1)
 
-def bracket_root(f: Callable[[float], float], lo: float, hi: float) -> Bracket:
-    """Evaluate f at both endpoints and certify the bracket."""
-    return Bracket(lo, hi, f(lo), f(hi))
+
+def require_int(name: str, value, least: int) -> None:
+    """Raise InvalidInput unless value is an integer, not a bool, and at
+    least ``least``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < least
+    ):
+        raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def require_real(name: str, value, least: float, strict: bool = False) -> None:
+    """Raise InvalidInput unless value is a finite real number, not a bool,
+    and at least ``least`` (above it when ``strict``)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value < least
+        or (strict and value == least)
+    ):
+        relation = ">" if strict else ">="
+        raise InvalidInput(
+            f"{name} must be a finite number {relation} {least}, got {value!r}"
+        )
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = DEFAULT_X_TOL) -> float:
@@ -180,44 +214,6 @@ def golden_section_max(
         if fd > best_v:
             best_x, best_v = d, fd
     return best_x, best_v
-
-
-def maximize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n_grid: int = 64,
-    tol: float = DEFAULT_X_TOL,
-) -> tuple[float, float]:
-    """Maximize f over the open interval (lo, hi).
-
-    Scans an ``n_grid``-point interior grid, then refines around the best
-    grid point with golden-section search.  The result is never worse than
-    the best grid value.  Non-finite evaluations raise DomainError.
-    """
-    if n_grid < 3:
-        raise DomainError(f"n_grid must be at least 3, got {n_grid}")
-    if not lo < hi:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
-    xs = _interior_grid(lo, hi, n_grid)
-    vals = []
-    for x in xs:
-        v = f(x)
-        _require_finite(v, x)
-        vals.append(v)
-    i_best = max(range(n_grid), key=vals.__getitem__)
-    x_best, v_best = xs[i_best], vals[i_best]
-    win_lo = xs[i_best - 1] if i_best > 0 else lo
-    win_hi = xs[i_best + 1] if i_best < n_grid - 1 else hi
-    x_ref, v_ref = golden_section_max(f, win_lo, win_hi, tol)
-    if v_ref > v_best:
-        return x_ref, v_ref
-    return x_best, v_best
-
-
-def _interior_grid(lo: float, hi: float, n: int) -> list[float]:
-    h = (hi - lo) / n
-    return [lo + (i + 0.5) * h for i in range(n)]
 
 
 def _require_finite(value: float, x: float) -> None:

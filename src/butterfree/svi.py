@@ -20,7 +20,6 @@ curvature excess that does not depend on mu.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -102,20 +101,22 @@ class GSplit:
     g2: float
 
 
-class Regime(enum.Enum):
-    """Classification of the wing slopes b*(1 -+ rho) against the limit 2."""
+def svi_raw(k, a, b, rho, m, sigma):
+    """Total variance w(k) from raw values, with no SviParams validation.
 
-    B1 = "B1"
-    B2 = "B2"
-    B3 = "B3"
-    B4 = "B4"
-    OVER_LIMIT = "over-limit"
+    The calibrator's polish searches a box that admits non-smiles, so it
+    evaluates through here.  sigma is squared as sigma*sigma: sigma**2
+    differs from it in the last bit for some floats.
+    """
+    dk = k - m
+    return a + b * (rho * dk + np.sqrt(dk * dk + sigma * sigma))
 
 
 def svi(params: SviParams, k):
     """Total variance w(k).  Accepts scalars or numpy arrays."""
-    x = np.asarray(k, dtype=float) - params.m
-    w = params.a + params.b * (params.rho * x + np.sqrt(x * x + params.sigma**2))
+    w = svi_raw(
+        np.asarray(k, dtype=float), params.a, params.b, params.rho, params.m, params.sigma
+    )
     return w if w.ndim else float(w)
 
 
@@ -155,11 +156,6 @@ def denormalize(norm: NormalizedParams) -> SviParams:
         m=norm.mu * norm.sigma,
         sigma=norm.sigma,
     )
-
-
-def reduced_log_strike(norm: NormalizedParams, k: float) -> float:
-    """Map log-forward moneyness k to the reduced coordinate l."""
-    return k / norm.sigma - norm.mu
 
 
 def n_funcs(alpha: float, b: float, rho: float, l: float) -> tuple[float, float, float, float]:
@@ -223,25 +219,3 @@ def density(params: SviParams, k: float) -> float:
     g = durrleman_g(params, k)
     return g * math.exp(-0.5 * d2 * d2) / (math.exp(k) * math.sqrt(2.0 * math.pi * w))
 
-
-def wing_regime(b: float, rho: float, tol: float = 0.0) -> Regime:
-    """Classify the wing slopes s_minus = b*(1-rho), s_plus = b*(1+rho).
-
-    B1: both slopes below 2.  B2: left slope at the limit.  B3: right slope
-    at the limit.  B4: both at the limit.  Slopes beyond 2 + tol are
-    classified OVER_LIMIT; equality is resolved within +-tol.  The default
-    tol = 0 compares exactly.
-    """
-    s_minus = b * (1.0 - rho)
-    s_plus = b * (1.0 + rho)
-    if s_minus > 2.0 + tol or s_plus > 2.0 + tol:
-        return Regime.OVER_LIMIT
-    eq_minus = abs(s_minus - 2.0) <= tol
-    eq_plus = abs(s_plus - 2.0) <= tol
-    if eq_minus and eq_plus:
-        return Regime.B4
-    if eq_minus:
-        return Regime.B2
-    if eq_plus:
-        return Regime.B3
-    return Regime.B1

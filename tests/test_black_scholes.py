@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from butterfree.black_scholes import (
-    MoneyVol,
     THETA_MAX,
     THETA_MIN,
     call_price,
@@ -87,15 +86,6 @@ class TestPrices:
     def test_rejects_negative_theta(self):
         with pytest.raises(DomainError):
             call_price(0.0, -0.1)
-
-
-class TestMoneyVol:
-    def test_validation(self):
-        MoneyVol(k=0.1, theta=0.0)
-        with pytest.raises(DomainError):
-            MoneyVol(k=0.1, theta=-1.0)
-        with pytest.raises(DomainError):
-            MoneyVol(k=math.nan, theta=0.2)
 
 
 class TestVega:

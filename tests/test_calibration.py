@@ -12,12 +12,11 @@ from butterfree.calibration import (
     CalibrationConfig,
     MarketSlice,
     _Objective,
-    _Pipeline,
     calibrate,
     sigma_upper_bound,
     vega_weights,
 )
-from butterfree.domain import box_to_params
+from butterfree.domain import BoxChart, box_to_params
 from butterfree.fukasawa import fukasawa_threshold
 from butterfree.errors import (
     InfeasibleStart,
@@ -255,7 +254,7 @@ def chart_objective(alpha_cap: float = 1.0) -> _Objective:
     s = model_slice(MODEL_ROWS[0])
     lower = np.array([-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0])
     upper = np.array([1.0 - 1e-6, 1.0, alpha_cap + 2.0, 1.0 - 1e-6, 10.0])
-    return _Objective(s, np.ones(len(s)), _Pipeline(alpha_cap), lower, upper)
+    return _Objective(s, np.ones(len(s)), BoxChart(alpha_cap), lower, upper)
 
 
 def quotient(objective: _Objective, x: np.ndarray, j: int, h: float, central: bool):

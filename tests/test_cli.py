@@ -21,7 +21,7 @@ from butterfree.domain import sigma_star, sigma_star_profile
 from butterfree.errors import InvalidInput
 from butterfree.fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, l_star, mu_interval
 from butterfree.market_data import year_fraction
-from butterfree.svi import SviParams, durrleman_g, svi
+from butterfree.svi import SviParams, durrleman_g, n_funcs, svi
 
 VOGT_FLAGS = [
     "--a", "-0.041", "--b", "0.1331", "--rho", "0.3060",
@@ -326,6 +326,30 @@ class TestCalibrateCommand:
         assert rc == 64
         assert "unknown config keys: bogus" in err
 
+    @pytest.mark.parametrize("flags, config", [
+        (["--alpha-cap", "inf"], None),
+        (["--r", "inf"], None),
+        (["--seed", "-1"], None),
+        ([], {"lsq": {"bogus": 1}}),
+        ([], {"n_starts": "3"}),
+        ([], {"lsq": {"max_evals": 0}}),
+        ([], {"lsq": {"f_tol": 0.0, "x_tol": 0.0, "g_tol": 0.0}}),
+        ([], {"lsq": {"f_tol": "x"}}),
+        ([], {"vega_weighted": "no"}),
+    ], ids=["alpha-cap-inf", "r-inf", "seed-negative", "lsq-unknown-key",
+            "n-starts-string", "max-evals-zero", "tolerances-zero",
+            "tolerance-string", "vega-weighted-string"])
+    def test_bad_config_is_input_error(self, capsys, tmp_path, flags, config):
+        argv = ["calibrate", "--slice", self._write_row2(tmp_path), *flags]
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        rc, out, err = run(capsys, argv)
+        assert rc == 64
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "wrote" not in out
+
     def test_lsq_block_passes_through(self):
         config = config_from_dict({"lsq": {"max_evals": 50}})
         assert config.lsq.max_evals == 50
@@ -479,6 +503,21 @@ class TestPlotData:
         assert signs == [False, False, False, True, True, True, False, False, False]
         assert rows[4][0] == 0.0
         assert abs(rows[4][1] - 0.48125) < 1e-15
+
+    def test_g2_is_nan_where_the_smile_is_not_positive(self, capsys):
+        # N(0) = alpha + b = 0, and G2 = N'' - N'^2/(2N) divides by N
+        rc, out, _ = run(capsys, [
+            "plot-data", "--which", "g2", "--alpha", "-1", "--b", "1",
+            "--rho", "0", "--from", "-1", "--to", "1", "--grid", "3",
+            "--out", "-",
+        ])
+        assert rc == 0
+        _, rows = parse_plot(out)
+        assert [row[0] for row in rows] == [-1.0, 0.0, 1.0]
+        assert math.isnan(rows[1][1])
+        for l, g2 in (rows[0], rows[2]):
+            n0, n1, n2, _ = n_funcs(-1.0, 1.0, 0.0, l)
+            assert g2 == n2 - n1 * n1 / (2.0 * n0)
 
     def test_gpm_matches_library(self, capsys):
         rc, out, _ = run(capsys, [

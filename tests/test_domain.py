@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 
 from butterfree.domain import (
     ArbitrageDiagnostic,
+    BoxChart,
     BoxCoords,
     G2Zeros,
     Status,
@@ -245,6 +246,40 @@ class TestCheckNoArbitrage:
             assert np.min(norm_g) >= -1e-12
 
 
+class TestDifferentialOracle:
+    """The waterfall against a brute-force minimum of g on random smiles."""
+
+    def test_verdicts_match_brute_force(self):
+        # |l| <= 1e4, dense where the smile bends
+        far = np.geomspace(60.0, 1e4, 1500)
+        l_grid = np.concatenate([-far[::-1], np.linspace(-60.0, 60.0, 12001), far])
+        rng = np.random.default_rng(11)
+        seen = {status: 0 for status in Status}
+        for _ in range(800):
+            rho = rng.uniform(-0.99, 0.99)
+            b = rng.uniform(0.05, 2.3) / (1.0 + abs(rho))
+            floor = -b * math.sqrt(1.0 - rho * rho)
+            alpha = floor + math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+            mu = rng.uniform(-2.0, 2.0)
+            sigma = math.exp(rng.uniform(math.log(0.02), math.log(3.0)))
+            params = SviParams(alpha * sigma, b, rho, mu * sigma, sigma)
+            status = check_no_arbitrage(params).status
+            seen[status] += 1
+            where = (rho, b, alpha, mu, sigma, status)
+
+            over = max(b * (1.0 - rho), b * (1.0 + rho)) > 2.0
+            assert (status is Status.FAILURE1) == over, where
+            if status is Status.FAILURE1:
+                # g may turn negative only beyond the grid
+                continue
+            g_min = float(np.min(durrleman_g(params, sigma * (l_grid + mu))))
+            assert (status is Status.FREE) == (g_min >= -1e-10), (where, g_min)
+            if status is Status.FAILURE4:
+                _, h = sigma_star_with_argmax(alpha, b, rho, mu)
+                assert durrleman_g(params, sigma * (1.0 / h + mu)) < 0.0, where
+        assert min(seen.values()) >= 50, seen
+
+
 class TestBoxCoords:
     def test_validation(self):
         BoxCoords(rho=0.0, b_prime=1.0, u=0.1, q=0.0, v=0.0)
@@ -314,3 +349,24 @@ class TestBoxMap:
             params_to_box(SviParams(a=0.04, b=0.0, rho=0.0, m=0.0, sigma=0.3))
         with pytest.raises(NotInDomain):
             params_to_box(SviParams(a=0.1, b=0.5, rho=1.0, m=0.0, sigma=0.3))
+
+
+class TestBoxChartProjection:
+    LOWER = (-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0)
+    UPPER = (1.0 - 1e-6, 1.0, 3.0, 1.0 - 1e-6, 10.0)
+
+    def test_inverts_the_chart_inside_the_box(self):
+        chart = BoxChart()
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            x = rng.uniform((-0.9, 0.05, 1e-3, -0.9, 0.0), (0.9, 1.0, 2.0, 0.9, 2.0))
+            back = chart.project(SviParams(*chart.point(x).raw), self.LOWER, self.UPPER)
+            assert np.allclose(back, x, rtol=1e-9, atol=1e-9), (x, back)
+
+    def test_lands_inside_the_box_from_an_arbitrageable_smile(self):
+        chart = BoxChart(alpha_cap=1.0)
+        x = chart.project(VOGT, self.LOWER, self.UPPER)
+        assert np.all(x >= self.LOWER) and np.all(x <= self.UPPER)
+        # q keeps off the interval walls, where sigma_star blows up
+        assert abs(x[3]) <= 1.0 - 1e-3
+        assert chart.point(x).alpha <= 1.0

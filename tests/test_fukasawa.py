@@ -14,9 +14,9 @@ from butterfree.fukasawa import (
     L_minus,
     L_plus,
     MuInterval,
+    _anchor,
     fukasawa_threshold,
     g_pm,
-    g_shape,
     l_pm_of_alpha,
     l_star,
     mu_interval,
@@ -163,43 +163,39 @@ class TestGPm:
 
 
 class TestGShape:
+    """The shape of g_pm on its half-line, as fukasawa._anchor reports it:
+    monotone toward the vertex, or a single turn at m."""
+
     def test_turning_case(self):
-        # rho = -1, b = 1/2: turn at -b/sqrt((2-2b)*2), vertex-level
-        # crossing known in closed form -(b+2)/(2*sqrt(3*(1-b)))
-        sh = g_shape(0.5, -1.0, "-")
-        assert sh.side == "-"
-        assert not sh.monotone
-        assert sh.m == pytest.approx(-0.5 / math.sqrt(2.0), abs=1e-14)
-        want = -(0.5 + 2.0) / (2.0 * math.sqrt(3.0 * 0.5))
-        assert sh.s == pytest.approx(want, abs=1e-10)
-        assert sh.s == pytest.approx(-1.0206207261596576, abs=1e-10)
+        # rho = -1, b = 1/2: turn at -b/sqrt((2-2b)*2)
+        monotone, m = _anchor(0.5, -1.0, "-")
+        assert not monotone
+        assert m == pytest.approx(-0.5 / math.sqrt(2.0), abs=1e-14)
 
     def test_slope_limit_escapes(self):
         with pytest.raises(NoFiniteOptimum):
-            g_shape(1.0, -1.0, "-")
+            _anchor(1.0, -1.0, "-")
         with pytest.raises(NoFiniteOptimum):
-            g_shape(2.0, 0.0, "+")
+            _anchor(2.0, 0.0, "+")
 
     def test_mixed_sides(self):
         # b = 2/3, rho = 1/2: monotone toward the vertex on the left,
         # turning on the right with the dip below the vertex level
         b, rho = 2.0 / 3.0, 0.5
-        left = g_shape(b, rho, "-")
-        assert left.monotone
-        assert left.m is None
-        assert left.s == l_star(rho)
-        right = g_shape(b, rho, "+")
-        assert not right.monotone
+        monotone, anchor = _anchor(b, rho, "-")
+        assert monotone
+        assert anchor == l_star(rho)
+        monotone, m = _anchor(b, rho, "+")
+        assert not monotone
         want_m = b / math.sqrt((2.0 - b * (1.0 + rho)) * (2.0 + b * (1.0 - rho)))
-        assert right.m == pytest.approx(want_m, abs=1e-14)
-        assert g_pm(b, rho, right.m, "+") < -math.sqrt(1.0 - rho * rho)
-        assert right.s > right.m
+        assert m == pytest.approx(want_m, abs=1e-14)
+        assert g_pm(b, rho, m, "+") < -math.sqrt(1.0 - rho * rho)
 
     def test_rejects_empty_half_line(self):
         with pytest.raises(DomainError):
-            g_shape(0.5, 1.0, "-")
+            _anchor(0.5, 1.0, "-")
         with pytest.raises(DomainError):
-            g_shape(0.5, -1.0, "+")
+            _anchor(0.5, -1.0, "+")
 
 
 class TestCriticalPoints:

@@ -18,13 +18,16 @@ from butterfree.errors import (
 from butterfree.numerics import (
     Bracket,
     LsqOptions,
-    bracket_root,
     expand_bracket,
     find_root,
     golden_section_max,
     least_squares_bounded,
-    maximize_scalar,
 )
+
+
+def certified(f, lo, hi):
+    """The bracket [lo, hi] of f, with both endpoints evaluated."""
+    return Bracket(lo, hi, f(lo), f(hi))
 
 
 class TestBracket:
@@ -40,35 +43,30 @@ class TestBracket:
         with pytest.raises(NoSignChange):
             Bracket(0.0, 1.0, -1.0, math.inf)
 
-    def test_bracket_root_evaluates_endpoints(self):
-        br = bracket_root(lambda x: x - 0.5, 0.0, 1.0)
-        assert br.f_lo == -0.5 and br.f_hi == 0.5
-
-
 class TestFindRoot:
     def test_quadratic(self):
-        br = bracket_root(lambda x: x * x - 4.0, 0.0, 3.0)
+        br = certified(lambda x: x * x - 4.0, 0.0, 3.0)
         assert find_root(lambda x: x * x - 4.0, br) == pytest.approx(2.0, abs=1e-12)
 
     def test_identity(self):
-        br = bracket_root(lambda x: x, -1.0, 2.0)
+        br = certified(lambda x: x, -1.0, 2.0)
         assert find_root(lambda x: x, br) == pytest.approx(0.0, abs=1e-12)
 
     def test_cos_fixed_point(self):
         # root of cos(x) - x, frozen from a 200-step bisection
         f = lambda x: math.cos(x) - x
-        root = find_root(f, bracket_root(f, 0.0, 1.0))
+        root = find_root(f, certified(f, 0.0, 1.0))
         assert root == pytest.approx(0.7390851332151607, abs=1e-12)
 
     def test_root_stays_in_bracket(self):
         f = lambda x: math.tanh(x - 0.3)
-        br = bracket_root(f, -2.0, 5.0)
+        br = certified(f, -2.0, 5.0)
         root = find_root(f, br)
         assert br.lo <= root <= br.hi
         assert abs(f(root)) <= min(abs(br.f_lo), abs(br.f_hi))
 
     def test_rejects_bad_tol(self):
-        br = bracket_root(lambda x: x, -1.0, 1.0)
+        br = certified(lambda x: x, -1.0, 1.0)
         with pytest.raises(DomainError):
             find_root(lambda x: x, br, tol=0.0)
 
@@ -126,42 +124,6 @@ class TestGoldenSection:
 
         x, _ = golden_section_max(f, 0.0, 1.0)
         assert x == pytest.approx(0.5, abs=1e-9)
-
-
-class TestMaximizeScalar:
-    def test_parabola_vertex(self):
-        x, v = maximize_scalar(lambda x: -((x - 1.0) ** 2), 0.0, 2.0, n_grid=33)
-        assert x == pytest.approx(1.0, abs=1e-9)
-        assert v == pytest.approx(0.0, abs=1e-15)
-
-    def test_sine(self):
-        x, v = maximize_scalar(math.sin, 0.0, math.pi, n_grid=33)
-        assert x == pytest.approx(math.pi / 2.0, abs=1e-9)
-        assert v == pytest.approx(1.0, abs=1e-12)
-
-    def test_x_exp_minus_x(self):
-        # calculus: maximum of x*exp(-x) at x = 1
-        # argmax localization on a flat top is limited to about sqrt(eps)
-        x, v = maximize_scalar(lambda x: x * math.exp(-x), 0.0, 5.0, n_grid=65)
-        assert x == pytest.approx(1.0, abs=1e-7)
-        assert v == pytest.approx(math.exp(-1.0), abs=1e-14)
-
-    def test_never_below_best_grid_value(self):
-        # jagged objective: refinement may not help, but must never hurt
-        f = lambda x: math.sin(17.0 * x) + 0.3 * math.sin(51.0 * x)
-        n = 64
-        _, v = maximize_scalar(f, 0.0, 3.0, n_grid=n)
-        h = 3.0 / n
-        grid_best = max(f(0.0 + (i + 0.5) * h) for i in range(n))
-        assert v >= grid_best
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(DomainError):
-            maximize_scalar(lambda x: x, 0.0, 1.0, n_grid=2)
-
-    def test_propagates_non_finite(self):
-        with pytest.raises(DomainError):
-            maximize_scalar(lambda x: math.inf, 0.0, 1.0)
 
 
 class TestLeastSquaresBounded:

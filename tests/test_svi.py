@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from butterfree.errors import DegenerateSigma, InvalidParams, NonPositiveVariance
 from butterfree.svi import (
     NormalizedParams,
-    Regime,
     SviParams,
     denormalize,
     density,
@@ -20,11 +19,9 @@ from butterfree.svi import (
     g_split,
     n_funcs,
     normalize,
-    reduced_log_strike,
     svi,
     svi_d1,
     svi_d2,
-    wing_regime,
 )
 from conftest import GATHERAL_JACQUIER, MODEL_ROWS, VOGT
 
@@ -146,7 +143,7 @@ class TestNormalization:
     def test_scaling_identity(self, params, k):
         # sigma * N(k/sigma - mu) reproduces w(k)
         norm = normalize(params)
-        l = reduced_log_strike(norm, k)
+        l = k / norm.sigma - norm.mu
         n0, _, _, _ = n_funcs(norm.alpha, norm.b, norm.rho, l)
         assert norm.sigma * n0 == pytest.approx(svi(params, k), rel=1e-13, abs=1e-15)
 
@@ -294,27 +291,6 @@ class TestDensity:
         p = SviParams(a=-0.15, b=0.5, rho=0.0, m=0.0, sigma=0.3)
         with pytest.raises(NonPositiveVariance):
             density(p, 0.0)
-
-
-class TestWingRegime:
-    def test_reference_points(self):
-        assert wing_regime(2.0, 0.0) is Regime.B4
-        assert wing_regime(1.0, 0.0) is Regime.B1
-        assert wing_regime(0.1331, 0.306) is Regime.B1
-
-    def test_one_sided_limits(self):
-        # the saturated wing needs the opposite sign of rho so the other
-        # slope stays under the limit; 1/3 rounds, hence the tolerance
-        assert wing_regime(1.5, -1.0 / 3.0, tol=1e-12) is Regime.B2
-        assert wing_regime(1.5, 1.0 / 3.0, tol=1e-12) is Regime.B3
-
-    def test_over_limit(self):
-        assert wing_regime(3.0, 0.0) is Regime.OVER_LIMIT
-        assert wing_regime(1.2, 0.9) is Regime.OVER_LIMIT
-
-    def test_exact_comparison_by_default(self):
-        assert wing_regime(2.0 - 1e-13, 0.0) is Regime.B1
-        assert wing_regime(2.0 - 1e-13, 0.0, tol=1e-12) is Regime.B4
 
 
 class TestG2SignStructure:
