@@ -36,19 +36,20 @@ from .fukasawa import (
     MuInterval,
     bound_partials,
     fukasawa_threshold,
-    l_pm_of_alpha,
+    interval_with_optimizers,
     l_star,
     mu_interval,
+    threshold_with_optimizers,
 )
-from .numerics import expand_bracket, find_root, golden_section_max
+from .numerics import Bracket, expand_bracket, find_root, newton_root
 from .svi import SviParams, n_funcs, normalize
 
 #: Grid size per reciprocal side used to locate the tail supremum.
 _PROFILE_GRID = 64
+#: Grid peaks per side refined to a root of the profile's derivative.
 _REFINE_CANDIDATES = 3
-#: Golden-section width target for the refinement stage; the profile is
-#: locally quadratic so the value is accurate to roughly the square of this.
-_REFINE_TOL = 1e-9
+#: Doublings of l allowed when a tail's peak lies beyond its grid.
+_MAX_DOUBLINGS = 60
 #: Ceiling on the tail deficit.  G1 can round to zero when mu sits within a
 #: few ulp of an interval wall; capping keeps the calibrator's residuals
 #: finite there instead of propagating an infinity.
@@ -153,7 +154,11 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     - rho^2*(l^2+1)^(3/2) - 2*rho*l^3, positive at both the vertex and the
     origin and negative in the tails, with exactly one root on each side
     (the matching tail vanishes at |rho| = 1 and the root moves to
-    infinity).
+    infinity).  With r = sqrt(l^2+1), q is evaluated as
+    2*alpha/b + 3r - (1-|rho|)^2 r^3 - 2|rho| T, T = r^3 + sgn(rho) l^3;
+    where rho*l < 0 the root moves out like (1-|rho|)^(-1/2) and T is taken
+    as (r^2 + r|l| + l^2)/(r + |l|), exact since r^2 - l^2 = 1, so its
+    cancellation costs no digits.
     """
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
@@ -168,11 +173,17 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
             f"alpha + b*sqrt(1-rho^2) = {min_n}"
         )
     level = 2.0 * alpha / b
+    abs_rho = abs(rho)
+    sign = math.copysign(1.0, rho)
+    tail = (1.0 - abs_rho) * (1.0 - abs_rho)
 
     def q(l: float) -> float:
-        r2 = l * l + 1.0
-        r = math.sqrt(r2)
-        return level + (2.0 - l * l) * r - rho * rho * r2 * r - 2.0 * rho * l**3
+        r = math.sqrt(l * l + 1.0)
+        if rho * l < 0.0:
+            t = (r * r + r * abs(l) + l * l) / (r + abs(l))
+        else:
+            t = r * r * r + sign * l * l * l
+        return level + 3.0 * r - tail * r * r * r - 2.0 * abs_rho * t
 
     if abs(rho) < 1.0:
         anchor = l_star(rho)
@@ -252,18 +263,11 @@ def _sigma_star_trusted(
     The caller vouches that mu lies strictly inside its interval and that
     zeros are the roots of G2 at (alpha, b, rho).
     """
-
-    def profile(h: float) -> float:
-        g1, g2 = _g1_g2(alpha, b, rho, mu, 1.0 / h)
-        if g1 <= 0.0:
-            return _PROFILE_CAP
-        return min(-g2 / (2.0 * g1), _PROFILE_CAP)
-
     tails = []
     if math.isfinite(zeros.l1):
-        tails.append(_side_max(alpha, b, rho, mu, profile, 1.0 / zeros.l1, 0.0))
+        tails.append(_side_max(alpha, b, rho, mu, 1.0 / zeros.l1, 0.0))
     if math.isfinite(zeros.l2):
-        tails.append(_side_max(alpha, b, rho, mu, profile, 0.0, 1.0 / zeros.l2))
+        tails.append(_side_max(alpha, b, rho, mu, 0.0, 1.0 / zeros.l2))
     best, h_best = 0.0, math.nan
     for value, h in tails:
         if value > best:
@@ -278,31 +282,11 @@ def _profile_partials(
     argmax is h.
 
     By the envelope theorem these are the partials of the tail deficit
-    -G2/(2*G1) at the argmax.  The golden-section search places the argmax
-    only to about sqrt(eps), which would cost the partials half their
-    digits, so one safeguarded Newton step on the profile's l-derivative
-    first moves it to roundoff.
+    -G2/(2*G1) at the argmax, which _side_max places to roundoff.
     """
     l = 1.0 / h
-    step = 1e-6 * max(1.0, abs(l))
-    slope = _profile_derivatives(alpha, b, rho, mu, l)[0]
-    curvature = (
-        _profile_derivatives(alpha, b, rho, mu, l + step)[0]
-        - _profile_derivatives(alpha, b, rho, mu, l - step)[0]
-    ) / (2.0 * step)
-    if curvature < 0.0 and abs(slope) < step * -curvature:
-        l -= slope / curvature
-    _, d_alpha, d_b, d_rho, d_mu = _profile_derivatives(alpha, b, rho, mu, l)
-    return d_alpha, d_b, d_rho, d_mu
-
-
-def _profile_derivatives(
-    alpha: float, b: float, rho: float, mu: float, l: float
-) -> list[float]:
-    """Derivatives of the tail deficit -G2/(2*G1) at l along l, alpha, b,
-    rho and mu."""
     r = math.sqrt(l * l + 1.0)
-    n0, n1, n2, n3 = n_funcs(alpha, b, rho, l)
+    n0, n1, n2, _ = n_funcs(alpha, b, rho, l)
     shift = (l + mu) / (2.0 * n0)
     slope = 1.0 - n1 * shift
     g1 = slope * slope - n1 * n1 / 16.0
@@ -311,7 +295,6 @@ def _profile_derivatives(
     out = []
     # (dN, dN', dN'', d(l + mu)) along each direction
     for dn0, dn1, dn2, d_num in (
-        (n1, n2, n3, 1.0),
         (1.0, 0.0, 0.0, 0.0),
         (rho * l + r, rho + l / r, 1.0 / (r * r * r), 0.0),
         (b * l, b, 0.0, 0.0),
@@ -321,7 +304,40 @@ def _profile_derivatives(
         d_g1 = -2.0 * slope * (dn1 * shift + n1 * d_shift) - n1 * dn1 / 8.0
         d_g2 = dn2 - n1 * dn1 / n0 + n1 * n1 * dn0 / (2.0 * n0 * n0)
         out.append(-(d_g2 + 2.0 * value * d_g1) / (2.0 * g1))
-    return out
+    return tuple(out)
+
+
+def _profile_slope(
+    alpha: float, b: float, rho: float, mu: float, l: float
+) -> tuple[float, float]:
+    """First and second l-derivatives of the tail deficit -G2/(2*G1) at l.
+
+    Where G1 rounds to zero or below, the profile is capped at
+    _PROFILE_CAP, so both are 0 there: a root for the refinement, which
+    then reads the cap.
+    """
+    r = math.sqrt(l * l + 1.0)
+    n0, n1, n2, n3 = n_funcs(alpha, b, rho, l)
+    n4 = 3.0 * b * (4.0 * l * l - 1.0) / r**7
+    shift = (l + mu) / (2.0 * n0)
+    d_shift = (1.0 - 2.0 * n1 * shift) / (2.0 * n0)
+    dd_shift = -(2.0 * n1 * d_shift + n2 * shift) / n0
+    slope = 1.0 - n1 * shift
+    d_slope = -(n2 * shift + n1 * d_shift)
+    dd_slope = -(n3 * shift + 2.0 * n2 * d_shift + n1 * dd_shift)
+    g1 = slope * slope - n1 * n1 / 16.0
+    if g1 <= 0.0:
+        return 0.0, 0.0
+    d_g1 = 2.0 * slope * d_slope - n1 * n2 / 8.0
+    dd_g1 = 2.0 * (d_slope * d_slope + slope * dd_slope) - (n2 * n2 + n1 * n3) / 8.0
+    u = n1 / n0
+    g2 = n2 - n1 * u / 2.0
+    d_g2 = n3 - u * n2 + u * u * n1 / 2.0
+    dd_g2 = n4 - (n2 * n2 + n1 * n3) / n0 + 2.5 * u * u * n2 - u * u * u * n1
+    value = -g2 / (2.0 * g1)
+    d_value = -(d_g2 + 2.0 * value * d_g1) / (2.0 * g1)
+    dd_value = -(dd_g2 + 2.0 * value * dd_g1 + 4.0 * d_value * d_g1) / (2.0 * g1)
+    return d_value, dd_value
 
 
 def _grid_values(
@@ -341,21 +357,96 @@ def _grid_values(
 
 
 def _side_max(
-    alpha: float, b: float, rho: float, mu: float, profile, lo: float, hi: float
+    alpha: float, b: float, rho: float, mu: float, lo: float, hi: float
 ) -> tuple[float, float]:
+    """(supremum, argmax h) of the tail deficit over the reciprocal interval
+    (lo, hi): the best peaks of a grid, each moved to the root of the
+    profile's l-derivative beside it."""
     step = (hi - lo) / _PROFILE_GRID
     xs = lo + (np.arange(_PROFILE_GRID) + 0.5) * step
     vals = _grid_values(alpha, b, rho, mu, xs)
-    order = np.argsort(vals)[::-1]
-    i_top = int(order[0])
-    best, x_best = float(vals[i_top]), float(xs[i_top])
-    for i in order[:_REFINE_CANDIDATES]:
-        win_lo = float(xs[i - 1]) if i > 0 else lo
-        win_hi = float(xs[i + 1]) if i < _PROFILE_GRID - 1 else hi
-        x, v = golden_section_max(profile, win_lo, win_hi, tol=_REFINE_TOL)
-        if v > best:
-            best, x_best = v, x
-    return best, x_best
+    i_top = int(np.argmax(vals))
+    best = (float(vals[i_top]), float(xs[i_top]))
+    if best[0] >= _PROFILE_CAP:
+        return best
+    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+    peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
+    for i in peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CANDIDATES]]:
+        found = _peak(alpha, b, rho, mu, xs, int(i), lo, hi)
+        if found is not None and found[0] > best[0]:
+            best = found
+    return best
+
+
+def _peak(
+    alpha: float, b: float, rho: float, mu: float, xs: np.ndarray, i: int,
+    lo: float, hi: float,
+) -> tuple[float, float] | None:
+    """(value, h) at the root of the profile's l-derivative between the
+    grid point xs[i] and its neighbour uphill, or None where the derivative
+    does not change sign between them.  Past the end of the grid the
+    neighbour is the end of the interval, unless that end is h = 0."""
+    l = 1.0 / float(xs[i])
+    slope = _profile_slope(alpha, b, rho, mu, l)[0]
+    if slope == 0.0:
+        return _capped(alpha, b, rho, mu, l), 1.0 / l
+    # the profile rises along h where its l-derivative is negative
+    j = i + (1 if slope < 0.0 else -1)
+    if 0 <= j < len(xs):
+        l_next = 1.0 / float(xs[j])
+    elif (hi if j > i else lo) != 0.0:
+        l_next = 1.0 / (hi if j > i else lo)
+    else:
+        return _walk_out(alpha, b, rho, mu, l, slope)
+    slope_next = _profile_slope(alpha, b, rho, mu, l_next)[0]
+    if slope * slope_next > 0.0:
+        return None
+    l = _turn(alpha, b, rho, mu, l, slope, l_next, slope_next)
+    return _capped(alpha, b, rho, mu, l), 1.0 / l
+
+
+def _walk_out(
+    alpha: float, b: float, rho: float, mu: float, l: float, slope: float
+) -> tuple[float, float]:
+    """(value, h) of the best point beyond the grid point l, toward h = 0,
+    where the profile still rises.  It decays like 1/|l| far out, or keeps
+    rising on a wing at slope 2 until G1 loses its digits, so l doubles
+    until the l-derivative turns, and the best value seen stands if it
+    never does."""
+    best = (_capped(alpha, b, rho, mu, l), 1.0 / l)
+    for _ in range(_MAX_DOUBLINGS):
+        l_next = 2.0 * l
+        slope_next = _profile_slope(alpha, b, rho, mu, l_next)[0]
+        if slope * slope_next <= 0.0:
+            l = _turn(alpha, b, rho, mu, l, slope, l_next, slope_next)
+            return max(best, (_capped(alpha, b, rho, mu, l), 1.0 / l))
+        l, slope = l_next, slope_next
+        best = max(best, (_capped(alpha, b, rho, mu, l), 1.0 / l))
+    return best
+
+
+def _turn(
+    alpha: float, b: float, rho: float, mu: float,
+    l: float, slope: float, l_next: float, slope_next: float,
+) -> float:
+    """The root of the profile's l-derivative between l and l_next, where
+    it takes the non-zero value slope and the value slope_next of the
+    opposite sign or zero."""
+    if slope_next == 0.0:
+        return l_next
+    start = l - slope * (l_next - l) / (slope_next - slope)
+    if l < l_next:
+        bracket = Bracket(l, l_next, slope, slope_next)
+    else:
+        bracket = Bracket(l_next, l, slope_next, slope)
+    return newton_root(
+        lambda x: _profile_slope(alpha, b, rho, mu, x), bracket, start
+    )
+
+
+def _capped(alpha: float, b: float, rho: float, mu: float, l: float) -> float:
+    """The tail deficit at l, capped at _PROFILE_CAP."""
+    return min(sigma_star_profile(alpha, b, rho, mu, 1.0 / l), _PROFILE_CAP)
 
 
 def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
@@ -444,10 +535,14 @@ class ChartPoint(NamedTuple):
     x: tuple[float, float, float, float, float]
     b: float
     threshold: float
+    #: optimizers (l_minus, l_plus) of the interval bounds at alpha = F
+    threshold_optimizers: tuple[float, float]
     room: float
     u_eff: float
     alpha: float
     interval: MuInterval
+    #: optimizers (l_minus, l_plus) of the interval bounds at alpha
+    optimizers: tuple[float, float]
     mu: float
     tails: tuple[tuple[float, float], ...]
     sigma_star: float
@@ -488,20 +583,21 @@ class BoxChart:
     def point(self, x) -> ChartPoint:
         rho, b_prime, u, q, v = (float(c) for c in x)
         b = b_prime * 2.0 / (1.0 + abs(rho))
-        threshold = fukasawa_threshold(b, rho)
+        threshold, *at_threshold = threshold_with_optimizers(b, rho)
         room = self.alpha_cap - threshold
         u_eff = min(u, room)
         if u_eff < _U_FLOOR:
             u_eff = min(u, _U_FLOOR)
         alpha = threshold + u_eff
-        interval = mu_interval(alpha, b, rho)
+        interval, *optimizers = interval_with_optimizers(alpha, b, rho)
         mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
         floor, h_star, tails = _sigma_star_trusted(
             alpha, b, rho, mu, g2_zeros(alpha, b, rho)
         )
         return ChartPoint(
-            (rho, b_prime, u, q, v), b, threshold, room, u_eff, alpha,
-            interval, mu, tails, floor, h_star, floor + v,
+            (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), room,
+            u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, h_star,
+            floor + v,
         )
 
     def partials(self, p: ChartPoint) -> tuple[np.ndarray, frozenset[int]]:
@@ -529,7 +625,9 @@ class BoxChart:
             kinks.update((_RHO, _BP))
             d_threshold = np.zeros(5)
         else:
-            f_b, f_rho = _threshold_partials(b, rho, p.threshold)
+            f_b, f_rho = _threshold_partials(
+                b, rho, p.threshold, *p.threshold_optimizers
+            )
             d_threshold = f_b * d_b + f_rho * d_rho
 
         if u == p.room or p.room == _U_FLOOR or u == _U_FLOOR:
@@ -543,12 +641,11 @@ class BoxChart:
         d_alpha = d_threshold + d_u_eff
 
         d_bounds = []
-        for side, limited in zip("-+", on_limit):
+        for side, limited, l in zip("-+", on_limit, p.optimizers):
             if limited:
                 # the bound is -+alpha/2 on the limit branch
                 d_bounds.append((0.5 if side == "+" else -0.5) * d_alpha)
                 continue
-            l = l_pm_of_alpha(alpha, b, rho, side)
             pa, pb, pr = bound_partials(l, alpha, b, rho, side)
             d_bounds.append(pa * d_alpha + pb * d_b + pr * d_rho)
         d_lower, d_upper = d_bounds
@@ -594,23 +691,22 @@ class BoxChart:
         return np.array([rho, b_prime, u, q, v])
 
 
-def _threshold_partials(b: float, rho: float, threshold: float) -> tuple[float, float]:
+def _threshold_partials(
+    b: float, rho: float, threshold: float, l_minus: float, l_plus: float
+) -> tuple[float, float]:
     """(dF/db, dF/drho) off the slope limits.
 
     F solves D(F) = 0 for the gap D = inf L_plus - sup L_minus, so
     dF = -D_(b, rho)/D_alpha, each partial of D taken at the optimizers
-    l-(F), l+(F).  Where the gap is open at the positivity floor,
-    fukasawa_threshold returns the floor -b*sqrt(1-rho^2) itself.
+    l_minus = l-(F), l_plus = l+(F).  Where the gap is open at the
+    positivity floor, fukasawa_threshold returns the floor
+    -b*sqrt(1-rho^2) itself.
     """
     root = math.sqrt(1.0 - rho * rho)
     if threshold == -b * root:
         return -root, b * rho / root
-    la, lb, lr = bound_partials(
-        l_pm_of_alpha(threshold, b, rho, "-"), threshold, b, rho, "-"
-    )
-    ua, ub, ur = bound_partials(
-        l_pm_of_alpha(threshold, b, rho, "+"), threshold, b, rho, "+"
-    )
+    la, lb, lr = bound_partials(l_minus, threshold, b, rho, "-")
+    ua, ub, ur = bound_partials(l_plus, threshold, b, rho, "+")
     d_alpha = ua - la
     return -(ub - lb) / d_alpha, -(ur - lr) / d_alpha
 

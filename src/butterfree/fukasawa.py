@@ -19,8 +19,11 @@ what makes the critical points unique and bracketable.
 
 The interval is non-empty exactly when alpha exceeds a threshold F(b, rho),
 the root of the strictly increasing gap alpha -> inf L_plus - sup L_minus.
-Everything here requires the wing slopes b*(1 -+ rho) to stay at or below
-2; beyond that limit no smile is arbitrage free.
+Every solve here is a safeguarded Newton iteration on exact derivatives:
+g_pm' in closed form for the critical points and, by the envelope theorem,
+the gap's slope from the bound partials at them.  Everything here requires
+the wing slopes b*(1 -+ rho) to stay at or below 2; beyond that limit no
+smile is arbitrage free.
 """
 
 from __future__ import annotations
@@ -29,12 +32,11 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    BracketFailure,
     DomainError,
     FukasawaViolated,
     NoFiniteOptimum,
 )
-from .numerics import DEFAULT_X_TOL, Bracket, expand_bracket, find_root
+from .numerics import DEFAULT_X_TOL, Bracket, expand_bracket, newton_root
 from .svi import n_funcs
 
 #: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
@@ -43,8 +45,9 @@ from .svi import n_funcs
 #: Failure1 in the domain waterfall).
 SLOPE_EQ_TOL = 1e-12
 
-#: Offset above the lower alpha boundary used when probing the interval gap.
-_ALPHA_EDGE = 1e-9
+#: Offset of the threshold search above the positivity floor, in the level
+#: alpha/b, so that it holds its meaning at every scale of b.
+_LEVEL_EDGE = 1e-11
 
 
 @dataclass(frozen=True)
@@ -73,16 +76,14 @@ def L_minus(l: float, alpha: float, b: float, rho: float) -> float:
     """Shift bound factor on the left half-line l < l_star (all of the real
     line when rho = -1)."""
     _require_side(l, rho, "-")
-    n0, n1, _, _ = n_funcs(alpha, b, rho, l)
-    return 2.0 * n0 * (1.0 / n1 + 0.25) - l
+    return _bound_at(l, alpha, b, rho, "-")[0]
 
 
 def L_plus(l: float, alpha: float, b: float, rho: float) -> float:
     """Shift bound factor on the right half-line l > l_star (all of the real
     line when rho = +1)."""
     _require_side(l, rho, "+")
-    n0, n1, _, _ = n_funcs(alpha, b, rho, l)
-    return 2.0 * n0 * (1.0 / n1 - 0.25) - l
+    return _bound_at(l, alpha, b, rho, "+")[0]
 
 
 def bound_partials(
@@ -132,13 +133,26 @@ def g_pm(b: float, rho: float, l: float, side: str) -> float:
     """
     if side not in ("-", "+"):
         raise DomainError(f"side must be '-' or '+', got {side!r}")
+    return _g_pm_slope(b, rho, l, side)[0]
+
+
+def _g_pm_slope(b: float, rho: float, l: float, side: str) -> tuple[float, float]:
+    """g_pm(l) and its l-derivative."""
     r = math.sqrt(l * l + 1.0)
+    dr = l / r
     base = rho * r + l
+    d_base = rho * dr + 1.0
     if side == "-":
-        factor = r * (0.5 + b * rho / 4.0) + b * l / 4.0
+        c = 0.5 + b * rho / 4.0
+        factor = r * c + b * l / 4.0
+        d_factor = dr * c + b / 4.0
     else:
-        factor = r * (0.5 - b * rho / 4.0) - b * l / 4.0
-    return base * base * factor - (rho * l + r)
+        c = 0.5 - b * rho / 4.0
+        factor = r * c - b * l / 4.0
+        d_factor = dr * c - b / 4.0
+    value = base * base * factor - (rho * l + r)
+    slope = base * (2.0 * d_base * factor + base * d_factor) - (rho + dr)
+    return value, slope
 
 
 def _anchor(b: float, rho: float, side: str) -> tuple[bool, float]:
@@ -195,13 +209,62 @@ def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
             f"alpha = {alpha} is below the admissible floor {floor} for this smile"
         )
     level = alpha / b
+    return _critical_point(b, rho, side, level, *_expand(b, rho, side, level, anchor))[0]
+
+
+#: An evaluated point (l, g_pm(l)) of one half-line.
+_Probe = tuple[float, float]
+
+
+def _expand(
+    b: float, rho: float, side: str, level: float, start: float
+) -> tuple[_Probe, _Probe]:
+    """Evaluated points under and over the level, found by walking away
+    from the vertex from a point ``start`` where g_pm is under it."""
 
     def f(l: float) -> float:
         return g_pm(b, rho, l, side) - level
 
-    direction = -1 if side == "-" else 1
-    bracket = expand_bracket(f, anchor, direction)
-    return find_root(f, bracket, DEFAULT_X_TOL)
+    bracket = expand_bracket(f, start, -1 if side == "-" else 1)
+    lo = (bracket.lo, bracket.f_lo + level)
+    hi = (bracket.hi, bracket.f_hi + level)
+    return (lo, hi) if bracket.f_lo < 0.0 else (hi, lo)
+
+
+def _critical_point(
+    b: float, rho: float, side: str, level: float, under: _Probe, over: _Probe,
+    start: float | None = None,
+) -> tuple[float, _Probe, _Probe, float]:
+    """The root of g_pm(l) = level between an evaluated point under the
+    level and one over it, by Newton on the closed-form g_pm' from
+    ``start`` (by default the secant point of the two).
+
+    Returns the root, the tightest evaluated points under and over the
+    level, and g_pm' at the last point evaluated.  g_pm is monotone on the
+    far side of its anchor, so those points bracket the root for every
+    level between their values.
+    """
+    slope_seen = math.nan
+
+    def f(l: float) -> tuple[float, float]:
+        nonlocal under, over, slope_seen
+        g, slope_seen = _g_pm_slope(b, rho, l, side)
+        if g < level:
+            if g > under[1]:
+                under = (l, g)
+        elif g > level and g < over[1]:
+            over = (l, g)
+        return g - level, slope_seen
+
+    (l_u, g_u), (l_o, g_o) = under, over
+    if start is None:
+        start = l_u + (level - g_u) * (l_o - l_u) / (g_o - g_u)
+    if l_u < l_o:
+        bracket = Bracket(l_u, l_o, g_u - level, g_o - level)
+    else:
+        bracket = Bracket(l_o, l_u, g_o - level, g_u - level)
+    root = newton_root(f, bracket, start, DEFAULT_X_TOL)
+    return root, under, over, slope_seen
 
 
 def mu_interval(alpha: float, b: float, rho: float) -> MuInterval:
@@ -212,6 +275,14 @@ def mu_interval(alpha: float, b: float, rho: float) -> MuInterval:
     at rho = -+1 the far side is unconstrained.  Raises FukasawaViolated when
     the interval is empty, which happens exactly for alpha <= F(b, rho).
     """
+    return interval_with_optimizers(alpha, b, rho)[0]
+
+
+def interval_with_optimizers(
+    alpha: float, b: float, rho: float
+) -> tuple[MuInterval, float, float]:
+    """mu_interval together with the optimizers l_minus and l_plus of its
+    bounds; an optimizer is nan where its bound is -+alpha/2 or infinite."""
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
     if abs(rho) > 1.0:
@@ -222,11 +293,12 @@ def mu_interval(alpha: float, b: float, rho: float) -> MuInterval:
         raise DomainError(
             f"wing slopes ({slope_left}, {slope_right}) exceed the limit 2"
         )
+    l_m = l_p = math.nan
     if rho == -1.0:
-        lower = _lower_bound(alpha, b, rho, slope_left)
+        lower, l_m = _bound(alpha, b, rho, "-", slope_left)
         interval = MuInterval(lower, math.inf)
     elif rho == 1.0:
-        upper = _upper_bound(alpha, b, rho, slope_right)
+        upper, l_p = _bound(alpha, b, rho, "+", slope_right)
         interval = MuInterval(-math.inf, upper)
     else:
         floor = -b * math.sqrt(1.0 - rho * rho)
@@ -235,40 +307,62 @@ def mu_interval(alpha: float, b: float, rho: float) -> MuInterval:
                 f"alpha = {alpha} is at or below the floor {floor}; "
                 "the smile minimum is not positive"
             )
-        interval = MuInterval(
-            _lower_bound(alpha, b, rho, slope_left),
-            _upper_bound(alpha, b, rho, slope_right),
-        )
+        lower, l_m = _bound(alpha, b, rho, "-", slope_left)
+        upper, l_p = _bound(alpha, b, rho, "+", slope_right)
+        interval = MuInterval(lower, upper)
     if not interval.lower < interval.upper:
         raise FukasawaViolated(
             f"empty shift interval ({interval.lower}, {interval.upper}): "
             f"alpha = {alpha} does not exceed the threshold for (b, rho) = ({b}, {rho})"
         )
-    return interval
+    return interval, l_m, l_p
 
 
-def _lower_bound(alpha: float, b: float, rho: float, slope_left: float) -> float:
-    if slope_left >= 2.0 - SLOPE_EQ_TOL:
-        return -alpha / 2.0
-    l_m = l_pm_of_alpha(alpha, b, rho, "-")
-    return L_minus(l_m, alpha, b, rho)
+def _bound(
+    alpha: float, b: float, rho: float, side: str, slope: float
+) -> tuple[float, float]:
+    """sup L_minus (side '-') or inf L_plus (side '+'), and its optimizer."""
+    sign = -1.0 if side == "-" else 1.0
+    if slope >= 2.0 - SLOPE_EQ_TOL:
+        return sign * alpha / 2.0, math.nan
+    l = l_pm_of_alpha(alpha, b, rho, side)
+    return _bound_at(l, alpha, b, rho, side)[0], l
 
 
-def _upper_bound(alpha: float, b: float, rho: float, slope_right: float) -> float:
-    if slope_right >= 2.0 - SLOPE_EQ_TOL:
-        return alpha / 2.0
-    l_p = l_pm_of_alpha(alpha, b, rho, "+")
-    return L_plus(l_p, alpha, b, rho)
+def _bound_at(
+    l: float, alpha: float, b: float, rho: float, side: str
+) -> tuple[float, float]:
+    """L_minus or L_plus at l, and its alpha-derivative."""
+    n0, n1, _, _ = n_funcs(alpha, b, rho, l)
+    factor = 1.0 / n1 + (0.25 if side == "-" else -0.25)
+    return 2.0 * n0 * factor - l, 2.0 * factor
 
 
 def fukasawa_threshold(b: float, rho: float) -> float:
     """The critical alpha below which no shift is admissible.
 
     The interval gap D(alpha) = inf L_plus - sup L_minus is strictly
-    increasing with slope above one, so a short bracket expansion plus a
-    Brent solve pins the root down to 1e-12.  Symmetric in rho.  At
-    |rho| = 1 the threshold is 0; at the double slope limit b*(1-+rho) = 2
-    it is 0 as well.
+    increasing with slope above one; see threshold_with_optimizers for the
+    solve.  Symmetric in rho.  At |rho| = 1 the threshold is 0; at the
+    double slope limit b*(1-+rho) = 2 it is 0 as well.
+    """
+    return threshold_with_optimizers(b, rho)[0]
+
+
+def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float]:
+    """F(b, rho) together with the optimizers l_minus(F) and l_plus(F) of
+    the interval bounds there (nan on a side at its slope limit, and
+    wherever F is 0 or the positivity floor).
+
+    Newton runs on the gap in the level alpha/b, where D and its slope
+    b*D'(alpha) = b*(2/N'(l_plus) - 2/N'(l_minus) - 1) stay of order one
+    however small b is.  It starts at the floor plus _LEVEL_EDGE; if the
+    gap is already open there, F is the floor -b*sqrt(1-rho^2) itself.
+    Since D' > 1, the gap is positive a level distance 1.25*|D|/b further
+    on, which certifies the bracket.  l_minus falls and l_plus rises with
+    the level, so points evaluated at the bracket's ends bracket every
+    critical point inside it: after one walk out to the upper end no
+    bracket expansion is needed.
     """
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
@@ -277,41 +371,107 @@ def fukasawa_threshold(b: float, rho: float) -> float:
     if abs(rho) == 1.0:
         if 2.0 * b > 2.0 + SLOPE_EQ_TOL:
             raise DomainError(f"wing slope 2b = {2 * b} exceeds the limit 2")
-        return 0.0
+        return 0.0, math.nan, math.nan
     slope_left = b * (1.0 - rho)
     slope_right = b * (1.0 + rho)
     if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
         raise DomainError(
             f"wing slopes ({slope_left}, {slope_right}) exceed the limit 2"
         )
-    if slope_left >= 2.0 - SLOPE_EQ_TOL and slope_right >= 2.0 - SLOPE_EQ_TOL:
-        return 0.0
+    limited = {"-": slope_left >= 2.0 - SLOPE_EQ_TOL, "+": slope_right >= 2.0 - SLOPE_EQ_TOL}
+    if all(limited.values()):
+        return 0.0, math.nan, math.nan
+    level_floor = -math.sqrt(1.0 - rho * rho)
+    level_lo = level_floor + _LEVEL_EDGE
+    lines = {
+        side: _HalfLine(b, rho, side, level_lo) for side in "-+" if not limited[side]
+    }
+    points = {"-": math.nan, "+": math.nan}
 
-    def gap(alpha: float) -> float:
-        return (
-            _upper_bound(alpha, b, rho, slope_right)
-            - _lower_bound(alpha, b, rho, slope_left)
-        )
+    def gap(level: float) -> tuple[float, float]:
+        alpha = b * level
+        # the bounds are -+alpha/2 on a side at its slope limit
+        lower, d_lower, upper, d_upper = -alpha / 2.0, -0.5, alpha / 2.0, 0.5
+        for side, line in lines.items():
+            points[side] = l = line.solve(level)
+            if side == "-":
+                lower, d_lower = _bound_at(l, alpha, b, rho, side)
+            else:
+                upper, d_upper = _bound_at(l, alpha, b, rho, side)
+        value = upper - lower
+        for line in lines.values():
+            line.narrow(value < 0.0)
+        return value, b * (d_upper - d_lower)
 
-    floor = -b * math.sqrt(1.0 - rho * rho)
-    lo = floor + _ALPHA_EDGE
-    gap_lo = gap(lo)
+    gap_lo, slope_lo = gap(level_lo)
     if gap_lo > 0.0:
         # Open near the floor already; the threshold collapses onto it.
-        return floor
-    # The gap grows with slope > 1, so the root sits within |gap_lo| of lo.
-    hi = lo + 1.25 * abs(gap_lo) + _ALPHA_EDGE
-    gap_hi = gap(hi)
-    for _ in range(100):
-        if gap_hi > 0.0:
-            break
-        hi = lo + 2.0 * (hi - lo)
-        gap_hi = gap(hi)
-    else:
-        raise BracketFailure(
-            f"could not bracket the threshold for (b, rho) = ({b}, {rho})"
+        return -b * math.sqrt(1.0 - rho * rho), math.nan, math.nan
+    if gap_lo == 0.0:
+        return b * level_lo, points["-"], points["+"]
+    level_hi = level_lo + 1.25 * abs(gap_lo) / b + _LEVEL_EDGE
+    for side, line in lines.items():
+        line.over = _expand(b, rho, side, level_hi, points[side])[1]
+    # D' > 1 gives D(level_hi) > gap_lo + 1.25*|gap_lo|, a certified bound
+    bracket = Bracket(level_lo, level_hi, gap_lo, 0.25 * abs(gap_lo))
+    level = newton_root(gap, bracket, level_lo - gap_lo / slope_lo, DEFAULT_X_TOL)
+    return b * level, points["-"], points["+"]
+
+
+class _HalfLine:
+    """The critical point l(level) of one side, tracked along the
+    threshold's Newton iteration.
+
+    ``under`` and ``over`` are evaluated points under and over every level
+    still inside the iteration's bracket; narrow() tightens them once the
+    gap's sign says which end of the bracket moved.  Each solve starts
+    from the last root.  Where g_pm runs monotone into the vertex l_star,
+    g_pm' and g_pm'' vanish there, so g_pm(l) + sqrt(1-rho^2) grows like
+    c*(l - l_star)^3, with c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the
+    side's factor' at l_star; large moves of the level rescale the last
+    root's offset from l_star by that cubic instead.
+    """
+
+    def __init__(self, b: float, rho: float, side: str, level: float) -> None:
+        self.b, self.rho, self.side = b, rho, side
+        monotone, anchor = _anchor(b, rho, side)
+        self.under, self.over = _expand(b, rho, side, level, anchor)
+        one_m_r2 = 1.0 - rho * rho
+        self.level_floor = -math.sqrt(one_m_r2)
+        wing = b * one_m_r2 / 4.0
+        cubic = one_m_r2 * one_m_r2 * ((wing if side == "-" else -wing) - rho / 2.0)
+        self.vertex = anchor if monotone and cubic != 0.0 else None
+        self.cubic = cubic
+        self.last: tuple[float, float, float] | None = None
+        self.probes = self.under, self.over
+
+    def solve(self, level: float) -> float:
+        height = level - self.level_floor
+        start = None
+        if self.last is not None:
+            level_0, l_0, slope_0 = self.last
+            ratio = height / (level_0 - self.level_floor)
+            if self.vertex is not None and not 0.5 < ratio < 2.0:
+                start = self.vertex + (l_0 - self.vertex) * math.cbrt(ratio)
+            else:
+                # one Newton step on from the last root
+                start = l_0 + (level - level_0) / slope_0
+        elif self.vertex is not None:
+            start = self.vertex + math.cbrt(height / self.cubic)
+        l, under, over, slope = _critical_point(
+            self.b, self.rho, self.side, level, self.under, self.over, start
         )
-    return find_root(gap, Bracket(lo, hi, gap_lo, gap_hi), DEFAULT_X_TOL)
+        self.probes = under, over
+        self.last = level, l, slope
+        return l
+
+    def narrow(self, below_root: bool) -> None:
+        """The last level solved becomes the bracket's lower end if
+        ``below_root``, its upper end otherwise."""
+        if below_root:
+            self.under = self.probes[0]
+        else:
+            self.over = self.probes[1]
 
 
 def threshold_rho0_closed_form(b: float) -> float:

@@ -1,10 +1,11 @@
-"""Shared numeric plumbing: bracketed root finding, bounded scalar
-maximization, bound-constrained least squares and the checks on numeric
+"""Shared numeric plumbing: bracketed root finding, with and without
+derivatives, bound-constrained least squares and the checks on numeric
 settings.
 
-The heavy lifting is delegated to scipy (Brent's method, dogbox trust
-region); this module pins down brackets, tolerances and failure modes so
-the rest of the package gets deterministic behaviour and typed errors.
+Brent's method and the dogbox trust region come from scipy; the
+safeguarded Newton iteration is local.  This module pins down brackets,
+tolerances and failure modes so the rest of the package gets
+deterministic behaviour and typed errors.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ DEFAULT_X_TOL = 1e-12
 
 _MAX_ROOT_ITER = 200
 _MAX_EXPANSIONS = 100
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -177,48 +177,52 @@ def expand_bracket(
     )
 
 
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+def newton_root(
+    f: Callable[[float], tuple[float, float]],
+    bracket: Bracket,
+    x: float,
     tol: float = DEFAULT_X_TOL,
-) -> tuple[float, float]:
-    """Golden-section search for a maximum of f on [lo, hi].
+    max_iter: int = _MAX_ROOT_ITER,
+) -> float:
+    """Locate the root of f inside a certified bracket by safeguarded Newton.
 
-    Only interior points are probed, so the endpoints may be singular.
-    Returns (argmax, max).  Unimodality is the caller's responsibility; on a
-    non-unimodal stretch the result is still a local maximum candidate.
+    f returns its value and its derivative.  The iteration starts at x (the
+    midpoint if x is not inside the bracket) and shrinks the bracket by the
+    sign of every value it sees.  Each step is a Newton step from the latest
+    point, or a bisection when that step would leave the open bracket.  It
+    stops when a Newton step is at most tol*max(1, |x|), returning the
+    stepped point, or when the bracket is narrower than that.  The step
+    test comes first, so a final step that lands on a bracket end is kept.
+    Raises MaxIterations after ``max_iter`` evaluations.
     """
-    a, b = float(lo), float(hi)
-    if not a < b:
-        raise DomainError(f"empty interval [{lo}, {hi}]")
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    _require_finite(fc, c)
-    _require_finite(fd, d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-            _require_finite(fc, c)
+    if tol <= 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    lo, hi = bracket.lo, bracket.hi
+    rising = bracket.f_lo < 0.0
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
+    for _ in range(max_iter):
+        fx, dfx = f(x)
+        if not math.isfinite(fx):
+            raise DomainError(f"objective is not finite at x={x}")
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == rising:
+            lo = x
         else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-            _require_finite(fd, d)
-        if fc > best_v:
-            best_x, best_v = c, fc
-        if fd > best_v:
-            best_x, best_v = d, fd
-    return best_x, best_v
-
-
-def _require_finite(value: float, x: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"objective is not finite at x={x}")
+            hi = x
+        step = fx / dfx if dfx != 0.0 else math.inf
+        width = tol * max(1.0, abs(x))
+        if abs(step) <= width:
+            return min(max(x - step, lo), hi)
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        if hi - lo <= width:
+            return x
+    raise MaxIterations(
+        f"root not found within {max_iter} iterations in [{bracket.lo}, {bracket.hi}]"
+    )
 
 
 def least_squares_bounded(

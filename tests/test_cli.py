@@ -90,6 +90,17 @@ class TestCheckCommand:
         assert out.startswith("Failure2:")
         assert "threshold=-0.499568" in out
 
+    def test_tiny_b_below_threshold_exits_three(self, capsys):
+        # F(1e-7, 0.73) is about 8.6e-10 above the positivity floor; alpha
+        # half way between them fails the threshold, not the interval
+        floor = -1e-7 * math.sqrt(1.0 - 0.73**2)
+        rc, out, _ = run(capsys, [
+            "check", f"--a={floor + 5e-10!r}", "--b", "1e-7", "--rho", "0.73",
+            "--m", "0", "--sigma", "1",
+        ])
+        assert rc == 3
+        assert out.startswith("Failure2:")
+
     def test_sigma_below_floor_exits_five(self, capsys):
         sig = 0.5 * 0.12355390516143426
         rc, out, _ = run(capsys, [

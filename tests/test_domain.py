@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from butterfree.domain import (
+    _profile_slope,
     ArbitrageDiagnostic,
     BoxChart,
     BoxCoords,
@@ -85,6 +86,24 @@ class TestG2Zeros:
         assert g_split(norm, z.l1).g2 == pytest.approx(0.0, abs=1e-12)
         assert g_split(norm, z.l2).g2 == pytest.approx(0.0, abs=1e-12)
 
+    def test_roots_survive_rho_near_one(self):
+        # 1 - |rho| below 2e-8: the root on the rho*l < 0 side sits near
+        # l = -1e5, where q's r^3 and l^3 terms cancel to all digits
+        # unless taken together
+        free = SviParams(0.0025851210057242354, 0.12771801537862099,
+                         0.9999999807291249, 0.007510113493202234, 0.21143994659210888)
+        bad = SviParams(0.02453139854711957, 0.4691800329357259,
+                        0.9999999824632366, 0.03576679247104383, 0.26681915186593363)
+        for p in (free, bad):
+            alpha, b = p.a / p.sigma, p.b
+            z = g2_zeros(alpha, b, p.rho)
+            norm = NormalizedParams(alpha, b, p.rho, 0.0, 1.0)
+            assert -1e6 < z.l1 < -1e3
+            assert g_split(norm, 1.001 * z.l1).g2 < 0.0 < g_split(norm, 0.999 * z.l1).g2
+        assert check_no_arbitrage(free).is_free
+        # brute force: g dips to about -0.033 on the bad smile
+        assert check_no_arbitrage(bad).status is Status.FAILURE4
+
     def test_rejects_non_positive_smile(self):
         with pytest.raises(DomainError):
             g2_zeros(-0.5, 0.5, 0.0)
@@ -153,6 +172,57 @@ class TestSigmaStar:
             for x in np.linspace(1.0 / z.l1, 0.0, 2000)[1:-1]
         )
         assert s == pytest.approx(left, rel=1e-7)
+
+    def test_profile_slope_matches_central_differences(self):
+        for l in (-30.0, -2.5, -1.4, 2.2, 4.0, 300.0):
+            step = 1e-5 * abs(l)
+            slope, curvature = _profile_slope(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, l)
+
+            def value(x):
+                return sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 1.0 / x)
+
+            want = (value(l + step) - value(l - step)) / (2 * step)
+            assert slope == pytest.approx(want, rel=1e-6, abs=1e-12)
+            want = (
+                _profile_slope(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, l + step)[0]
+                - _profile_slope(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, l - step)[0]
+            ) / (2 * step)
+            assert curvature == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+    def test_never_below_brute_force(self):
+        # the supremum against the tail deficit on 100k reciprocal points
+        # per tail, computed here from N, N', N'' directly; 1e-12 relative
+        # allows for the profile's own rounding
+        def deficit(alpha, b, rho, mu, h):
+            l = 1.0 / h
+            r = np.sqrt(l * l + 1.0)
+            n0 = alpha + b * (rho * l + r)
+            n1 = b * (rho + l / r)
+            n2 = b / r**3
+            shift = (l + mu) / (2.0 * n0)
+            g1 = (1.0 - n1 * (shift + 0.25)) * (1.0 - n1 * (shift - 0.25))
+            return -(n2 - n1 * n1 / (2.0 * n0)) / (2.0 * g1)
+
+        t = np.linspace(0.0, 1.0, 100_002)[1:-1]
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 200:
+            rho = rng.uniform(-0.99, 0.99)
+            b = rng.uniform(0.05, 2.0) / (1.0 + abs(rho))
+            floor = -b * math.sqrt(1.0 - rho * rho)
+            alpha = floor + math.exp(rng.uniform(math.log(1e-3), math.log(2.0)))
+            mu = rng.uniform(-2.0, 2.0)
+            status = check_no_arbitrage(SviParams(alpha, b, rho, mu, 1.0)).status
+            if status not in (Status.FREE, Status.FAILURE4):
+                continue
+            checked += 1
+            s, _ = sigma_star_with_argmax(alpha, b, rho, mu)
+            z = g2_zeros(alpha, b, rho)
+            brute = max(
+                float(np.max(deficit(alpha, b, rho, mu, t / z.l1))),
+                float(np.max(deficit(alpha, b, rho, mu, t / z.l2))),
+            )
+            assert s >= brute * (1.0 - 1e-12), (alpha, b, rho, mu, s, brute)
 
     def test_rejects_mu_outside_interval(self):
         with pytest.raises(FukasawaViolated):
@@ -339,6 +409,16 @@ class TestBoxMap:
             )
             diag = check_no_arbitrage(box_to_params(box))
             assert diag.is_free, (box, diag.message)
+
+    def test_tiny_b_margin_is_kept(self):
+        # b = 1e-7: alpha sits 1e-10 above a threshold only ~1e-9 above the
+        # positivity floor
+        box = BoxCoords(rho=0.73, b_prime=8.65e-8, u=1e-10, q=0.0, v=0.01)
+        p = box_to_params(box)
+        diag = check_no_arbitrage(p)
+        assert diag.is_free, diag.message
+        assert diag.alpha - diag.threshold == pytest.approx(1e-10, rel=1e-6)
+        box_to_params(BoxCoords(rho=0.73, b_prime=8.65e-8, u=1e-10, q=0.0, v=0.0))
 
     def test_inverse_rejects_non_free(self):
         with pytest.raises(NotInDomain):

@@ -15,6 +15,7 @@ from butterfree.fukasawa import (
     L_plus,
     MuInterval,
     _anchor,
+    _g_pm_slope,
     fukasawa_threshold,
     g_pm,
     l_pm_of_alpha,
@@ -160,6 +161,33 @@ class TestGPm:
     def test_rejects_bad_side(self):
         with pytest.raises(DomainError):
             g_pm(1.0, 0.0, 0.5, "x")
+
+    @given(
+        b=st.floats(0.05, 1.95),
+        rho=st.floats(-0.95, 0.95),
+        l=st.floats(-8.0, 8.0),
+    )
+    def test_slope_matches_central_differences(self, b, rho, l):
+        step = 1e-5 * max(1.0, abs(l))
+        for side in "-+":
+            want = (g_pm(b, rho, l + step, side) - g_pm(b, rho, l - step, side)) / (2 * step)
+            assert _g_pm_slope(b, rho, l, side)[1] == pytest.approx(
+                want, abs=1e-6, rel=1e-6
+            )
+
+    def test_flat_to_second_order_at_the_vertex(self):
+        # g_pm' and g_pm'' vanish at l_star, which the threshold's cubic
+        # start on a monotone side relies on
+        for rho in (-0.6, 0.0, 0.3):
+            ls = l_star(rho)
+            for side in "-+":
+                assert _g_pm_slope(0.8, rho, ls, side)[1] == pytest.approx(0.0, abs=1e-14)
+                step = 1e-4
+                second = (
+                    _g_pm_slope(0.8, rho, ls + step, side)[1]
+                    - _g_pm_slope(0.8, rho, ls - step, side)[1]
+                ) / (2 * step)
+                assert second == pytest.approx(0.0, abs=1e-7)
 
 
 class TestGShape:
@@ -360,6 +388,35 @@ class TestThreshold:
         assert mu_interval(f + 1e-6, 0.5, -0.3).width() > 0.0
         with pytest.raises(FukasawaViolated):
             mu_interval(f - 1e-6, 0.5, -0.3)
+
+    def test_small_b_is_resolved(self):
+        # F - floor is about 1e-9 here, below any fixed alpha offset; in the
+        # level alpha/b the two stay apart
+        b = 1e-7
+        f = fukasawa_threshold(b, 0.73)
+        assert f / b == pytest.approx(-0.67483, abs=1e-5)
+        assert f > -b * math.sqrt(1.0 - 0.73**2)
+        b = 1e-6
+        f = fukasawa_threshold(b, -0.4)
+        assert f > -b * math.sqrt(1.0 - 0.4**2) + 1e-4 * b
+        assert f == pytest.approx(fukasawa_threshold(b, 0.4), abs=1e-10 * b)
+
+    def test_brackets_the_gap_sign_change(self):
+        # the interval is empty just below F and open just above it, at
+        # every scale of b and up to a wing slope of 2 - 1e-9
+        rng = np.random.default_rng(23)
+        for i in range(400):
+            rho = float(rng.uniform(-0.999, 0.999))
+            cap = 2.0 / (1.0 + abs(rho))
+            if i % 4 == 0:
+                b = (2.0 - 10.0 ** rng.uniform(-9.0, -3.0)) / (1.0 + abs(rho))
+            else:
+                b = math.exp(rng.uniform(math.log(1e-8), math.log(cap)))
+            b = min(b, (2.0 - 1e-9) / (1.0 + abs(rho)))
+            f = fukasawa_threshold(b, rho)
+            with pytest.raises(FukasawaViolated):
+                mu_interval(f - 1e-10 * b, b, rho)
+            assert mu_interval(f + 1e-10 * b, b, rho).width() > 0.0, (b, rho)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

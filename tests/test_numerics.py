@@ -1,5 +1,5 @@
-"""Root finding, bracket expansion, scalar maximization, bounded least
-squares."""
+"""Root finding with and without derivatives, bracket expansion, bounded
+least squares."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from butterfree.errors import (
     DomainError,
     InfeasibleStart,
+    MaxIterations,
     NoBracketFound,
     NoSignChange,
 )
@@ -20,8 +21,8 @@ from butterfree.numerics import (
     LsqOptions,
     expand_bracket,
     find_root,
-    golden_section_max,
     least_squares_bounded,
+    newton_root,
 )
 
 
@@ -105,25 +106,65 @@ class TestExpandBracket:
         assert br.lo <= root <= br.hi
 
 
-class TestGoldenSection:
-    def test_parabola(self):
-        x, v = golden_section_max(lambda x: -((x - 1.0) ** 2), 0.0, 2.0)
-        assert x == pytest.approx(1.0, abs=1e-9)
-        assert v == pytest.approx(0.0, abs=1e-15)
+class TestNewtonRoot:
+    @staticmethod
+    def recorded(f):
+        """f with its derivative, recording every point it is asked for."""
+        seen = []
 
-    def test_empty_interval(self):
+        def fd(x):
+            seen.append(x)
+            return f(x)
+
+        return fd, seen
+
+    def test_quadratic(self):
+        f, seen = self.recorded(lambda x: (x * x - 4.0, 2.0 * x))
+        root = newton_root(f, Bracket(0.0, 3.0, -4.0, 5.0), 3.0)
+        assert root == pytest.approx(2.0, abs=1e-15)
+        # quadratic convergence from the midpoint
+        assert len(seen) <= 6
+
+    def test_stays_in_bracket(self):
+        # tanh flattens out, so plain Newton from 1.2 would jump far left
+        f, seen = self.recorded(lambda x: (math.tanh(x - 0.3), 1.0 - math.tanh(x - 0.3) ** 2))
+        br = Bracket(-2.0, 5.0, math.tanh(-2.3), math.tanh(4.7))
+        root = newton_root(f, br, 4.9)
+        assert root == pytest.approx(0.3, abs=1e-12)
+        assert all(br.lo < x < br.hi for x in seen)
+
+    def test_bisects_when_the_derivative_misleads(self):
+        # a derivative a hundred times too small sends every Newton step
+        # out of the bracket, so each step is a bisection
+        f, seen = self.recorded(lambda x: (x - 1.0, 0.01))
+        root = newton_root(f, Bracket(0.0, 4.0, -1.0, 3.0), 3.0, tol=1e-9)
+        assert root == pytest.approx(1.0, abs=1e-8)
+        assert seen[:4] == [3.0, 1.5, 0.75, 1.125]
+
+    def test_start_outside_is_replaced_by_midpoint(self):
+        f, seen = self.recorded(lambda x: (x - 1.0, 1.0))
+        assert newton_root(f, Bracket(0.0, 4.0, -1.0, 3.0), 7.0) == 1.0
+        assert seen[0] == 2.0
+
+    def test_decreasing_function(self):
+        f = lambda x: (math.cos(x) - x, -math.sin(x) - 1.0)
+        root = newton_root(f, Bracket(0.0, 1.0, 1.0, math.cos(1.0) - 1.0), 0.5)
+        assert root == pytest.approx(0.7390851332151607, abs=1e-15)
+
+    def test_budget_exhaustion_raises(self):
+        # a derivative far too large makes Newton creep
+        with pytest.raises(MaxIterations):
+            newton_root(
+                lambda x: (x - 1.0, 1e6), Bracket(0.0, 4.0, -1.0, 3.0), 3.0, max_iter=5
+            )
+
+    def test_non_finite_value_raises(self):
         with pytest.raises(DomainError):
-            golden_section_max(lambda x: x, 1.0, 1.0)
+            newton_root(lambda x: (math.nan, 1.0), Bracket(0.0, 1.0, -1.0, 1.0), 0.5)
 
-    def test_endpoints_never_probed(self):
-        # endpoint singularities must not be touched
-        def f(x):
-            if x in (0.0, 1.0):
-                raise AssertionError("endpoint evaluated")
-            return -abs(x - 0.5)
-
-        x, _ = golden_section_max(f, 0.0, 1.0)
-        assert x == pytest.approx(0.5, abs=1e-9)
+    def test_rejects_bad_tol(self):
+        with pytest.raises(DomainError):
+            newton_root(lambda x: (x, 1.0), Bracket(-1.0, 1.0, -1.0, 1.0), 0.5, tol=0.0)
 
 
 class TestLeastSquaresBounded:
