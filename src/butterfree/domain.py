@@ -202,12 +202,27 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     return G2Zeros(l1, l2)
 
 
-def _g1_g2(alpha: float, b: float, rho: float, mu: float, l: float) -> tuple[float, float]:
-    n0, n1, n2, _ = n_funcs(alpha, b, rho, l)
+class _Deficit(NamedTuple):
+    """The tail deficit -G2/(2*G1) at a log-strike l and the terms it is
+    built from.  G1 is the product of the slope factors
+    1 - N'*(shift +- 1/4), with shift = (l + mu)/(2N); value is inf where
+    G1 rounds to zero or below."""
+
+    value: float
+    n: tuple[float, float, float, float]
+    shift: float
+    factors: tuple[float, float]
+    g1: float
+
+
+def _deficit(alpha: float, b: float, rho: float, mu: float, l: float) -> _Deficit:
+    n = n0, n1, n2, _ = n_funcs(alpha, b, rho, l)
     shift = (l + mu) / (2.0 * n0)
-    g1 = (1.0 - n1 * (shift + 0.25)) * (1.0 - n1 * (shift - 0.25))
+    factors = 1.0 - n1 * (shift + 0.25), 1.0 - n1 * (shift - 0.25)
+    g1 = factors[0] * factors[1]
     g2 = n2 - n1 * n1 / (2.0 * n0)
-    return g1, g2
+    value = -g2 / (2.0 * g1) if g1 > 0.0 else math.inf
+    return _Deficit(value, n, shift, factors, g1)
 
 
 def sigma_star_profile(alpha: float, b: float, rho: float, mu: float, h: float) -> float:
@@ -220,10 +235,7 @@ def sigma_star_profile(alpha: float, b: float, rho: float, mu: float, h: float) 
     """
     if h == 0.0:
         raise DomainError("h must be non-zero")
-    g1, g2 = _g1_g2(alpha, b, rho, mu, 1.0 / h)
-    if g1 <= 0.0:
-        return math.inf
-    return -g2 / (2.0 * g1)
+    return _deficit(alpha, b, rho, mu, 1.0 / h).value
 
 
 def sigma_star(alpha: float, b: float, rho: float, mu: float) -> float:
@@ -231,9 +243,9 @@ def sigma_star(alpha: float, b: float, rho: float, mu: float) -> float:
     slope factors already pass (types 1-3).
 
     Equals the supremum of -G2/(2*G1) over the two tails where G2 < 0,
-    located on a reciprocal grid with golden-section refinement around the
-    best few grid points.  Raises FukasawaViolated when mu is not strictly
-    admissible, since G1 must be positive on both tails.
+    located on a reciprocal grid whose best few peaks are refined to a root
+    of the deficit's l-derivative.  Raises FukasawaViolated when mu is not
+    strictly admissible, since G1 must be positive on both tails.
     """
     return sigma_star_with_argmax(alpha, b, rho, mu)[0]
 
@@ -286,12 +298,7 @@ def _profile_partials(
     """
     l = 1.0 / h
     r = math.sqrt(l * l + 1.0)
-    n0, n1, n2, _ = n_funcs(alpha, b, rho, l)
-    shift = (l + mu) / (2.0 * n0)
-    slope = 1.0 - n1 * shift
-    g1 = slope * slope - n1 * n1 / 16.0
-    g2 = n2 - n1 * n1 / (2.0 * n0)
-    value = -g2 / (2.0 * g1)
+    value, (n0, n1, _, _), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
     out = []
     # (dN, dN', dN'', d(l + mu)) along each direction
     for dn0, dn1, dn2, d_num in (
@@ -301,7 +308,9 @@ def _profile_partials(
         (0.0, 0.0, 0.0, 1.0),
     ):
         d_shift = d_num / (2.0 * n0) - shift * dn0 / n0
-        d_g1 = -2.0 * slope * (dn1 * shift + n1 * d_shift) - n1 * dn1 / 8.0
+        d_f_lo = -(dn1 * (shift + 0.25) + n1 * d_shift)
+        d_f_hi = -(dn1 * (shift - 0.25) + n1 * d_shift)
+        d_g1 = d_f_lo * f_hi + f_lo * d_f_hi
         d_g2 = dn2 - n1 * dn1 / n0 + n1 * n1 * dn0 / (2.0 * n0 * n0)
         out.append(-(d_g2 + 2.0 * value * d_g1) / (2.0 * g1))
     return tuple(out)
@@ -316,25 +325,23 @@ def _profile_slope(
     _PROFILE_CAP, so both are 0 there: a root for the refinement, which
     then reads the cap.
     """
+    value, (n0, n1, n2, n3), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
+    if value == math.inf:
+        return 0.0, 0.0
     r = math.sqrt(l * l + 1.0)
-    n0, n1, n2, n3 = n_funcs(alpha, b, rho, l)
     n4 = 3.0 * b * (4.0 * l * l - 1.0) / r**7
-    shift = (l + mu) / (2.0 * n0)
     d_shift = (1.0 - 2.0 * n1 * shift) / (2.0 * n0)
     dd_shift = -(2.0 * n1 * d_shift + n2 * shift) / n0
-    slope = 1.0 - n1 * shift
-    d_slope = -(n2 * shift + n1 * d_shift)
-    dd_slope = -(n3 * shift + 2.0 * n2 * d_shift + n1 * dd_shift)
-    g1 = slope * slope - n1 * n1 / 16.0
-    if g1 <= 0.0:
-        return 0.0, 0.0
-    d_g1 = 2.0 * slope * d_slope - n1 * n2 / 8.0
-    dd_g1 = 2.0 * (d_slope * d_slope + slope * dd_slope) - (n2 * n2 + n1 * n3) / 8.0
+    # each slope factor is 1 - N'*(shift + c) with c = +-1/4
+    d_lo = -(n2 * (shift + 0.25) + n1 * d_shift)
+    d_hi = -(n2 * (shift - 0.25) + n1 * d_shift)
+    dd_lo = -(n3 * (shift + 0.25) + 2.0 * n2 * d_shift + n1 * dd_shift)
+    dd_hi = -(n3 * (shift - 0.25) + 2.0 * n2 * d_shift + n1 * dd_shift)
+    d_g1 = d_lo * f_hi + f_lo * d_hi
+    dd_g1 = dd_lo * f_hi + 2.0 * d_lo * d_hi + f_lo * dd_hi
     u = n1 / n0
-    g2 = n2 - n1 * u / 2.0
     d_g2 = n3 - u * n2 + u * u * n1 / 2.0
     dd_g2 = n4 - (n2 * n2 + n1 * n3) / n0 + 2.5 * u * u * n2 - u * u * u * n1
-    value = -g2 / (2.0 * g1)
     d_value = -(d_g2 + 2.0 * value * d_g1) / (2.0 * g1)
     dd_value = -(dd_g2 + 2.0 * value * dd_g1 + 4.0 * d_value * d_g1) / (2.0 * g1)
     return d_value, dd_value
@@ -446,7 +453,7 @@ def _turn(
 
 def _capped(alpha: float, b: float, rho: float, mu: float, l: float) -> float:
     """The tail deficit at l, capped at _PROFILE_CAP."""
-    return min(sigma_star_profile(alpha, b, rho, mu, 1.0 / l), _PROFILE_CAP)
+    return min(_deficit(alpha, b, rho, mu, l).value, _PROFILE_CAP)
 
 
 def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:

@@ -424,12 +424,14 @@ class _HalfLine:
 
     ``under`` and ``over`` are evaluated points under and over every level
     still inside the iteration's bracket; narrow() tightens them once the
-    gap's sign says which end of the bracket moved.  Each solve starts
-    from the last root.  Where g_pm runs monotone into the vertex l_star,
-    g_pm' and g_pm'' vanish there, so g_pm(l) + sqrt(1-rho^2) grows like
-    c*(l - l_star)^3, with c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the
-    side's factor' at l_star; large moves of the level rescale the last
-    root's offset from l_star by that cubic instead.
+    gap's sign says which end of the bracket moved.  The first solve starts
+    from their secant point, each later one a Newton step on from the last
+    root.  On a side where g_pm runs monotone into the vertex l_star, g_pm'
+    and g_pm'' vanish there, so Newton creeps toward a root near it; there
+    the starts follow g_pm(l) + sqrt(1-rho^2) ~ c*(l - l_star)^3, with
+    c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the side's factor' at
+    l_star: the first from c itself, each later one by rescaling the last
+    root's offset from l_star.
     """
 
     def __init__(self, b: float, rho: float, side: str, level: float) -> None:
@@ -437,27 +439,30 @@ class _HalfLine:
         monotone, anchor = _anchor(b, rho, side)
         self.under, self.over = _expand(b, rho, side, level, anchor)
         one_m_r2 = 1.0 - rho * rho
-        self.level_floor = -math.sqrt(one_m_r2)
         wing = b * one_m_r2 / 4.0
         cubic = one_m_r2 * one_m_r2 * ((wing if side == "-" else -wing) - rho / 2.0)
-        self.vertex = anchor if monotone and cubic != 0.0 else None
-        self.cubic = cubic
+        # (l_star, |c|, sqrt(1-rho^2)) where the cubic model applies
+        self.cubic = None
+        if monotone and cubic != 0.0:
+            self.cubic = anchor, abs(cubic), math.sqrt(one_m_r2)
         self.last: tuple[float, float, float] | None = None
         self.probes = self.under, self.over
 
     def solve(self, level: float) -> float:
-        height = level - self.level_floor
         start = None
-        if self.last is not None:
-            level_0, l_0, slope_0 = self.last
-            ratio = height / (level_0 - self.level_floor)
-            if self.vertex is not None and not 0.5 < ratio < 2.0:
-                start = self.vertex + (l_0 - self.vertex) * math.cbrt(ratio)
+        if self.cubic is not None:
+            vertex, c, depth = self.cubic
+            if self.last is None:
+                offset = ((level + depth) / c) ** (1.0 / 3.0)
+                start = vertex + (offset if self.side == "+" else -offset)
             else:
-                # one Newton step on from the last root
+                level_0, l_0, _ = self.last
+                ratio = (level + depth) / (level_0 + depth)
+                start = vertex + (l_0 - vertex) * ratio ** (1.0 / 3.0)
+        elif self.last is not None:
+            level_0, l_0, slope_0 = self.last
+            if slope_0 != 0.0:
                 start = l_0 + (level - level_0) / slope_0
-        elif self.vertex is not None:
-            start = self.vertex + math.cbrt(height / self.cubic)
         l, under, over, slope = _critical_point(
             self.b, self.rho, self.side, level, self.under, self.over, start
         )

@@ -182,7 +182,6 @@ def newton_root(
     bracket: Bracket,
     x: float,
     tol: float = DEFAULT_X_TOL,
-    max_iter: int = _MAX_ROOT_ITER,
 ) -> float:
     """Locate the root of f inside a certified bracket by safeguarded Newton.
 
@@ -193,7 +192,7 @@ def newton_root(
     stops when a Newton step is at most tol*max(1, |x|), returning the
     stepped point, or when the bracket is narrower than that.  The step
     test comes first, so a final step that lands on a bracket end is kept.
-    Raises MaxIterations after ``max_iter`` evaluations.
+    Raises MaxIterations after _MAX_ROOT_ITER evaluations.
     """
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -201,7 +200,7 @@ def newton_root(
     rising = bracket.f_lo < 0.0
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ROOT_ITER):
         fx, dfx = f(x)
         if not math.isfinite(fx):
             raise DomainError(f"objective is not finite at x={x}")
@@ -221,7 +220,7 @@ def newton_root(
         if hi - lo <= width:
             return x
     raise MaxIterations(
-        f"root not found within {max_iter} iterations in [{bracket.lo}, {bracket.hi}]"
+        f"root not found within {_MAX_ROOT_ITER} iterations in [{bracket.lo}, {bracket.hi}]"
     )
 
 

@@ -29,7 +29,7 @@ from butterfree.errors import (
     FukasawaViolated,
     NotInDomain,
 )
-from butterfree.fukasawa import l_star
+from butterfree.fukasawa import interval_with_optimizers, l_star
 from butterfree.svi import NormalizedParams, SviParams, denormalize, durrleman_g, g_split
 from conftest import MODEL_ROWS, VOGT
 
@@ -188,6 +188,19 @@ class TestSigmaStar:
                 - _profile_slope(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, l - step)[0]
             ) / (2 * step)
             assert curvature == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+    def test_slope_vanishes_exactly_where_the_profile_is_capped(self):
+        # with mu on an interval wall G1 touches zero at the wall's
+        # optimizer, and its rounding decides the cap point by point
+        interval, l_m, l_p = interval_with_optimizers(FIG_ALPHA, FIG_B, FIG_RHO)
+        capped = 0
+        for mu, l0 in ((interval.lower, l_m), (interval.upper, l_p)):
+            for l in l0 * (1.0 + 1e-9 * np.arange(-200, 201)):
+                value = sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, mu, 1.0 / l)
+                slope = _profile_slope(FIG_ALPHA, FIG_B, FIG_RHO, mu, float(l))
+                assert (slope == (0.0, 0.0)) == math.isinf(value)
+                capped += math.isinf(value)
+        assert 0 < capped < 802
 
     def test_never_below_brute_force(self):
         # the supremum against the tail deficit on 100k reciprocal points
