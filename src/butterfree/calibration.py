@@ -52,6 +52,12 @@ _FD_STEP = _EPS ** 0.5
 #: rounding when deciding whether a start has fitted the data.
 _FLOOR_ULPS = 16.0
 
+#: The stall rule: evaluations over which a start's progress is measured,
+#: and how many times the best cost so far a start must exceed before the
+#: rule can stop it.
+_STALL_WINDOW = 50
+_STALL_RATIO = 1e3
+
 
 @dataclass(frozen=True)
 class MarketSlice:
@@ -140,9 +146,14 @@ class CalibrationConfig:
 class StartResult:
     """Outcome of one start: where it began, where it stopped, and the cost.
 
-    ``x is None`` (with ``cost`` infinite) means the start either failed
-    or was not run because an earlier start reached the rounding floor;
-    ``error`` says which.
+    ``nfev`` counts the start's residual evaluations.  ``stop`` says why it
+    ended: "converged" (a solver tolerance was met), "budget" (``max_evals``
+    ran out), "stalled" (the stall rule ended it far above the best cost of
+    the starts before it), "not run" (an earlier start reached the rounding
+    floor) or "failed" (the solver raised).  Budget and stalled starts keep
+    their best point and cost, with ``converged`` false.  ``x is None``
+    (with ``cost`` infinite) means the start failed or was not run;
+    ``error`` gives the reason.
     """
 
     index: int
@@ -150,6 +161,8 @@ class StartResult:
     x: tuple[float, ...] | None
     cost: float
     converged: bool
+    nfev: int
+    stop: str
     error: str | None = None
 
 
@@ -243,6 +256,35 @@ class _Objective:
         return (self._of_raw(self.pipeline.point(x1).raw) - r0) / (x1[j] - x0[j])
 
 
+class _StallWatch:
+    """The give_up predicate of one start: the stall rule over the trail of
+    the start's best cost after each evaluation.
+
+    At evaluation n > W (W = _STALL_WINDOW) the start stops when its best
+    cost c_n exceeds _STALL_RATIO * best and
+
+        ln(c_n / best) > ((max_evals - n) / W) * ln(c_{n-W} / c_n),
+
+    that is, when it sits far above ``best`` and, at its rate over the
+    last W evaluations, cannot come down to it within its budget.  With
+    ``best`` infinite it never stops.
+    """
+
+    def __init__(self, best: float, max_evals: int) -> None:
+        self.best = best
+        self.max_evals = max_evals
+        self.trail: list[float] = []
+        self.stalled = False
+
+    def __call__(self, nfev: int, cost: float) -> bool:
+        self.trail.append(cost)
+        if nfev > _STALL_WINDOW and cost > _STALL_RATIO * self.best:
+            recent = math.log(self.trail[nfev - 1 - _STALL_WINDOW] / cost)
+            horizon = (self.max_evals - nfev) / _STALL_WINDOW
+            self.stalled = math.log(cost / self.best) > horizon * recent
+        return self.stalled
+
+
 def _quasi_explicit_guess(
     k: np.ndarray, w_mid: np.ndarray, weights: np.ndarray
 ) -> SviParams:
@@ -317,11 +359,15 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     lowest cost.  The quasi-explicit start runs first, then the uniform
     ones in index order; once a start's cost is at or below the rounding
     floor 0.5*n*(16*eps*max|weights*w_mid|)^2 the data is one smile to
-    rounding, and the remaining starts are recorded as not run.  Starts
-    that exhaust their evaluation budget still report their best point;
-    starts that die outright or are not run are discarded, and
-    NoConvergedStart is raised if none survive.  ``starts`` is ordered by
-    index, with the quasi-explicit start last.
+    rounding, and the remaining starts are recorded as not run.  Each
+    later start is watched by the stall rule (_StallWatch): after 50
+    evaluations it is stopped once its cost sits more than 1e3 times
+    above the best cost so far and its recent progress cannot close that
+    gap within ``max_evals``.  Starts that exhaust their evaluation budget
+    or stall still report their best point; starts that die outright or
+    are not run are discarded, and NoConvergedStart is raised if none
+    survive.  ``starts`` is ordered by index, with the quasi-explicit
+    start last; each records its ``nfev`` and why it stopped.
     """
     if config is None:
         config = CalibrationConfig()
@@ -358,24 +404,32 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     floor = 0.5 * len(slice_) * (_FLOOR_ULPS * _EPS * scale) ** 2
     starts: list[StartResult] = []
     stopped_by: int | None = None
+    best_cost = math.inf
     # the informed start (index n_starts, when present) runs first
     for i in [*range(config.n_starts, len(x0s)), *range(config.n_starts)]:
         x0 = tuple(x0s[i])
         if stopped_by is not None:
             starts.append(StartResult(
-                i, x0, None, math.inf, False,
+                i, x0, None, math.inf, False, 0, "not run",
                 error=f"not run: start {stopped_by} reached the rounding floor",
             ))
             continue
+        watch = _StallWatch(best_cost, config.lsq.max_evals)
         try:
             x, cost, converged = least_squares_bounded(
                 objective.residuals, x0s[i], lower, upper, config.lsq,
-                jac=objective.jacobian,
+                jac=objective.jacobian, give_up=watch,
             )
         except ButterfreeError as exc:
-            starts.append(StartResult(i, x0, None, math.inf, False, error=str(exc)))
+            starts.append(StartResult(
+                i, x0, None, math.inf, False, len(watch.trail), "failed", error=str(exc),
+            ))
             continue
-        starts.append(StartResult(i, x0, tuple(x), float(cost), converged))
+        stop = "stalled" if watch.stalled else "converged" if converged else "budget"
+        starts.append(StartResult(
+            i, x0, tuple(x), float(cost), converged, len(watch.trail), stop,
+        ))
+        best_cost = min(best_cost, float(cost))
         if cost <= floor:
             stopped_by = i
     starts.sort(key=lambda s: s.index)

@@ -167,6 +167,8 @@ def result_to_dict(result: CalibrationResult) -> dict:
                 # strict JSON has no Infinity: a start with no point has no cost
                 "cost": s.cost if math.isfinite(s.cost) else None,
                 "converged": s.converged,
+                "nfev": s.nfev,
+                "stop": s.stop,
                 "error": s.error,
             }
             for s in result.starts

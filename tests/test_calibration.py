@@ -25,7 +25,7 @@ from butterfree.errors import (
     NoConvergedStart,
 )
 from butterfree.svi import SviParams, svi
-from conftest import MODEL_GRID, MODEL_ROWS, model_slice, params_vector
+from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
 
 #: Cheap but reliable config for module-level tests; the informed start is
 #: appended on top of the uniform ones, so even one draw is a 2-start run.
@@ -247,6 +247,86 @@ class TestRoundingFloor:
         result = calibrate(MarketSlice(k=MODEL_GRID.copy(), w_mid=w), FAST)
         assert len(result.starts) == FAST.n_starts + 1
         assert all(st.x is not None for st in result.starts)
+
+
+def noisy_slice() -> MarketSlice:
+    """Row 0 on the model grid with 0.2% multiplicative noise (rng 5)."""
+    rng = np.random.default_rng(5)
+    w = np.asarray(svi(MODEL_ROWS[0], MODEL_GRID)) * (1.0 + 0.002 * rng.standard_normal(len(MODEL_GRID)))
+    return MarketSlice(k=MODEL_GRID.copy(), w_mid=w)
+
+
+def stops_at(trail, best: float, max_evals: int = 1000):
+    """The evaluation at which the stall rule stops a start whose best
+    cost after each evaluation follows ``trail``, or None."""
+    watch = calibration_module._StallWatch(best, max_evals)
+    for n, cost in enumerate(trail, 1):
+        if watch(n, cost):
+            return n
+    return None
+
+
+class TestStallRule:
+    """A start is stopped after evaluation n > 50 when its best cost is
+    more than 1e3 times the best of the earlier starts and its rate over
+    the last 50 evaluations cannot close that gap within its budget."""
+
+    def test_flat_plateau_far_above_stops_after_one_window(self):
+        assert stops_at([1e7] * 1000, 1.0) == 51
+
+    def test_slow_eventual_winner_is_not_stopped(self):
+        # the shape of criterion 4's winner (random start 3): down to 18x
+        # the informed start's cost, 2.5% lower over evaluations 50-100,
+        # then down to the winning cost by evaluation 200
+        best = 1.61e-3 / 18.0
+        trail = [1e-1 * (1.61e-3 / 1e-1) ** (n / 50) for n in range(1, 51)]
+        trail += [1.61e-3 * (1.57e-3 / 1.61e-3) ** (n / 50) for n in range(1, 51)]
+        trail += [1.57e-3 * (6.46e-6 / 1.57e-3) ** (n / 100) for n in range(1, 101)]
+        trail += [6.46e-6] * 800
+        assert stops_at(trail, best) is None
+
+    def test_creep_far_above_stops(self):
+        # 1e4x the best, losing 10% per 100 evaluations
+        trail = [1e4 * 0.9 ** (n / 100) for n in range(1, 1001)]
+        assert stops_at(trail, 1.0) == 51
+
+    def test_fast_descent_far_above_is_not_stopped(self):
+        # 1e6x the best but halving every 10 evaluations: it gets there
+        trail = [1e6 * 0.5 ** (n / 10) for n in range(1, 1001)]
+        assert stops_at(trail, 1.0) is None
+
+    def test_budget_sets_the_horizon(self):
+        # 1e4x the best, losing 20% per 50 evaluations: it needs about
+        # 2,060 evaluations to get there
+        trail = [1e4 * 0.8 ** (n / 50) for n in range(1, 3001)]
+        assert stops_at(trail, 1.0, max_evals=1000) == 51
+        assert stops_at(trail, 1.0, max_evals=3000) is None
+
+    def test_infinite_best_never_stops(self):
+        assert stops_at([1e300] * 1000, math.inf) is None
+
+    def test_noisy_random_starts_stall(self):
+        result = calibrate(noisy_slice(), FAST)
+        informed = result.starts[FAST.n_starts]
+        assert informed.stop == "converged" and informed.converged
+        random = result.starts[:FAST.n_starts]
+        assert [st.stop for st in random] == ["stalled"] * FAST.n_starts
+        for st in random:
+            # a stalled start keeps its best point and cost
+            assert st.x is not None and not st.converged
+            assert st.cost > 1e3 * informed.cost
+            assert st.error is None
+        assert sum(st.nfev for st in random) <= 200
+        assert calibrate(noisy_slice(), FAST).starts == result.starts
+
+    def test_criterion_4_winner_is_a_random_start(self):
+        # the informed start loses here; the winner, random start 3, sits
+        # 18x above it for a while and must not be stopped
+        result = calibrate(model_slice(VOGT), CalibrationConfig(alpha_cap=1.0))
+        best = min((st for st in result.starts if st.x is not None), key=lambda st: st.cost)
+        assert best.index == 3
+        assert result.cost == pytest.approx(6.456533129911123e-06, rel=1e-12)
+        assert {st.stop for st in result.starts} <= {"converged", "budget", "stalled"}
 
 
 def chart_objective(alpha_cap: float = 1.0) -> _Objective:

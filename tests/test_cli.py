@@ -307,6 +307,9 @@ class TestCalibrateCommand:
             doc = json.loads(handle.read(), parse_constant=reject)
         assert [s["cost"] for s in doc["starts"][:-1]] == [None] * 8
         assert math.isfinite(doc["starts"][-1]["cost"])
+        assert [s["stop"] for s in doc["starts"]] == ["not run"] * 8 + ["converged"]
+        assert [s["nfev"] for s in doc["starts"][:-1]] == [0] * 8
+        assert doc["starts"][-1]["nfev"] >= 1
 
     def test_seeded_rerun_is_byte_identical(self, capsys, tmp_path):
         slice_path = self._write_row2(tmp_path)
