@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -150,20 +152,23 @@ class StartResult:
     ended: "converged" (a solver tolerance was met), "budget" (``max_evals``
     ran out), "stalled" (the stall rule ended it far above the best cost of
     the starts before it), "not run" (an earlier start reached the rounding
-    floor) or "failed" (the solver raised).  Budget and stalled starts keep
-    their best point and cost, with ``converged`` false.  ``x is None``
-    (with ``cost`` infinite) means the start failed or was not run;
-    ``error`` gives the reason.
+    floor) or "failed" (the solver raised); ``converged`` is true for the
+    first only.  Budget and stalled starts keep their best point and cost.
+    ``x is None`` (with ``cost`` infinite) means the start failed or was
+    not run; ``error`` gives the reason.
     """
 
     index: int
     x0: tuple[float, ...]
     x: tuple[float, ...] | None
     cost: float
-    converged: bool
     nfev: int
     stop: str
     error: str | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 @dataclass(frozen=True)
@@ -256,33 +261,59 @@ class _Objective:
         return (self._of_raw(self.pipeline.point(x1).raw) - r0) / (x1[j] - x0[j])
 
 
-class _StallWatch:
-    """The give_up predicate of one start: the stall rule over the trail of
-    the start's best cost after each evaluation.
+class _Stalled(Exception):
+    """Raised through the solver when the stall rule ends a start; caught
+    in calibrate."""
 
-    At evaluation n > W (W = _STALL_WINDOW) the start stops when its best
-    cost c_n exceeds _STALL_RATIO * best and
+
+class _StallWatch:
+    """One start's residuals, with the stall rule applied after each
+    evaluation.
+
+    The watch counts the evaluations (``nfev``) and keeps the lowest-cost
+    point among them (``best_x``, ``best_cost``).  At evaluation n > W
+    (W = _STALL_WINDOW), with c_n the start's best cost so far, it raises
+    _Stalled when c_n exceeds _STALL_RATIO * best and
 
         ln(c_n / best) > ((max_evals - n) / W) * ln(c_{n-W} / c_n),
 
-    that is, when it sits far above ``best`` and, at its rate over the
-    last W evaluations, cannot come down to it within its budget.  With
-    ``best`` infinite it never stops.
+    that is, when the start sits far above ``best`` and, at its rate over
+    the last W evaluations, would not come down to it within its budget.
+    That is an extrapolation, not a guarantee: a start that idles on a
+    plateau and then drops is kept only while its plateau is within
+    _STALL_RATIO of ``best``.  Criterion 4's winner idles at 18x the
+    informed start's cost, a margin of about 55x below the ratio.  With
+    ``best`` infinite the watch never stops a start.
     """
 
-    def __init__(self, best: float, max_evals: int) -> None:
+    def __init__(
+        self,
+        residuals: Callable[[np.ndarray], np.ndarray],
+        best: float,
+        max_evals: int,
+    ) -> None:
+        self.residuals = residuals
         self.best = best
         self.max_evals = max_evals
-        self.trail: list[float] = []
-        self.stalled = False
+        self.nfev = 0
+        self.best_x: np.ndarray | None = None
+        self.best_cost = math.inf
+        # c_{n-W}, ..., c_n
+        self._recent: deque[float] = deque(maxlen=_STALL_WINDOW + 1)
 
-    def __call__(self, nfev: int, cost: float) -> bool:
-        self.trail.append(cost)
-        if nfev > _STALL_WINDOW and cost > _STALL_RATIO * self.best:
-            recent = math.log(self.trail[nfev - 1 - _STALL_WINDOW] / cost)
-            horizon = (self.max_evals - nfev) / _STALL_WINDOW
-            self.stalled = math.log(cost / self.best) > horizon * recent
-        return self.stalled
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        r = self.residuals(x)
+        self.nfev += 1
+        cost = 0.5 * float(np.dot(r, r))
+        if cost < self.best_cost:
+            self.best_x, self.best_cost = np.array(x, dtype=float), cost
+        self._recent.append(self.best_cost)
+        if self.nfev > _STALL_WINDOW and self.best_cost > _STALL_RATIO * self.best:
+            recent = math.log(self._recent[0] / self.best_cost)
+            horizon = (self.max_evals - self.nfev) / _STALL_WINDOW
+            if math.log(self.best_cost / self.best) > horizon * recent:
+                raise _Stalled
+        return r
 
 
 def _quasi_explicit_guess(
@@ -363,7 +394,10 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     later start is watched by the stall rule (_StallWatch): after 50
     evaluations it is stopped once its cost sits more than 1e3 times
     above the best cost so far and its recent progress cannot close that
-    gap within ``max_evals``.  Starts that exhaust their evaluation budget
+    gap within ``max_evals``.  The rule extrapolates: a start that idles
+    on a plateau and then drops is protected only by the 1e3 ratio, and
+    one idling further above the best cost so far is stopped even if it
+    would have gone on to win.  Starts that exhaust their evaluation budget
     or stall still report their best point; starts that die outright or
     are not run are discarded, and NoConvergedStart is raised if none
     survive.  ``starts`` is ordered by index, with the quasi-explicit
@@ -410,25 +444,24 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         x0 = tuple(x0s[i])
         if stopped_by is not None:
             starts.append(StartResult(
-                i, x0, None, math.inf, False, 0, "not run",
+                i, x0, None, math.inf, 0, "not run",
                 error=f"not run: start {stopped_by} reached the rounding floor",
             ))
             continue
-        watch = _StallWatch(best_cost, config.lsq.max_evals)
+        watch = _StallWatch(objective.residuals, best_cost, config.lsq.max_evals)
         try:
             x, cost, converged = least_squares_bounded(
-                objective.residuals, x0s[i], lower, upper, config.lsq,
-                jac=objective.jacobian, give_up=watch,
+                watch, x0s[i], lower, upper, config.lsq, jac=objective.jacobian,
             )
+            stop = "converged" if converged else "budget"
+        except _Stalled:
+            x, cost, stop = watch.best_x, watch.best_cost, "stalled"
         except ButterfreeError as exc:
             starts.append(StartResult(
-                i, x0, None, math.inf, False, len(watch.trail), "failed", error=str(exc),
+                i, x0, None, math.inf, watch.nfev, "failed", error=str(exc),
             ))
             continue
-        stop = "stalled" if watch.stalled else "converged" if converged else "budget"
-        starts.append(StartResult(
-            i, x0, tuple(x), float(cost), converged, len(watch.trail), stop,
-        ))
+        starts.append(StartResult(i, x0, tuple(x), float(cost), watch.nfev, stop))
         best_cost = min(best_cost, float(cost))
         if cost <= floor:
             stopped_by = i

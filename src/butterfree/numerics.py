@@ -227,11 +227,6 @@ def newton_root(
     )
 
 
-class _GaveUp(Exception):
-    """Raised through the solver when give_up fires; never leaves
-    least_squares_bounded."""
-
-
 def least_squares_bounded(
     residuals: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
@@ -239,7 +234,6 @@ def least_squares_bounded(
     upper: Sequence[float],
     opts: LsqOptions | None = None,
     jac: Callable[[np.ndarray], np.ndarray] | str = "2-point",
-    give_up: Callable[[int, float], bool] | None = None,
 ) -> tuple[np.ndarray, float, bool]:
     """Bound-constrained nonlinear least squares.
 
@@ -253,11 +247,6 @@ def least_squares_bounded(
     cost = 0.5*||r||^2.
     When the evaluation budget runs out the best point found is returned
     with converged=False rather than raising.
-
-    ``give_up(nfev, best_cost)``, if given, is asked after every residual
-    evaluation with the number of evaluations so far and the lowest cost
-    among them.  Once it returns true the solve ends, and the best point
-    evaluated so far is returned with its cost and converged=False.
     """
     if opts is None:
         opts = LsqOptions()
@@ -266,34 +255,16 @@ def least_squares_bounded(
     upper = np.asarray(upper, dtype=float)
     if np.any(x0 < lower) or np.any(x0 > upper):
         raise InfeasibleStart(f"start point {x0.tolist()} violates bounds")
-    fun = residuals
-    best_x, best_cost, nfev = x0, math.inf, 0
-    if give_up is not None:
-
-        def fun(x: np.ndarray) -> np.ndarray:
-            nonlocal best_x, best_cost, nfev
-            r = residuals(x)
-            nfev += 1
-            cost = 0.5 * float(np.dot(r, r))
-            if cost < best_cost:
-                best_x, best_cost = np.array(x, dtype=float), cost
-            if give_up(nfev, best_cost):
-                raise _GaveUp
-            return r
-
-    try:
-        result = least_squares(
-            fun,
-            x0,
-            jac=jac,
-            bounds=(lower, upper),
-            method="dogbox",
-            ftol=opts.f_tol,
-            xtol=opts.x_tol,
-            gtol=opts.g_tol,
-            max_nfev=opts.max_evals,
-        )
-    except _GaveUp:
-        return best_x, best_cost, False
+    result = least_squares(
+        residuals,
+        x0,
+        jac=jac,
+        bounds=(lower, upper),
+        method="dogbox",
+        ftol=opts.f_tol,
+        xtol=opts.x_tol,
+        gtol=opts.g_tol,
+        max_nfev=opts.max_evals,
+    )
     converged = result.status > 0
     return result.x, float(result.cost), bool(converged)

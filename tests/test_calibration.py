@@ -24,6 +24,7 @@ from butterfree.errors import (
     InvalidInput,
     NoConvergedStart,
 )
+from butterfree.numerics import least_squares_bounded
 from butterfree.svi import SviParams, svi
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
 
@@ -257,13 +258,28 @@ def noisy_slice() -> MarketSlice:
 
 
 def stops_at(trail, best: float, max_evals: int = 1000):
-    """The evaluation at which the stall rule stops a start whose best
-    cost after each evaluation follows ``trail``, or None."""
-    watch = calibration_module._StallWatch(best, max_evals)
-    for n, cost in enumerate(trail, 1):
-        if watch(n, cost):
+    """The evaluation at which the stall rule stops a start whose cost at
+    each evaluation follows ``trail``, or None."""
+    costs = iter(trail)
+    watch = calibration_module._StallWatch(
+        lambda x: np.array([math.sqrt(2.0 * next(costs))]), best, max_evals
+    )
+    for n in range(1, len(trail) + 1):
+        try:
+            watch(np.zeros(1))
+        except calibration_module._Stalled:
             return n
     return None
+
+
+def criterion_4_winner_trail() -> list[float]:
+    """The cost trail of criterion 4's winner (random start 3): down to
+    1.61e-3 by evaluation 50, 2.5% lower over evaluations 50-100, then
+    down to the winning cost by evaluation 200."""
+    trail = [1e-1 * (1.61e-3 / 1e-1) ** (n / 50) for n in range(1, 51)]
+    trail += [1.61e-3 * (1.57e-3 / 1.61e-3) ** (n / 50) for n in range(1, 51)]
+    trail += [1.57e-3 * (6.46e-6 / 1.57e-3) ** (n / 100) for n in range(1, 101)]
+    return trail + [6.46e-6] * 800
 
 
 class TestStallRule:
@@ -275,15 +291,17 @@ class TestStallRule:
         assert stops_at([1e7] * 1000, 1.0) == 51
 
     def test_slow_eventual_winner_is_not_stopped(self):
-        # the shape of criterion 4's winner (random start 3): down to 18x
-        # the informed start's cost, 2.5% lower over evaluations 50-100,
-        # then down to the winning cost by evaluation 200
-        best = 1.61e-3 / 18.0
-        trail = [1e-1 * (1.61e-3 / 1e-1) ** (n / 50) for n in range(1, 51)]
-        trail += [1.61e-3 * (1.57e-3 / 1.61e-3) ** (n / 50) for n in range(1, 51)]
-        trail += [1.57e-3 * (6.46e-6 / 1.57e-3) ** (n / 100) for n in range(1, 101)]
-        trail += [6.46e-6] * 800
-        assert stops_at(trail, best) is None
+        # criterion 4's winner idles at 18x the informed start's cost
+        assert stops_at(criterion_4_winner_trail(), 1.61e-3 / 18.0) is None
+
+    def test_only_the_ratio_protects_a_plateau_then_drop_winner(self):
+        # The same trail with its plateau (1.61e-3 to 1.57e-3) just under
+        # and just over 1e3x the best: its rate over the plateau never
+        # closes the gap within the budget, so the ratio alone decides.
+        # Changing _STALL_RATIO or _STALL_WINDOW moves this line.
+        trail = criterion_4_winner_trail()
+        assert stops_at(trail, 1.61e-3 / 1e3 * 1.01) is None
+        assert stops_at(trail, 1.57e-3 / 1e3 / 1.01) is not None
 
     def test_creep_far_above_stops(self):
         # 1e4x the best, losing 10% per 100 evaluations
@@ -304,6 +322,38 @@ class TestStallRule:
 
     def test_infinite_best_never_stops(self):
         assert stops_at([1e300] * 1000, math.inf) is None
+
+    def test_stalled_start_keeps_its_best_evaluated_point(self, monkeypatch):
+        seen = []
+        residuals = _Objective.residuals
+
+        def recorded(objective, x):
+            r = residuals(objective, x)
+            seen.append((0.5 * float(np.dot(r, r)), tuple(x)))
+            return r
+
+        monkeypatch.setattr(_Objective, "residuals", recorded)
+        result = calibrate(noisy_slice(), FAST)
+        # run order: the informed start, then random starts 0 and 1
+        informed, first = result.starts[FAST.n_starts], result.starts[0]
+        assert first.stop == "stalled"
+        trail = seen[informed.nfev:informed.nfev + first.nfev]
+        assert len(trail) == first.nfev > 50
+        best_cost, best_x = min(trail, key=lambda s: s[0])
+        assert first.cost == best_cost
+        assert first.x == best_x
+
+    def test_watch_that_never_fires_changes_nothing(self):
+        def residuals(x):
+            return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+
+        args = ([-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0])
+        watch = calibration_module._StallWatch(residuals, math.inf, 1000)
+        x, cost, converged = least_squares_bounded(residuals, *args)
+        x2, cost2, converged2 = least_squares_bounded(watch, *args)
+        assert x.tolist() == x2.tolist()
+        assert cost == cost2 and converged == converged2
+        assert watch.best_cost == pytest.approx(cost2, abs=1e-30)
 
     def test_noisy_random_starts_stall(self):
         result = calibrate(noisy_slice(), FAST)

@@ -228,46 +228,6 @@ class TestLeastSquaresBounded:
         for x in seen:
             assert np.all(x >= lower - 1e-15) and np.all(x <= upper + 1e-15)
 
-    def test_give_up_returns_best_evaluated_point(self):
-        lower = np.array([-2.0, -2.0])
-        upper = np.array([0.5, 2.0])
-        seen = []
-        asked = []
-
-        def residuals(x):
-            r = np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
-            seen.append((0.5 * float(np.dot(r, r)), x.copy()))
-            return r
-
-        def give_up(nfev, best_cost):
-            asked.append((nfev, best_cost))
-            return nfev == 8
-
-        x, cost, converged = least_squares_bounded(
-            residuals, [-1.2, 1.0], lower, upper, give_up=give_up
-        )
-        assert not converged
-        assert len(seen) == 8
-        assert [n for n, _ in asked] == list(range(1, 9))
-        running = np.minimum.accumulate([c for c, _ in seen])
-        assert [c for _, c in asked] == running.tolist()
-        best_cost, best_x = min(seen, key=lambda s: s[0])
-        assert cost == best_cost
-        assert np.array_equal(x, best_x)
-        assert np.all(x >= lower) and np.all(x <= upper)
-
-    def test_give_up_that_never_fires_changes_nothing(self):
-        def residuals(x):
-            return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
-
-        args = (residuals, [-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0])
-        x, cost, converged = least_squares_bounded(*args)
-        x2, cost2, converged2 = least_squares_bounded(
-            *args, give_up=lambda nfev, best: False
-        )
-        assert x.tolist() == x2.tolist()
-        assert cost == cost2 and converged == converged2
-
     def test_budget_exhaustion_returns_best(self):
         opts = LsqOptions(max_evals=3)
 
