@@ -342,6 +342,11 @@ class TestStallRule:
         best_cost, best_x = min(trail, key=lambda s: s[0])
         assert first.cost == best_cost
         assert first.x == best_x
+        # calibrate's box
+        v_max = sigma_upper_bound(noisy_slice(), 0.0, FAST.r)
+        lower = [-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0]
+        upper = [1.0 - 1e-6, 1.0, FAST.alpha_cap + 2.0, 1.0 - 1e-6, v_max]
+        assert all(lo <= c <= hi for lo, c, hi in zip(lower, first.x, upper))
 
     def test_watch_that_never_fires_changes_nothing(self):
         def residuals(x):
