@@ -182,12 +182,11 @@ class CalibrationResult:
     wall_time: float
 
 
-def sigma_upper_bound(slice_: MarketSlice, sigma_star: float, r: float) -> float:
-    """Ceiling for sigma: the observed strike span scaled by 1/r, never
-    below 1.5 times the curvature floor."""
+def sigma_upper_bound(slice_: MarketSlice, r: float) -> float:
+    """Ceiling for sigma: the observed strike span scaled by 1/r."""
     if not r > 0.0:
         raise InvalidInput(f"r must be positive, got {r}")
-    return max(abs(float(slice_.k[0])) / r, abs(float(slice_.k[-1])) / r, 1.5 * sigma_star)
+    return max(abs(float(slice_.k[0])) / r, abs(float(slice_.k[-1])) / r)
 
 
 def vega_weights(slice_: MarketSlice) -> np.ndarray:
@@ -281,9 +280,11 @@ class _StallWatch:
     the last W evaluations, would not come down to it within its budget.
     That is an extrapolation, not a guarantee: a start that idles on a
     plateau and then drops is kept only while its plateau is within
-    _STALL_RATIO of ``best``.  Criterion 4's winner idles at 18x the
-    informed start's cost, a margin of about 55x below the ratio.  With
-    ``best`` infinite the watch never stops a start.
+    _STALL_RATIO of ``best``.  On criterion 4, random start 3 idles at 18x
+    the informed start's cost, a margin of about 55x below the ratio,
+    before it drops to the best minimum (which start 6 reaches too, so the
+    two tie to rounding for the win).  With ``best`` infinite the watch
+    never stops a start.
     """
 
     def __init__(
@@ -369,13 +370,10 @@ def _natural_polish(
     def residuals(x: np.ndarray) -> np.ndarray:
         return (svi_raw(k, *x) - w_mid) * weights
 
-    from scipy.optimize import least_squares
-
-    fit = least_squares(
-        residuals, x0, bounds=(lo, hi), method="dogbox", jac="2-point",
-        ftol=1e-14, xtol=1e-14, gtol=1e-14, max_nfev=400,
+    x, _, _ = least_squares_bounded(
+        residuals, x0, lo, hi, LsqOptions(1e-14, 1e-14, 1e-14, 400)
     )
-    a, b, rho, m, sigma = (float(c) for c in fit.x)
+    a, b, rho, m, sigma = (float(c) for c in x)
     b = max(b, 1e-9)
     a = max(a, -b * sigma * math.sqrt(1.0 - rho * rho) + 1e-12)
     return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
@@ -414,7 +412,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     w_mid = slice_.w_mid
     weights = vega_weights(slice_) if config.vega_weighted else np.ones(len(slice_))
 
-    v_max = sigma_upper_bound(slice_, 0.0, config.r)
+    v_max = sigma_upper_bound(slice_, config.r)
     u_max = config.alpha_cap + 2.0
     lower = np.array([-1.0 + _EDGE, _EDGE, _EDGE, -1.0 + _EDGE, 0.0])
     upper = np.array([1.0 - _EDGE, 1.0, u_max, 1.0 - _EDGE, v_max])

@@ -41,7 +41,7 @@ from .fukasawa import (
     mu_interval,
     threshold_with_optimizers,
 )
-from .numerics import Bracket, expand_bracket, find_root, newton_root
+from .numerics import Bracket, expand_bracket, newton_root, require_finite
 from .svi import SviParams, n_funcs, normalize
 
 #: Grid size per reciprocal side used to locate the tail supremum.
@@ -158,8 +158,12 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     2*alpha/b + 3r - (1-|rho|)^2 r^3 - 2|rho| T, T = r^3 + sgn(rho) l^3;
     where rho*l < 0 the root moves out like (1-|rho|)^(-1/2) and T is taken
     as (r^2 + r|l| + l^2)/(r + |l|), exact since r^2 - l^2 = 1, so its
-    cancellation costs no digits.
+    cancellation costs no digits.  Its slope T' = 3l(r + sgn(rho) l) is
+    taken there as 3l/(r + |l|) for the same reason.  Each root is a Newton
+    solve started from the secant point of the bracket walked out from the
+    vertex or the origin.
     """
+    require_finite(alpha=alpha, b=b, rho=rho)
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
     if abs(rho) > 1.0:
@@ -177,28 +181,28 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     sign = math.copysign(1.0, rho)
     tail = (1.0 - abs_rho) * (1.0 - abs_rho)
 
-    def q(l: float) -> float:
+    def q_slope(l: float) -> tuple[float, float]:
         r = math.sqrt(l * l + 1.0)
         if rho * l < 0.0:
             t = (r * r + r * abs(l) + l * l) / (r + abs(l))
+            dt = 3.0 * l / (r + abs(l))
         else:
             t = r * r * r + sign * l * l * l
-        return level + 3.0 * r - tail * r * r * r - 2.0 * abs_rho * t
+            dt = 3.0 * l * (r + sign * l)
+        value = level + 3.0 * r - tail * r * r * r - 2.0 * abs_rho * t
+        return value, 3.0 * l / r - 3.0 * tail * r * l - 2.0 * abs_rho * dt
 
-    if abs(rho) < 1.0:
-        anchor = l_star(rho)
-    else:
-        anchor = 0.0
-    left_anchor = min(anchor, 0.0)
-    right_anchor = max(anchor, 0.0)
-    if rho == 1.0:
-        l1 = -math.inf
-    else:
-        l1 = find_root(q, expand_bracket(q, left_anchor, -1))
-    if rho == -1.0:
-        l2 = math.inf
-    else:
-        l2 = find_root(q, expand_bracket(q, right_anchor, 1))
+    def q(l: float) -> float:
+        return q_slope(l)[0]
+
+    def root(anchor: float, direction: int) -> float:
+        br = expand_bracket(q, anchor, direction)
+        secant = br.lo - br.f_lo * (br.hi - br.lo) / (br.f_hi - br.f_lo)
+        return newton_root(q_slope, br, secant)
+
+    anchor = l_star(rho) if abs(rho) < 1.0 else 0.0
+    l1 = -math.inf if rho == 1.0 else root(min(anchor, 0.0), -1)
+    l2 = math.inf if rho == -1.0 else root(max(anchor, 0.0), 1)
     return G2Zeros(l1, l2)
 
 

@@ -36,7 +36,7 @@ from .errors import (
     FukasawaViolated,
     NoFiniteOptimum,
 )
-from .numerics import DEFAULT_X_TOL, Bracket, expand_bracket, newton_root
+from .numerics import Bracket, expand_bracket, newton_root, require_finite
 from .svi import n_funcs
 
 #: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
@@ -263,7 +263,7 @@ def _critical_point(
         bracket = Bracket(l_u, l_o, g_u - level, g_o - level)
     else:
         bracket = Bracket(l_o, l_u, g_o - level, g_u - level)
-    root = newton_root(f, bracket, start, DEFAULT_X_TOL)
+    root = newton_root(f, bracket, start)
     return root, under, over, slope_seen
 
 
@@ -283,6 +283,7 @@ def interval_with_optimizers(
 ) -> tuple[MuInterval, float, float]:
     """mu_interval together with the optimizers l_minus and l_plus of its
     bounds; an optimizer is nan where its bound is -+alpha/2 or infinite."""
+    require_finite(alpha=alpha, b=b, rho=rho)
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
     if abs(rho) > 1.0:
@@ -364,6 +365,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     critical point inside it: after one walk out to the upper end no
     bracket expansion is needed.
     """
+    require_finite(b=b, rho=rho)
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
     if abs(rho) > 1.0:
@@ -414,7 +416,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
         line.over = _expand(b, rho, side, level_hi, points[side])[1]
     # D' > 1 gives D(level_hi) > gap_lo + 1.25*|gap_lo|, a certified bound
     bracket = Bracket(level_lo, level_hi, gap_lo, 0.25 * abs(gap_lo))
-    level = newton_root(gap, bracket, level_lo - gap_lo / slope_lo, DEFAULT_X_TOL)
+    level = newton_root(gap, bracket, level_lo - gap_lo / slope_lo)
     return b * level, points["-"], points["+"]
 
 

@@ -1,10 +1,9 @@
-"""Shared numeric plumbing: bracketed root finding, with and without
-derivatives, bound-constrained least squares and the checks on numeric
-settings.
+"""Shared numeric plumbing: bracketed root finding, bound-constrained least
+squares and the checks on numeric settings.
 
-Brent's method and the dogbox trust region come from scipy; the
-safeguarded Newton iteration is local.  This module pins down brackets,
-tolerances and failure modes so the rest of the package gets
+Roots are found by a local safeguarded Newton iteration on certified
+brackets; the dogbox trust region comes from scipy.  This module pins down
+brackets, tolerances and failure modes so the rest of the package gets
 deterministic behaviour and typed errors.
 """
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
+from scipy.optimize import least_squares
 
 from .errors import (
     DomainError,
@@ -27,8 +26,9 @@ from .errors import (
     NoSignChange,
 )
 
-#: Absolute x tolerance used for quantities that sit on domain boundaries.
-DEFAULT_X_TOL = 1e-12
+#: Root tolerance: a Newton step of at most this times max(1, |x|) ends
+#: the iteration.
+_X_TOL = 1e-12
 
 _MAX_ROOT_ITER = 200
 _MAX_EXPANSIONS = 100
@@ -92,6 +92,14 @@ def require_int(name: str, value, least: int) -> None:
         raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def require_finite(**values: float) -> None:
+    """Raise DomainError naming the first of ``values`` that is not a finite
+    number."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
+
+
 def require_real(name: str, value, least: float, strict: bool = False) -> None:
     """Raise InvalidInput unless value is a finite real number, not a bool,
     and at least ``least`` (above it when ``strict``)."""
@@ -108,51 +116,21 @@ def require_real(name: str, value, least: float, strict: bool = False) -> None:
         )
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = DEFAULT_X_TOL) -> float:
-    """Locate the root of f inside a certified bracket with Brent's method.
-
-    Converges when the interval width falls below ``tol`` in the combined
-    absolute/relative sense used by Brent iterations.  Deterministic for a
-    given (f, bracket, tol).
-    """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    rtol = max(tol, 4.0 * float(np.finfo(float).eps))
-    try:
-        root = brentq(f, bracket.lo, bracket.hi, xtol=tol, rtol=rtol,
-                      maxiter=_MAX_ROOT_ITER, disp=True)
-    except ValueError as exc:
-        raise NoSignChange(str(exc)) from exc
-    except RuntimeError as exc:
-        raise MaxIterations(
-            f"root not found within {_MAX_ROOT_ITER} iterations in "
-            f"[{bracket.lo}, {bracket.hi}]"
-        ) from exc
-    return float(root)
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    start: float,
-    direction: int,
-    growth: float = 2.0,
-    initial_step: float = 1.0,
-) -> Bracket:
+def expand_bracket(f: Callable[[float], float], start: float, direction: int) -> Bracket:
     """Walk geometrically from ``start`` until a sign change is straddled.
 
-    ``direction`` is +1 (rightward) or -1 (leftward).  The bracket returned
-    is the last probed sub-interval, so it is as tight as the stepping
-    allows.  Raises NoBracketFound after the expansion budget is spent.
+    ``direction`` is +1 (rightward) or -1 (leftward); the steps start at 1
+    and double.  The bracket returned is the last probed sub-interval, so
+    it is as tight as the stepping allows.  Raises NoBracketFound after the
+    expansion budget is spent.
     """
     if direction not in (-1, 1):
         raise DomainError(f"direction must be +1 or -1, got {direction}")
-    if growth <= 1.0:
-        raise DomainError(f"growth must exceed 1, got {growth}")
     x_prev = float(start)
     f_prev = f(x_prev)
     if not math.isfinite(f_prev):
         raise DomainError(f"f(start) is not finite at start={start}")
-    step = float(initial_step)
+    step = 1.0
     for _ in range(_MAX_EXPANSIONS):
         x_next = x_prev + direction * step
         f_next = f(x_next)
@@ -166,39 +144,32 @@ def expand_bracket(
                 x_next, f_next = x_past, f_past
             else:
                 x_prev, f_prev = x_past, f_past
-                step *= growth
+                step *= 2.0
                 continue
         if f_prev * f_next < 0.0:
             if direction > 0:
                 return Bracket(x_prev, x_next, f_prev, f_next)
             return Bracket(x_next, x_prev, f_next, f_prev)
         x_prev, f_prev = x_next, f_next
-        step *= growth
+        step *= 2.0
     raise NoBracketFound(
         f"no sign change within {_MAX_EXPANSIONS} expansions from {start} "
         f"(direction {direction:+d})"
     )
 
 
-def newton_root(
-    f: Callable[[float], tuple[float, float]],
-    bracket: Bracket,
-    x: float,
-    tol: float = DEFAULT_X_TOL,
-) -> float:
+def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: float) -> float:
     """Locate the root of f inside a certified bracket by safeguarded Newton.
 
     f returns its value and its derivative.  The iteration starts at x (the
     midpoint if x is not inside the bracket) and shrinks the bracket by the
     sign of every value it sees.  Each step is a Newton step from the latest
     point, or a bisection when that step would leave the open bracket.  It
-    stops when a Newton step is at most tol*max(1, |x|), returning the
+    stops when a Newton step is at most _X_TOL*max(1, |x|), returning the
     stepped point, or when the bracket is narrower than that.  The step
     test comes first, so a final step that lands on a bracket end is kept.
     Raises MaxIterations after _MAX_ROOT_ITER evaluations.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     lo, hi = bracket.lo, bracket.hi
     rising = bracket.f_lo < 0.0
     if not lo < x < hi:
@@ -214,7 +185,7 @@ def newton_root(
         else:
             hi = x
         step = fx / dfx if dfx != 0.0 else math.inf
-        width = tol * max(1.0, abs(x))
+        width = _X_TOL * max(1.0, abs(x))
         if abs(step) <= width:
             return min(max(x - step, lo), hi)
         x -= step

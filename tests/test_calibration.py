@@ -101,18 +101,12 @@ class TestConfig:
 class TestSigmaUpperBound:
     def test_strike_span_rule(self):
         s = MarketSlice(k=np.array([-0.5, 0.0, 0.4]), w_mid=np.full(3, 0.04))
-        assert sigma_upper_bound(s, 2.0, 0.1) == pytest.approx(5.0)
-        assert sigma_upper_bound(s, 0.0, 0.1) == pytest.approx(5.0)
-
-    def test_floor_rule_dominates(self):
-        s = MarketSlice(k=np.array([-0.1, 0.0, 0.1]), w_mid=np.full(3, 0.04))
-        assert sigma_upper_bound(s, 0.0, 0.1) == pytest.approx(1.0)
-        assert sigma_upper_bound(s, 10.0, 0.1) == pytest.approx(15.0)
+        assert sigma_upper_bound(s, 0.1) == pytest.approx(5.0)
 
     def test_rejects_bad_r(self):
         s = MarketSlice(k=np.array([-0.1, 0.1]), w_mid=np.full(2, 0.04))
         with pytest.raises(InvalidInput):
-            sigma_upper_bound(s, 1.0, 0.0)
+            sigma_upper_bound(s, 0.0)
 
 
 class TestVegaWeights:
@@ -234,7 +228,7 @@ class TestRoundingFloor:
         lower = np.array([-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0])
         upper = np.array([
             1.0 - 1e-6, 1.0, config.alpha_cap + 2.0, 1.0 - 1e-6,
-            sigma_upper_bound(s, 0.0, config.r),
+            sigma_upper_bound(s, config.r),
         ])
         x0s = np.random.default_rng(config.seed).uniform(lower, upper, (n, 5))
         assert [st.x0 for st in result.starts[:n]] == [tuple(x0) for x0 in x0s]
@@ -343,7 +337,7 @@ class TestStallRule:
         assert first.cost == best_cost
         assert first.x == best_x
         # calibrate's box
-        v_max = sigma_upper_bound(noisy_slice(), 0.0, FAST.r)
+        v_max = sigma_upper_bound(noisy_slice(), FAST.r)
         lower = [-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0]
         upper = [1.0 - 1e-6, 1.0, FAST.alpha_cap + 2.0, 1.0 - 1e-6, v_max]
         assert all(lo <= c <= hi for lo, c, hi in zip(lower, first.x, upper))
@@ -375,11 +369,16 @@ class TestStallRule:
         assert calibrate(noisy_slice(), FAST).starts == result.starts
 
     def test_criterion_4_winner_is_a_random_start(self):
-        # the informed start loses here; the winner, random start 3, sits
-        # 18x above it for a while and must not be stopped
-        result = calibrate(model_slice(VOGT), CalibrationConfig(alpha_cap=1.0))
+        # the informed start loses here.  Random start 3 sits 18x above it
+        # for a while before dropping to the best minimum, and must not be
+        # stopped; start 6 reaches the same minimum, and which of the two
+        # wins is a rounding tie
+        config = CalibrationConfig(alpha_cap=1.0)
+        result = calibrate(model_slice(VOGT), config)
         best = min((st for st in result.starts if st.x is not None), key=lambda st: st.cost)
-        assert best.index == 3
+        assert best.index < config.n_starts
+        assert result.starts[3].stop == "converged"
+        assert result.starts[3].cost == pytest.approx(result.cost, rel=1e-12)
         assert result.cost == pytest.approx(6.456533129911123e-06, rel=1e-12)
         assert {st.stop for st in result.starts} <= {"converged", "budget", "stalled"}
 

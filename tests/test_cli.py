@@ -219,6 +219,28 @@ class TestValueCommands:
         assert rc == 0
         assert float(out.split("=")[-1]) == sigma_star(0.1, 0.5, -0.3, 0.1)
 
+    @pytest.mark.parametrize("command, name, value", [
+        ("threshold", "b", "nan"),
+        ("threshold", "rho", "inf"),
+        ("interval", "alpha", "nan"),
+        ("interval", "b", "-inf"),
+        ("interval", "rho", "nan"),
+        ("sigma-star", "alpha", "inf"),
+        ("sigma-star", "b", "nan"),
+        ("sigma-star", "rho", "nan"),
+    ])
+    def test_non_finite_argument_is_named(self, capsys, command, name, value):
+        flags = {"alpha": "0.1", "b": "0.5", "rho": "-0.3", "mu": "0.1"}
+        if command == "threshold":
+            del flags["alpha"]
+        if command != "sigma-star":
+            del flags["mu"]
+        flags[name] = value
+        argv = [command] + [f"--{key}={v}" for key, v in flags.items()]
+        rc, _, err = run(capsys, argv)
+        assert rc == 64
+        assert err.startswith(f"error: {name} must be finite")
+
     def test_sigma_star_rejects_mu_outside(self, capsys):
         rc, _, err = run(capsys, [
             "sigma-star", "--alpha", "0.1", "--b", "0.5", "--rho", "-0.3",

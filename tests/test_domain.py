@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -103,6 +104,55 @@ class TestG2Zeros:
         assert check_no_arbitrage(free).is_free
         # brute force: g dips to about -0.033 on the bad smile
         assert check_no_arbitrage(bad).status is Status.FAILURE4
+
+    @staticmethod
+    def g2_draws(rng, n, rho_gap=None):
+        """(alpha, b, rho) as screen draws them: a wing slope uniform on
+        [0.1, 2.25] or within 1e-9 to 1e-3 of 2, alpha a log-uniform margin
+        above its positivity floor; with rho_gap, 1 - |rho| is log-uniform
+        over that range of exponents."""
+        out = []
+        for i in range(n):
+            if rho_gap is not None:
+                rho = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(*rho_gap))
+            else:
+                rho = rng.uniform(-0.95, 0.95)
+            if i % 3 == 2:
+                slope = 2.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -3.0)
+            else:
+                slope = rng.uniform(0.1, 2.25)
+            b = slope / (1.0 + abs(rho))
+            alpha = -b * math.sqrt(1.0 - rho * rho) + 10.0 ** rng.uniform(-2.5, 0.2)
+            out.append((float(alpha), float(b), float(rho)))
+        return out
+
+    @staticmethod
+    def root_50_digits(alpha, b, rho, l):
+        """The root of the exact q near l, to 50 digits; q must change sign
+        within 1e-6 relative of l."""
+        with mpmath.workdps(50):
+            a_, b_, r_ = mpmath.mpf(alpha), mpmath.mpf(b), mpmath.mpf(rho)
+
+            def q(x):
+                r = mpmath.sqrt(x * x + 1)
+                return 2 * a_ / b_ + (2 - x * x) * r - r_ * r_ * r ** 3 - 2 * r_ * x ** 3
+
+            width = mpmath.mpf(l) * mpmath.mpf("1e-6")
+            lo, hi = mpmath.mpf(l) - width, mpmath.mpf(l) + width
+            assert q(lo) * q(hi) < 0
+            return mpmath.findroot(q, (lo, hi), solver="anderson")
+
+    def test_roots_match_a_50_digit_root(self):
+        # on the probe's range (1 - |rho| from 1e-8 to 1e-6) q is
+        # ill-conditioned at its far root, whose terms cancel by about seven
+        # digits whatever the solver; screen's ranges stop at 1e-5
+        rng = np.random.default_rng(20)
+        for rho_gap, tol in ((None, 1e-11), ((-5.0, -2.0), 1e-11), ((-8.0, -6.0), 1e-9)):
+            for alpha, b, rho in self.g2_draws(rng, 200, rho_gap):
+                z = g2_zeros(alpha, b, rho)
+                for l in (z.l1, z.l2):
+                    exact = self.root_50_digits(alpha, b, rho, l)
+                    assert float(abs((l - exact) / exact)) <= tol, (alpha, b, rho, l)
 
     def test_rejects_non_positive_smile(self):
         with pytest.raises(DomainError):
