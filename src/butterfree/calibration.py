@@ -7,9 +7,10 @@ seeded generator keeps the whole procedure deterministic.
 
 The box-to-smile chart (domain.BoxChart) evaluates the threshold, the
 shift interval and the curvature floor once per residual evaluation.  The
-solver gets the exact Jacobian of the residuals in box coordinates, from
-the chart's partials; only at the chart's kinks does a column fall back to
-a one-sided difference quotient.
+solver gets the exact Jacobian of the residuals in box coordinates from the
+chart's partials, one-sided at the chart's kinks, with no further chart
+evaluation.  The box stops short of the face b' = 1, where the steeper
+wing slope is 2 and the chart has no finite partials.
 """
 
 from __future__ import annotations
@@ -46,9 +47,6 @@ from .svi import SviParams, svi, svi_raw
 _EDGE = 1e-6
 
 _EPS = float(np.finfo(float).eps)
-
-#: Relative step of the one-sided difference quotients at the kinks.
-_FD_STEP = _EPS ** 0.5
 
 #: Residual size, in ulps of the largest weighted variance, that counts as
 #: rounding when deciding whether a start has fitted the data.
@@ -153,9 +151,10 @@ class StartResult:
     ran out), "stalled" (the stall rule ended it far above the best cost of
     the starts before it), "not run" (an earlier start reached the rounding
     floor) or "failed" (the solver raised); ``converged`` is true for the
-    first only.  Budget and stalled starts keep their best point and cost.
-    ``x is None`` (with ``cost`` infinite) means the start failed or was
-    not run; ``error`` gives the reason.
+    first only.  Budget, stalled and failed starts keep their best
+    evaluated point and cost.  ``x is None`` (with ``cost`` infinite) means
+    the start was not run or failed before its first evaluation.  ``error``
+    gives the reason a start failed or was not run.
     """
 
     index: int
@@ -200,36 +199,26 @@ def vega_weights(slice_: MarketSlice) -> np.ndarray:
 
 
 class _Objective:
-    """Weighted total-variance residuals over the chart, and their Jacobian.
+    """Weighted total-variance residuals over the chart, and their exact
+    Jacobian.
 
     The solver asks for the Jacobian at the point whose residuals it has
     just evaluated, so jacobian() reuses that chart point and adds only the
-    partials.  Kinked columns are one-sided difference quotients whose step
-    stays inside [lower, upper].
+    partials, which are one-sided at the chart's kinks.
     """
 
     def __init__(
-        self,
-        slice_: MarketSlice,
-        weights: np.ndarray,
-        pipeline: BoxChart,
-        lower: np.ndarray,
-        upper: np.ndarray,
+        self, slice_: MarketSlice, weights: np.ndarray, pipeline: BoxChart
     ) -> None:
         self.k = slice_.k
         self.w_mid = slice_.w_mid
         self.weights = weights
         self.pipeline = pipeline
-        self.lower = lower
-        self.upper = upper
         self._last: ChartPoint | None = None
-
-    def _of_raw(self, raw: tuple[float, float, float, float, float]) -> np.ndarray:
-        return (svi_raw(self.k, *raw) - self.w_mid) * self.weights
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         self._last = self.pipeline.point(x)
-        return self._of_raw(self._last.raw)
+        return (svi_raw(self.k, *self._last.raw) - self.w_mid) * self.weights
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         p = self._last
@@ -242,22 +231,7 @@ class _Objective:
             np.ones_like(dk), rho * dk + root, b * dk,
             -b * (rho + dk / root), b * sigma / root,
         ]) * self.weights[:, None]
-        d_raw, kinks = self.pipeline.partials(p)
-        jac = d_res @ d_raw
-        if kinks:
-            x0 = np.asarray(p.x)
-            r0 = self._of_raw(p.raw)
-            for j in sorted(kinks):
-                jac[:, j] = self._one_sided_column(x0, r0, j)
-        return jac
-
-    def _one_sided_column(self, x0: np.ndarray, r0: np.ndarray, j: int) -> np.ndarray:
-        h = _FD_STEP * max(1.0, abs(x0[j]))
-        if x0[j] + h > self.upper[j]:
-            h = -h
-        x1 = x0.copy()
-        x1[j] += h
-        return (self._of_raw(self.pipeline.point(x1).raw) - r0) / (x1[j] - x0[j])
+        return d_res @ self.pipeline.partials(p)
 
 
 class _Stalled(Exception):
@@ -395,11 +369,12 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     gap within ``max_evals``.  The rule extrapolates: a start that idles
     on a plateau and then drops is protected only by the 1e3 ratio, and
     one idling further above the best cost so far is stopped even if it
-    would have gone on to win.  Starts that exhaust their evaluation budget
-    or stall still report their best point; starts that die outright or
-    are not run are discarded, and NoConvergedStart is raised if none
-    survive.  ``starts`` is ordered by index, with the quasi-explicit
-    start last; each records its ``nfev`` and why it stopped.
+    would have gone on to win.  Starts that exhaust their evaluation budget,
+    stall or fail still report their best evaluated point and compete with
+    it; starts that fail before their first evaluation or are not run are
+    discarded, and NoConvergedStart is raised if none survive.  ``starts``
+    is ordered by index, with the quasi-explicit start last; each records
+    its ``nfev`` and why it stopped.
     """
     if config is None:
         config = CalibrationConfig()
@@ -415,10 +390,10 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     v_max = sigma_upper_bound(slice_, config.r)
     u_max = config.alpha_cap + 2.0
     lower = np.array([-1.0 + _EDGE, _EDGE, _EDGE, -1.0 + _EDGE, 0.0])
-    upper = np.array([1.0 - _EDGE, 1.0, u_max, 1.0 - _EDGE, v_max])
+    upper = np.array([1.0 - _EDGE, 1.0 - _EDGE, u_max, 1.0 - _EDGE, v_max])
 
     pipeline = BoxChart(config.alpha_cap)
-    objective = _Objective(slice_, weights, pipeline, lower, upper)
+    objective = _Objective(slice_, weights, pipeline)
 
     rng = np.random.default_rng(config.seed)
     x0s = list(rng.uniform(lower, upper, size=(config.n_starts, 5)))
@@ -447,6 +422,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
             ))
             continue
         watch = _StallWatch(objective.residuals, best_cost, config.lsq.max_evals)
+        error = None
         try:
             x, cost, converged = least_squares_bounded(
                 watch, x0s[i], lower, upper, config.lsq, jac=objective.jacobian,
@@ -455,11 +431,10 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         except _Stalled:
             x, cost, stop = watch.best_x, watch.best_cost, "stalled"
         except ButterfreeError as exc:
-            starts.append(StartResult(
-                i, x0, None, math.inf, watch.nfev, "failed", error=str(exc),
-            ))
-            continue
-        starts.append(StartResult(i, x0, tuple(x), float(cost), watch.nfev, stop))
+            x, cost, stop, error = watch.best_x, watch.best_cost, "failed", str(exc)
+        starts.append(StartResult(
+            i, x0, None if x is None else tuple(x), float(cost), watch.nfev, stop, error,
+        ))
         best_cost = min(best_cost, float(cost))
         if cost <= floor:
             stopped_by = i

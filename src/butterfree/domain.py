@@ -155,13 +155,15 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     origin and negative in the tails, with exactly one root on each side
     (the matching tail vanishes at |rho| = 1 and the root moves to
     infinity).  With r = sqrt(l^2+1), q is evaluated as
-    2*alpha/b + 3r - (1-|rho|)^2 r^3 - 2|rho| T, T = r^3 + sgn(rho) l^3;
-    where rho*l < 0 the root moves out like (1-|rho|)^(-1/2) and T is taken
-    as (r^2 + r|l| + l^2)/(r + |l|), exact since r^2 - l^2 = 1, so its
-    cancellation costs no digits.  Its slope T' = 3l(r + sgn(rho) l) is
-    taken there as 3l/(r + |l|) for the same reason.  Each root is a Newton
-    solve started from the secant point of the bracket walked out from the
-    vertex or the origin.
+    2*alpha/b + 3r - (1-|rho|)^2 r^3 - 2|rho| T, T = r^3 + sgn(rho) l^3.
+    Where rho*l < 0 the root moves out like (1-|rho|)^(-1/2), and there,
+    with s = r + |l|, T is taken as (r^2 + r|l| + l^2)/s and q as
+    2*alpha/b + (1 + |l|/s)/s + 2(1-|rho|) T - (1-|rho|)^2 r^3, both exact
+    since r^2 - l^2 = 1 gives 3r - 2T = (1 + |l|/s)/s.  So neither the
+    cancellation inside T nor that of 3r against 2|rho| T costs digits.
+    The slope T' = 3l(r + sgn(rho) l) is taken there as 3l/s for the same
+    reason.  Each root is a Newton solve started from the secant point of
+    the bracket walked out from the vertex or the origin.
     """
     require_finite(alpha=alpha, b=b, rho=rho)
     if b <= 0.0:
@@ -179,17 +181,21 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     level = 2.0 * alpha / b
     abs_rho = abs(rho)
     sign = math.copysign(1.0, rho)
-    tail = (1.0 - abs_rho) * (1.0 - abs_rho)
+    gap = 1.0 - abs_rho
+    tail = gap * gap
 
     def q_slope(l: float) -> tuple[float, float]:
         r = math.sqrt(l * l + 1.0)
         if rho * l < 0.0:
-            t = (r * r + r * abs(l) + l * l) / (r + abs(l))
-            dt = 3.0 * l / (r + abs(l))
+            abs_l = abs(l)
+            s = r + abs_l
+            t = (r * r + r * abs_l + l * l) / s
+            value = level + (1.0 + abs_l / s) / s + 2.0 * gap * t - tail * r * r * r
+            dt = 3.0 * l / s
         else:
             t = r * r * r + sign * l * l * l
+            value = level + 3.0 * r - tail * r * r * r - 2.0 * abs_rho * t
             dt = 3.0 * l * (r + sign * l)
-        value = level + 3.0 * r - tail * r * r * r - 2.0 * abs_rho * t
         return value, 3.0 * l / r - 3.0 * tail * r * l - 2.0 * abs_rho * dt
 
     def q(l: float) -> float:
@@ -557,7 +563,6 @@ class ChartPoint(NamedTuple):
     mu: float
     tails: tuple[tuple[float, float], ...]
     sigma_star: float
-    h_star: float
     sigma: float
 
     @property
@@ -583,9 +588,12 @@ class BoxChart:
     the solved point alone: the threshold F(b, rho) by the implicit
     function theorem on the interval gap, the interval bounds and
     sigma_star by the envelope theorem at their optimizers l-, l+ and h*.
-    partials() reports the columns where the chart has a kink instead:
-    rho = 0 (through |rho|), the clamps on u, a wing slope at its limit,
-    the profile cap, and a tie between the two tail maxima.
+    Where the chart has a kink it is the max or min of two smooth branches:
+    |rho| at rho = 0, the clamps u_eff = min(u, max(alpha_cap - F, floor)),
+    the profile cap, and a tie between the two tail maxima.  There each
+    partial is the one-sided derivative toward increasing coordinates.  On
+    the face b' = 1, where the steeper wing slope is exactly 2, the chart
+    moves like sqrt(1 - b') and has no finite partials.
     """
 
     def __init__(self, alpha_cap: float = math.inf) -> None:
@@ -596,89 +604,73 @@ class BoxChart:
         b = b_prime * 2.0 / (1.0 + abs(rho))
         threshold, *at_threshold = threshold_with_optimizers(b, rho)
         room = self.alpha_cap - threshold
-        u_eff = min(u, room)
-        if u_eff < _U_FLOOR:
-            u_eff = min(u, _U_FLOOR)
+        u_eff = min(u, max(room, _U_FLOOR))
         alpha = threshold + u_eff
         interval, *optimizers = interval_with_optimizers(alpha, b, rho)
         mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
-        floor, h_star, tails = _sigma_star_trusted(
+        floor, _, tails = _sigma_star_trusted(
             alpha, b, rho, mu, g2_zeros(alpha, b, rho)
         )
         return ChartPoint(
             (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), room,
-            u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, h_star,
-            floor + v,
+            u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, floor + v,
         )
 
-    def partials(self, p: ChartPoint) -> tuple[np.ndarray, frozenset[int]]:
-        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array,
-        and the set of columns that sit on a kink, whose entries are not
-        derivatives and must be replaced."""
-        rho, _, u, q, _ = p.x
+    def partials(self, p: ChartPoint) -> np.ndarray:
+        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array.
+
+        At a kink, column j is the one-sided derivative toward increasing
+        x_j.  Raises DomainError on the face b' = 1.
+        """
+        rho, b_prime, u, q, _ = p.x
         b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
+        if b * (1.0 + abs(rho)) >= 2.0 - SLOPE_EQ_TOL:
+            raise DomainError(
+                f"b' = {b_prime} puts a wing slope at its limit 2, "
+                "where the chart has no finite partials"
+            )
         eye = np.eye(5)
-        kinks: set[int] = set()
-        if rho == 0.0:
-            kinks.add(_RHO)
+        # d|rho|/drho is +1 at rho = +-0, toward increasing rho; F, the
+        # bounds and the tail maxima are smooth in rho there
+        sign = -1.0 if rho < 0.0 else 1.0
         d_rho = eye[_RHO]
         d_b = np.array([
-            -math.copysign(b, rho) / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)),
-            0.0, 0.0, 0.0,
+            -sign * b / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)), 0.0, 0.0, 0.0,
         ])
-        on_limit = (
-            b * (1.0 - rho) >= 2.0 - SLOPE_EQ_TOL,
-            b * (1.0 + rho) >= 2.0 - SLOPE_EQ_TOL,
-        )
-        if any(on_limit):
-            # the limit branch switches on at a slope within SLOPE_EQ_TOL
-            # of 2, which only rho and b' move
-            kinks.update((_RHO, _BP))
-            d_threshold = np.zeros(5)
-        else:
-            f_b, f_rho = _threshold_partials(
-                b, rho, p.threshold, *p.threshold_optimizers
-            )
-            d_threshold = f_b * d_b + f_rho * d_rho
+        f_b, f_rho = _threshold_partials(b, rho, p.threshold, *p.threshold_optimizers)
+        d_threshold = f_b * d_b + f_rho * d_rho
 
-        if u == p.room or p.room == _U_FLOOR or u == _U_FLOOR:
-            kinks.update((_RHO, _BP, _U))
-        if p.u_eff == u:
-            d_u_eff = eye[_U]
-        elif p.u_eff == p.room:
-            d_u_eff = -d_threshold
-        else:
-            d_u_eff = np.zeros(5)
+        # u_eff = min(u, max(room, _U_FLOOR)) with room = alpha_cap - F
+        d_clamp = _kink_gradient(
+            np.maximum, p.room, -d_threshold, _U_FLOOR, np.zeros(5)
+        )
+        d_u_eff = _kink_gradient(np.minimum, u, eye[_U], max(p.room, _U_FLOOR), d_clamp)
         d_alpha = d_threshold + d_u_eff
 
         d_bounds = []
-        for side, limited, l in zip("-+", on_limit, p.optimizers):
-            if limited:
-                # the bound is -+alpha/2 on the limit branch
-                d_bounds.append((0.5 if side == "+" else -0.5) * d_alpha)
-                continue
+        for side, l in zip("-+", p.optimizers):
             pa, pb, pr = bound_partials(l, alpha, b, rho, side)
             d_bounds.append(pa * d_alpha + pb * d_b + pr * d_rho)
         d_lower, d_upper = d_bounds
         d_mu = 0.5 * (1.0 + q) * d_upper + 0.5 * (1.0 - q) * d_lower
         d_mu[_Q] += 0.5 * p.interval.width()
 
+        # sigma_star is the larger tail maximum, and constant on the cap
         d_sigma = eye[_V].copy()
-        maxima = [value for value, _ in p.tails]
-        tie = len(maxima) == 2 and abs(maxima[0] - maxima[1]) <= _TIE_TOL * max(maxima)
-        if p.sigma_star >= _PROFILE_CAP or tie:
-            kinks.update((_RHO, _BP, _U, _Q))
-        elif math.isfinite(p.h_star):
-            sa, sb, sr, sm = _profile_partials(alpha, b, rho, mu, p.h_star)
-            d_sigma += sa * d_alpha + sb * d_b + sr * d_rho + sm * d_mu
-        d_raw = np.vstack([
+        if 0.0 < p.sigma_star < _PROFILE_CAP:
+            d_tails = []
+            for value, h in p.tails:
+                if p.sigma_star - value <= _TIE_TOL * p.sigma_star:
+                    sa, sb, sr, sm = _profile_partials(alpha, b, rho, mu, h)
+                    d_tails.append(sa * d_alpha + sb * d_b + sr * d_rho + sm * d_mu)
+            d_sigma += np.maximum.reduce(d_tails)
+        return np.vstack([
             sigma * d_alpha + alpha * d_sigma,
             d_b,
             d_rho,
             sigma * d_mu + mu * d_sigma,
             d_sigma,
         ])
-        return d_raw, frozenset(kinks)
 
     def project(self, params: SviParams, lower, upper) -> np.ndarray:
         """Box coordinates whose image is the closest expressible free smile.
@@ -700,6 +692,18 @@ class BoxChart:
         floor = self.point((rho, b_prime, u, q, 0.0)).sigma_star
         v = min(max(sigma - floor, lower[_V]), upper[_V])
         return np.array([rho, b_prime, u, q, v])
+
+
+def _kink_gradient(
+    pick, f: float, d_f: np.ndarray, g: float, d_g: np.ndarray
+) -> np.ndarray:
+    """Gradient of pick(f, g), with pick np.maximum or np.minimum, toward
+    increasing coordinates: that of the branch pick selects, or on a tie
+    the elementwise pick of both, which is each one-sided derivative of a
+    max or min of smooth branches."""
+    if f == g:
+        return pick(d_f, d_g)
+    return d_f if pick(f, g) == f else d_g
 
 
 def _threshold_partials(

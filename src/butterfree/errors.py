@@ -76,10 +76,6 @@ class NoBracketFound(NumericFailure):
     """Geometric expansion exhausted its budget without bracketing a root."""
 
 
-class BracketFailure(NumericFailure):
-    """A derived bracket for an internal root-find could not be established."""
-
-
 class InfeasibleStart(NumericFailure):
     """Least-squares start point violates its bound constraints."""
 

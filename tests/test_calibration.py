@@ -19,10 +19,12 @@ from butterfree.calibration import (
 from butterfree.domain import BoxChart, box_to_params
 from butterfree.fukasawa import fukasawa_threshold
 from butterfree.errors import (
+    DomainError,
     InfeasibleStart,
     InsufficientData,
     InvalidInput,
     NoConvergedStart,
+    NumericFailure,
 )
 from butterfree.numerics import least_squares_bounded
 from butterfree.svi import SviParams, svi
@@ -227,7 +229,7 @@ class TestRoundingFloor:
         # the uniform starts are still drawn, and recorded, as before
         lower = np.array([-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0])
         upper = np.array([
-            1.0 - 1e-6, 1.0, config.alpha_cap + 2.0, 1.0 - 1e-6,
+            1.0 - 1e-6, 1.0 - 1e-6, config.alpha_cap + 2.0, 1.0 - 1e-6,
             sigma_upper_bound(s, config.r),
         ])
         x0s = np.random.default_rng(config.seed).uniform(lower, upper, (n, 5))
@@ -339,8 +341,36 @@ class TestStallRule:
         # calibrate's box
         v_max = sigma_upper_bound(noisy_slice(), FAST.r)
         lower = [-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0]
-        upper = [1.0 - 1e-6, 1.0, FAST.alpha_cap + 2.0, 1.0 - 1e-6, v_max]
+        upper = [1.0 - 1e-6, 1.0 - 1e-6, FAST.alpha_cap + 2.0, 1.0 - 1e-6, v_max]
         assert all(lo <= c <= hi for lo, c, hi in zip(lower, first.x, upper))
+
+    def test_failed_start_keeps_its_best_evaluated_point(self, monkeypatch):
+        # with no informed start, random start 0 runs alone; it raises at
+        # its 60th evaluation, and its best point before that is the fit
+        def no_guess(*args):
+            raise NumericFailure("no informed start")
+
+        seen = []
+        residuals = _Objective.residuals
+
+        def failing(objective, x):
+            if len(seen) == 59:
+                raise NumericFailure("forced failure at evaluation 60")
+            r = residuals(objective, x)
+            seen.append((0.5 * float(np.dot(r, r)), tuple(x)))
+            return r
+
+        monkeypatch.setattr(calibration_module, "_quasi_explicit_guess", no_guess)
+        monkeypatch.setattr(_Objective, "residuals", failing)
+        result = calibrate(noisy_slice(), CalibrationConfig(n_starts=1, seed=0))
+        (start,) = result.starts
+        assert start.stop == "failed" and not start.converged
+        assert start.error == "forced failure at evaluation 60"
+        assert start.nfev == len(seen) == 59
+        best_cost, best_x = min(seen, key=lambda s: s[0])
+        assert start.cost == best_cost == result.cost
+        assert start.x == best_x
+        assert result.diagnostic.is_free
 
     def test_watch_that_never_fires_changes_nothing(self):
         def residuals(x):
@@ -384,11 +414,9 @@ class TestStallRule:
 
 
 def chart_objective(alpha_cap: float = 1.0) -> _Objective:
-    """Unweighted residuals of a criterion-3 slice over calibrate's box."""
+    """Unweighted residuals of a criterion-3 slice over the chart."""
     s = model_slice(MODEL_ROWS[0])
-    lower = np.array([-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0])
-    upper = np.array([1.0 - 1e-6, 1.0, alpha_cap + 2.0, 1.0 - 1e-6, 10.0])
-    return _Objective(s, np.ones(len(s)), BoxChart(alpha_cap), lower, upper)
+    return _Objective(s, np.ones(len(s)), BoxChart(alpha_cap))
 
 
 def quotient(objective: _Objective, x: np.ndarray, j: int, h: float, central: bool):
@@ -408,12 +436,20 @@ def column_error(got: np.ndarray, want: np.ndarray) -> float:
     return diff / scale if scale > 0.0 else diff
 
 
-def jacobian_at(objective: _Objective, x: np.ndarray):
-    """The solver's order: residuals at x, then the Jacobian reusing them."""
+def jacobian_at(objective: _Objective, x: np.ndarray) -> np.ndarray:
+    """The solver's order: residuals at x, then the Jacobian, which must
+    reuse that chart point and evaluate no other."""
     objective.residuals(x)
-    jac = objective.jacobian(x)
-    kinks = objective.pipeline.partials(objective.pipeline.point(x))[1]
-    return jac, kinks
+    chart = objective.pipeline
+    calls = []
+    point = chart.point
+    chart.point = lambda y: calls.append(y) or point(y)
+    try:
+        jac = objective.jacobian(x)
+    finally:
+        del chart.point
+    assert calls == [], x
+    return jac
 
 
 class TestJacobian:
@@ -429,8 +465,7 @@ class TestJacobian:
                 rng.uniform(1e-3, 3.0), rng.uniform(-0.95, 0.95),
                 rng.uniform(0.0, 2.0),
             ])
-            jac, kinks = jacobian_at(objective, x)
-            assert not kinks, x
+            jac = jacobian_at(objective, x)
             capped += objective.pipeline.point(x).u_eff < x[2]
             for j in range(5):
                 want = quotient(objective, x, j, 1e-5, central=True)
@@ -440,8 +475,7 @@ class TestJacobian:
     def test_rho_zero_kink(self):
         objective = chart_objective()
         x = np.array([0.0, 0.6, 0.5, 0.2, 0.3])
-        jac, kinks = jacobian_at(objective, x)
-        assert kinks == {0}
+        jac = jacobian_at(objective, x)
         ahead = quotient(objective, x, 0, 1e-7, central=False)
         behind = quotient(objective, x, 0, -1e-7, central=False)
         # a genuine kink: the two one-sided slopes differ
@@ -457,20 +491,19 @@ class TestJacobian:
         rho, b_prime = -0.4, 0.7
         threshold = fukasawa_threshold(b_prime * 2.0 / (1.0 + abs(rho)), rho)
         x = np.array([rho, b_prime, 1.0 - threshold, 0.1, 0.4])
-        jac, kinks = jacobian_at(objective, x)
-        assert {0, 1, 2} <= kinks
+        jac = jacobian_at(objective, x)
         assert objective.pipeline.point(x).alpha == pytest.approx(1.0, abs=1e-15)
-        for j in sorted(kinks):
+        for j in range(3):
             want = quotient(objective, x, j, 1e-7, central=False)
             assert column_error(jac[:, j], want) <= 1e-5, j
         # past the cap the margin no longer moves the smile
         assert np.all(quotient(objective, x, 2, 1e-3, central=False) == 0.0)
+        assert np.all(jac[:, 2] == 0.0)
 
     def test_v_on_its_lower_bound(self):
         objective = chart_objective()
         x = np.array([0.3, 0.5, 0.8, -0.3, 0.0])
-        jac, kinks = jacobian_at(objective, x)
-        assert not kinks
+        jac = jacobian_at(objective, x)
         # v cannot step below zero, so its column is checked one-sided
         want = quotient(objective, x, 4, 1e-7, central=False)
         assert column_error(jac[:, 4], want) <= 1e-6
@@ -479,26 +512,45 @@ class TestJacobian:
             assert column_error(jac[:, j], want) <= 1e-6
 
     def test_wing_limit_kink(self):
-        # b' = 1 puts the steeper wing slope exactly at 2; the box ends there
+        # b' = 1 puts the steeper wing slope exactly at 2, a face that
+        # calibrate's box stops short of
         objective = chart_objective()
         x = np.array([0.35, 1.0, 0.6, 0.1, 0.5])
-        jac, kinks = jacobian_at(objective, x)
-        assert {0, 1} <= kinks
+        with pytest.raises(DomainError):
+            objective.pipeline.partials(objective.pipeline.point(x))
         # The chart goes like sqrt(1 - b') there, so the one-sided slope
-        # grows without bound as the step shrinks: the fallback column is
-        # the quotient at its own step sqrt(eps), taken downward.
+        # grows without bound as the step shrinks: no column is finite.
         step = float(np.finfo(float).eps) ** 0.5
-        want = quotient(objective, x, 1, -step, central=False)
-        assert column_error(jac[:, 1], want) <= 1e-9
+        fine = quotient(objective, x, 1, -step, central=False)
         coarse = quotient(objective, x, 1, -100.0 * step, central=False)
-        assert np.linalg.norm(want) > 5.0 * np.linalg.norm(coarse)
+        assert np.linalg.norm(fine) > 5.0 * np.linalg.norm(coarse)
+
+    def test_next_to_the_wing_limit(self):
+        # On calibrate's face b' = 1 - 1e-6 the b' column is still exact,
+        # though the chart curves like sqrt(1 - b') there.  The reference
+        # extrapolates backward quotients at steps 4e-9 and 2e-9, which
+        # cancels their first-order error of about 2.5e5 times the step.
+        objective = chart_objective()
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            x = np.array([
+                rng.uniform(-0.95, 0.95), 1.0 - 1e-6, rng.uniform(1e-3, 3.0),
+                rng.uniform(-0.95, 0.95), rng.uniform(0.0, 2.0),
+            ])
+            jac = jacobian_at(objective, x)
+            want = (
+                2.0 * quotient(objective, x, 1, -2e-9, central=False)
+                - quotient(objective, x, 1, -4e-9, central=False)
+            )
+            assert column_error(jac[:, 1], want) <= 1e-4, x.tolist()
 
     def test_tail_tie_kink(self):
         # rho = 0 and q = 0 make the smile symmetric, so both tail maxima tie
         objective = chart_objective()
         x = np.array([0.0, 0.6, 0.5, 0.0, 0.3])
-        jac, kinks = jacobian_at(objective, x)
-        assert kinks == {0, 1, 2, 3}
-        for j in sorted(kinks):
+        tails = objective.pipeline.point(x).tails
+        assert abs(tails[0][0] - tails[1][0]) <= 1e-10 * max(tails)[0]
+        jac = jacobian_at(objective, x)
+        for j in range(4):
             want = quotient(objective, x, j, 1e-7, central=False)
             assert column_error(jac[:, j], want) <= 1e-5, j
