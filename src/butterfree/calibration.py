@@ -291,37 +291,44 @@ class _StallWatch:
         return r
 
 
-def _quasi_explicit_guess(
-    k: np.ndarray, w_mid: np.ndarray, weights: np.ndarray
-) -> SviParams:
+def _floored(a: float, b: float, rho: float, m: float, sigma: float) -> SviParams:
+    """The smile with b >= 1e-9 and a lifted just above -b*sigma*sqrt(1-rho^2)."""
+    b = max(b, 1e-9)
+    a = max(a, -b * sigma * math.sqrt(1.0 - rho * rho) + 1e-12)
+    return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
+
+
+def _quasi_explicit_guess(k: np.ndarray, w_mid: np.ndarray, weights: np.ndarray) -> SviParams:
     """Coarse smile fit by scanning (m, sigma) and solving the inner
     linear problem in (a, b*rho, b) exactly.
 
-    For fixed shift and curvature scale the smile is linear in the
-    remaining three parameters, so a modest outer grid plus least squares
-    gives a start that already matches the data's level, slope and
-    asymmetry.  The output may violate the free-domain conditions; the
-    caller projects it into the box.
+    For fixed shift and curvature scale the smile is linear in the other
+    three parameters.  As {1, k - m} spans {1, k} for every m, the whole
+    grid is one projection: a point's cost is that of fitting its column
+    sqrt((k-m)^2 + sigma^2) to the data once the weighted {1, k} is
+    projected out of both.  The first minimum wins, never a point whose
+    projected column is zero or not finite.  The output may violate the
+    free-domain conditions; the caller projects it into the box.
     """
     span = float(k[-1] - k[0])
-    best = None
-    for m in np.linspace(k[0] - span, k[-1] + span, 41):
-        dk = k - m
-        for sigma in np.geomspace(5e-3, 3.0, 25):
-            cols = np.column_stack(
-                [np.ones_like(k), dk, np.sqrt(dk * dk + sigma * sigma)]
-            )
-            sol, *_ = np.linalg.lstsq(cols * weights[:, None], w_mid * weights, rcond=None)
-            resid = cols @ sol - w_mid
-            cost = float(np.dot(resid * weights, resid * weights))
-            if best is None or cost < best[0]:
-                best = (cost, float(m), float(sigma), sol)
-    _, m, sigma, (a, c, d) = best
-    b = max(float(d), 1e-9)
-    rho = min(max(float(c) / b, -1.0 + _EDGE), 1.0 - _EDGE)
-    # keep the smile valid even if the linear part dipped below the floor
-    a = max(float(a), -b * sigma * math.sqrt(1.0 - rho * rho) + 1e-12)
-    return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
+    ms = np.linspace(k[0] - span, k[-1] + span, 41)
+    sigmas = np.geomspace(5e-3, 3.0, 25)
+    q, _ = np.linalg.qr(np.column_stack([weights, k * weights]))
+    y = w_mid * weights - q @ (q.T @ (w_mid * weights))
+    dk = k - ms[:, None, None]
+    z = (np.sqrt(dk * dk + (sigmas * sigmas)[:, None]) * weights).reshape(-1, k.size)
+    z -= (z @ q) @ q.T
+    zz = np.einsum("ij,ij->i", z, z)
+    resid = y - (z @ y / zz)[:, None] * z  # keeps its digits at costs near 0
+    cost = np.einsum("ij,ij->i", resid, resid)
+    cost[~(np.isfinite(zz) & (zz > 0.0) & np.isfinite(cost))] = np.inf
+    i, j = divmod(int(np.argmin(cost)), sigmas.size)
+    m, sigma = float(ms[i]), float(sigmas[j])
+    dk = k - m
+    cols = np.column_stack([np.ones_like(k), dk, np.sqrt(dk * dk + sigma * sigma)])
+    sol, *_ = np.linalg.lstsq(cols * weights[:, None], w_mid * weights, rcond=None)
+    a, c, d = (float(v) for v in sol)
+    return _floored(a, d, min(max(c / max(d, 1e-9), -1.0 + _EDGE), 1.0 - _EDGE), m, sigma)
 
 
 def _natural_polish(
@@ -337,20 +344,13 @@ def _natural_polish(
     w_scale = float(np.max(w_mid))
     lo = np.array([-10.0 * w_scale, 0.0, -1.0 + _EDGE, float(k[0]) - 2.0 * span, 1e-4])
     hi = np.array([10.0 * w_scale, 4.0, 1.0 - _EDGE, float(k[-1]) + 2.0 * span, 10.0])
-    x0 = np.clip(
-        np.array([guess.a, guess.b, guess.rho, guess.m, guess.sigma]), lo, hi
-    )
+    x0 = np.clip([guess.a, guess.b, guess.rho, guess.m, guess.sigma], lo, hi)
 
     def residuals(x: np.ndarray) -> np.ndarray:
         return (svi_raw(k, *x) - w_mid) * weights
 
-    x, _, _ = least_squares_bounded(
-        residuals, x0, lo, hi, LsqOptions(1e-14, 1e-14, 1e-14, 400)
-    )
-    a, b, rho, m, sigma = (float(c) for c in x)
-    b = max(b, 1e-9)
-    a = max(a, -b * sigma * math.sqrt(1.0 - rho * rho) + 1e-12)
-    return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
+    x, _, _ = least_squares_bounded(residuals, x0, lo, hi, LsqOptions(1e-14, 1e-14, 1e-14, 400))
+    return _floored(*(float(c) for c in x))
 
 
 def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> CalibrationResult:

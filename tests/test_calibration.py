@@ -554,3 +554,95 @@ class TestJacobian:
         for j in range(4):
             want = quotient(objective, x, j, 1e-7, central=False)
             assert column_error(jac[:, j], want) <= 1e-5, j
+
+
+def loop_guess(k: np.ndarray, w_mid: np.ndarray, weights: np.ndarray):
+    """The grid scan of _quasi_explicit_guess as one lstsq per (m, sigma)
+    point, first minimum winning: the reference the batched scan must
+    match.  Returns the guess and every point's cost."""
+    span = float(k[-1] - k[0])
+    best = None
+    costs = {}
+    for m in np.linspace(k[0] - span, k[-1] + span, 41):
+        dk = k - m
+        for sigma in np.geomspace(5e-3, 3.0, 25):
+            cols = np.column_stack(
+                [np.ones_like(k), dk, np.sqrt(dk * dk + sigma * sigma)]
+            )
+            sol, *_ = np.linalg.lstsq(cols * weights[:, None], w_mid * weights, rcond=None)
+            resid = cols @ sol - w_mid
+            cost = float(np.dot(resid * weights, resid * weights))
+            costs[float(m), float(sigma)] = cost
+            if best is None or cost < best[0]:
+                best = (cost, float(m), float(sigma), sol)
+    _, m, sigma, (a, c, d) = best
+    b = max(float(d), 1e-9)
+    rho = min(max(float(c) / b, -1.0 + 1e-6), 1.0 - 1e-6)
+    a = max(float(a), -b * sigma * math.sqrt(1.0 - rho * rho) + 1e-12)
+    return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma), costs
+
+
+def bits(p: SviParams) -> list[str]:
+    return [float(c).hex() for c in params_vector(p)]
+
+
+class TestQuasiExplicitGuess:
+    @pytest.mark.parametrize("slice_, weighted", [
+        *(pytest.param(model_slice(row), False, id=f"criterion 3 row {i}")
+          for i, row in enumerate(MODEL_ROWS)),
+        pytest.param(model_slice(VOGT), False, id="criterion 4"),
+        pytest.param(noisy_slice(), True, id="noisy, vega-weighted"),
+    ])
+    def test_matches_the_loop_bit_for_bit(self, slice_, weighted):
+        weights = vega_weights(slice_) if weighted else np.ones(len(slice_))
+        want, _ = loop_guess(slice_.k, slice_.w_mid, weights)
+        got = calibration_module._quasi_explicit_guess(slice_.k, slice_.w_mid, weights)
+        assert bits(got) == bits(want)
+
+    def test_narrow_spans_pick_a_grid_minimum_to_rounding(self):
+        # at spans near 1e-4 two grid points can tie to rounding, so only
+        # the chosen point's cost is checked, against calibrate's floor
+        rng = np.random.default_rng(12)
+        eps = np.finfo(float).eps
+        for _ in range(12):
+            n = int(rng.integers(5, 21))
+            k = np.sort(rng.uniform(-1e-4, 1e-4, n))
+            truth = SviParams(
+                a=rng.uniform(0.01, 0.1), b=rng.uniform(0.05, 0.5),
+                rho=rng.uniform(-0.9, 0.9), m=rng.uniform(-0.2, 0.2),
+                sigma=rng.uniform(0.05, 0.5),
+            )
+            w = np.asarray(svi(truth, k))
+            weights = np.ones(n)
+            _, costs = loop_guess(k, w, weights)
+            got = calibration_module._quasi_explicit_guess(k, w, weights)
+            floor = n * (16.0 * eps * float(np.max(w))) ** 2
+            assert costs[got.m, got.sigma] <= min(costs.values()) + floor
+
+    def test_one_lstsq_per_guess(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            calibration_module.np.linalg, "lstsq", lambda *a, **kw: calls.append(1) or lstsq(*a, **kw)
+        )
+        s = model_slice(MODEL_ROWS[2])
+        calibration_module._quasi_explicit_guess(s.k, s.w_mid, np.ones(len(s)))
+        assert len(calls) == 1
+
+    def test_non_finite_grid_points_never_win(self, monkeypatch):
+        # argmin would return a NaN cost's index; such points cost inf
+        s = model_slice(MODEL_ROWS[2])
+        args = (s.k, s.w_mid, np.ones(len(s)))
+        want = calibration_module._quasi_explicit_guess(*args)
+        geomspace = np.geomspace
+
+        def with_bad_points(*a, **kw):
+            sigmas = geomspace(*a, **kw)
+            sigmas[:2] = [math.nan, math.inf]
+            return sigmas
+
+        monkeypatch.setattr(calibration_module.np, "geomspace", with_bad_points)
+        with np.errstate(invalid="ignore"):
+            got = calibration_module._quasi_explicit_guess(*args)
+        assert math.isfinite(got.sigma)
+        assert bits(got) == bits(want)
