@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,8 +30,8 @@ from .domain import (
     BoxCoords,
     ChartPoint,
     Status,
+    box_from_diagnostic,
     check_no_arbitrage,
-    params_to_box,
 )
 from .errors import (
     ButterfreeError,
@@ -40,13 +40,18 @@ from .errors import (
     NoConvergedStart,
     NumericFailure,
 )
-from .numerics import LsqOptions, least_squares_bounded, require_int, require_real
+from .numerics import least_squares_bounded, require_int, require_real
 from .svi import SviParams, svi, svi_raw
 
 #: Margin keeping box samples off the open boundaries of the rectangle.
 _EDGE = 1e-6
 
+#: Machine epsilon, also the box solve's tolerance: a start runs until its
+#: progress stalls or its budget runs out.
 _EPS = float(np.finfo(float).eps)
+
+#: Residual evaluations a start may spend; also the stall rule's horizon.
+_MAX_EVALS = 1000
 
 #: Residual size, in ulps of the largest weighted variance, that counts as
 #: rounding when deciding whether a start has fitted the data.
@@ -108,8 +113,8 @@ class MarketSlice:
                 raise InvalidInput("w_ask must not fall below w_mid")
         for name in ("t", "forward", "discount"):
             value = getattr(self, name)
-            if value is not None and not value > 0.0:
-                raise InvalidInput(f"{name} must be positive, got {value}")
+            if value is not None:
+                require_real(name, value, 0.0, strict=True)
 
     def __len__(self) -> int:
         return int(self.k.size)
@@ -129,7 +134,6 @@ class CalibrationConfig:
     r: float = 0.1
     alpha_cap: float = 1.0
     vega_weighted: bool = False
-    lsq: LsqOptions = field(default_factory=LsqOptions)
 
     def __post_init__(self) -> None:
         require_int("n_starts", self.n_starts, 1)
@@ -147,14 +151,14 @@ class StartResult:
     """Outcome of one start: where it began, where it stopped, and the cost.
 
     ``nfev`` counts the start's residual evaluations.  ``stop`` says why it
-    ended: "converged" (a solver tolerance was met), "budget" (``max_evals``
-    ran out), "stalled" (the stall rule ended it far above the best cost of
-    the starts before it), "not run" (an earlier start reached the rounding
-    floor) or "failed" (the solver raised); ``converged`` is true for the
-    first only.  Budget, stalled and failed starts keep their best
-    evaluated point and cost.  ``x is None`` (with ``cost`` infinite) means
-    the start was not run or failed before its first evaluation.  ``error``
-    gives the reason a start failed or was not run.
+    ended: "converged" (a solver tolerance was met), "budget" (its 1,000
+    evaluations ran out), "stalled" (the stall rule ended it far above the
+    best cost of the starts before it), "not run" (an earlier start reached
+    the rounding floor) or "failed" (the solver raised); ``converged`` is
+    true for the first only.  Budget, stalled and failed starts keep their
+    best evaluated point and cost.  ``x is None`` (with ``cost`` infinite)
+    means the start was not run or failed before its first evaluation.
+    ``error`` gives the reason a start failed or was not run.
     """
 
     index: int
@@ -224,14 +228,20 @@ class _Objective:
         p = self._last
         if p is None or p.x != tuple(float(c) for c in x):
             p = self.pipeline.point(x)
-        _, b, rho, m, sigma = p.raw
-        dk = self.k - m
-        root = np.sqrt(dk * dk + sigma * sigma)
-        d_res = np.column_stack([
-            np.ones_like(dk), rho * dk + root, b * dk,
-            -b * (rho + dk / root), b * sigma / root,
-        ]) * self.weights[:, None]
+        d_res = _svi_jacobian(self.k, self.weights, *p.raw[1:])
         return d_res @ self.pipeline.partials(p)
+
+
+def _svi_jacobian(
+    k: np.ndarray, weights: np.ndarray, b: float, rho: float, m: float, sigma: float
+) -> np.ndarray:
+    """d(weights * w(k))/d(a, b, rho, m, sigma) of the raw SVI smile."""
+    dk = k - m
+    root = np.sqrt(dk * dk + sigma * sigma)
+    return np.column_stack([
+        np.ones_like(dk), rho * dk + root, b * dk,
+        -b * (rho + dk / root), b * sigma / root,
+    ]) * weights[:, None]
 
 
 class _Stalled(Exception):
@@ -337,8 +347,9 @@ def _natural_polish(
     """Refine the coarse guess by unconstrained-smile least squares.
 
     The raw parameter space has none of the box chart's warping, so a few
-    dozen cheap iterations land on the natural optimum; the result may sit
-    outside the free domain and is only ever used after projection.
+    dozen cheap iterations on the exact raw-SVI Jacobian land on the
+    natural optimum; the result may sit outside the free domain and is only
+    ever used after projection.
     """
     span = float(k[-1] - k[0])
     w_scale = float(np.max(w_mid))
@@ -349,7 +360,10 @@ def _natural_polish(
     def residuals(x: np.ndarray) -> np.ndarray:
         return (svi_raw(k, *x) - w_mid) * weights
 
-    x, _, _ = least_squares_bounded(residuals, x0, lo, hi, LsqOptions(1e-14, 1e-14, 1e-14, 400))
+    def jacobian(x: np.ndarray) -> np.ndarray:
+        return _svi_jacobian(k, weights, *x[1:])
+
+    x, _, _ = least_squares_bounded(residuals, jacobian, x0, lo, hi, 1e-14, 400)
     return _floored(*(float(c) for c in x))
 
 
@@ -366,7 +380,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     later start is watched by the stall rule (_StallWatch): after 50
     evaluations it is stopped once its cost sits more than 1e3 times
     above the best cost so far and its recent progress cannot close that
-    gap within ``max_evals``.  The rule extrapolates: a start that idles
+    gap within 1,000 evaluations.  The rule extrapolates: a start that idles
     on a plateau and then drops is protected only by the 1e3 ratio, and
     one idling further above the best cost so far is stopped even if it
     would have gone on to win.  Starts that exhaust their evaluation budget,
@@ -421,11 +435,11 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
                 error=f"not run: start {stopped_by} reached the rounding floor",
             ))
             continue
-        watch = _StallWatch(objective.residuals, best_cost, config.lsq.max_evals)
+        watch = _StallWatch(objective.residuals, best_cost, _MAX_EVALS)
         error = None
         try:
             x, cost, converged = least_squares_bounded(
-                watch, x0s[i], lower, upper, config.lsq, jac=objective.jacobian,
+                watch, objective.jacobian, x0s[i], lower, upper, _EPS, _MAX_EVALS,
             )
             stop = "converged" if converged else "budget"
         except _Stalled:
@@ -473,7 +487,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
             f"calibrated smile failed the free-domain certificate: "
             f"{diagnostic.status.value}"
         )
-    box = params_to_box(params)
+    box = box_from_diagnostic(diagnostic)
     rel = float(np.linalg.norm(svi(params, k) - w_mid) / np.linalg.norm(w_mid))
     return CalibrationResult(
         params=params,

@@ -31,7 +31,6 @@ from .domain import check_no_arbitrage, sigma_star, sigma_star_profile
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, mu_interval
 from .market_data import build_vol_slice, infer_forward_discount, load_chain, year_fraction
-from .numerics import LsqOptions
 from .svi import SviParams, durrleman_g, n_funcs, svi
 
 EXIT_OK = 0
@@ -44,11 +43,14 @@ _PARAM_KEYS = ("a", "b", "rho", "m", "sigma")
 def _read_json(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{path} must hold a JSON object")
+    return doc
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -65,6 +67,9 @@ def read_params(path: str) -> dict:
     missing = [key for key in _PARAM_KEYS if key not in doc]
     if missing:
         raise InvalidInput(f"{path} is missing keys: {', '.join(missing)}")
+    bad = [key for key in _PARAM_KEYS if not isinstance(doc[key], (int, float))]
+    if bad:
+        raise InvalidInput(f"{path} has values that are not numbers: {', '.join(bad)}")
     return {key: float(doc[key]) for key in _PARAM_KEYS}
 
 
@@ -105,11 +110,14 @@ def slice_from_dict(doc: dict) -> MarketSlice:
 
     def column(name):
         value = doc.get(name)
-        return None if value is None else np.asarray(value, dtype=float)
+        try:
+            return None if value is None else np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"slice field {name} must hold numbers") from None
 
     return MarketSlice(
-        k=np.asarray(doc["k"], dtype=float),
-        w_mid=np.asarray(doc["w_mid"], dtype=float),
+        k=column("k"),
+        w_mid=column("w_mid"),
         w_bid=column("w_bid"),
         w_ask=column("w_ask"),
         t=doc.get("t"),
@@ -128,19 +136,10 @@ def write_slice(path: str, slice_: MarketSlice) -> None:
 
 
 def config_from_dict(doc: dict) -> CalibrationConfig:
-    if not isinstance(doc, dict) or not isinstance(doc.get("lsq") or {}, dict):
-        raise InvalidInput("a config and its lsq block must be JSON objects")
-    lsq_doc = doc.get("lsq") or {}
-    known = {"n_starts", "seed", "r", "alpha_cap", "vega_weighted"}
-    for keys, allowed, what in (
-        (set(doc) - {"lsq"}, known, "config keys"),
-        (set(lsq_doc), {f.name for f in fields(LsqOptions)}, "lsq keys"),
-    ):
-        extra = keys - allowed
-        if extra:
-            raise InvalidInput(f"unknown {what}: {', '.join(sorted(extra))}")
-    kwargs = {k: doc[k] for k in known if k in doc}
-    return CalibrationConfig(lsq=LsqOptions(**lsq_doc), **kwargs)
+    extra = set(doc) - {f.name for f in fields(CalibrationConfig)}
+    if extra:
+        raise InvalidInput(f"unknown config keys: {', '.join(sorted(extra))}")
+    return CalibrationConfig(**doc)
 
 
 def result_to_dict(result: CalibrationResult) -> dict:
@@ -223,17 +222,9 @@ def cmd_sigma_star(args) -> int:
 def cmd_calibrate(args) -> int:
     slice_ = read_slice(args.slice)
     doc = _read_json(args.config) if args.config else {}
-    for flag, key in (
-        ("starts", "n_starts"),
-        ("seed", "seed"),
-        ("r", "r"),
-        ("alpha_cap", "alpha_cap"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            doc[key] = value
-    if args.vega_weighted:
-        doc["vega_weighted"] = True
+    for key in ("n_starts", "seed", "r", "alpha_cap", "vega_weighted"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     config = config_from_dict(doc)
     result = calibrate(slice_, config)
     out = args.out or (args.slice + ".result.json")
@@ -405,11 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--slice", required=True, help="slice JSON file")
     p_cal.add_argument("--config", help="config JSON file")
     p_cal.add_argument("--out", help="result JSON file (default <slice>.result.json)")
-    p_cal.add_argument("--starts", type=int, default=None)
+    # flags override the config file; each dest is its config key
+    p_cal.add_argument("--starts", dest="n_starts", type=int, default=None)
     p_cal.add_argument("--seed", type=int, default=None)
     p_cal.add_argument("--r", type=float, default=None)
     p_cal.add_argument("--alpha-cap", dest="alpha_cap", type=float, default=None)
-    p_cal.add_argument("--vega-weighted", action="store_true")
+    p_cal.add_argument("--vega-weighted", action="store_true", default=None)
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_ing = sub.add_parser("ingest", help="read a quote file, emit slice files")

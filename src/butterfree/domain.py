@@ -603,18 +603,20 @@ class BoxChart:
         rho, b_prime, u, q, v = (float(c) for c in x)
         b = b_prime * 2.0 / (1.0 + abs(rho))
         threshold, *at_threshold = threshold_with_optimizers(b, rho)
-        room = self.alpha_cap - threshold
-        u_eff = min(u, max(room, _U_FLOOR))
-        alpha = threshold + u_eff
+        room, u_eff, alpha = self._clamp(threshold, u)
         interval, *optimizers = interval_with_optimizers(alpha, b, rho)
-        mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
-        floor, _, tails = _sigma_star_trusted(
-            alpha, b, rho, mu, g2_zeros(alpha, b, rho)
-        )
+        mu, floor, tails = _shift_and_floor(alpha, b, rho, interval, q)
         return ChartPoint(
             (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), room,
             u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, floor + v,
         )
+
+    def _clamp(self, threshold: float, u: float) -> tuple[float, float, float]:
+        """(room, u_eff, alpha): the margin u clamped so alpha stays at or
+        below the cap, with room = alpha_cap - threshold."""
+        room = self.alpha_cap - threshold
+        u_eff = min(u, max(room, _U_FLOOR))
+        return room, u_eff, threshold + u_eff
 
     def partials(self, p: ChartPoint) -> np.ndarray:
         """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array.
@@ -684,14 +686,26 @@ class BoxChart:
         sigma = max(params.sigma, 1e-6)
         rho = min(max(params.rho, lower[_RHO]), upper[_RHO])
         b_prime = min(max(params.b * (1.0 + abs(rho)) / 2.0, lower[_BP]), upper[_BP])
-        threshold = fukasawa_threshold(b_prime * 2.0 / (1.0 + abs(rho)), rho)
+        b = b_prime * 2.0 / (1.0 + abs(rho))
+        threshold = fukasawa_threshold(b, rho)
         u = min(max(params.a / sigma - threshold, lower[_U]), upper[_U])
-        interval = self.point((rho, b_prime, u, 0.0, 0.0)).interval
+        alpha = self._clamp(threshold, u)[2]
+        interval = mu_interval(alpha, b, rho)
         q = (2.0 * params.m / sigma - interval.upper - interval.lower) / interval.width()
         q = min(max(q, -1.0 + 1e-3), 1.0 - 1e-3)
-        floor = self.point((rho, b_prime, u, q, 0.0)).sigma_star
+        floor = _shift_and_floor(alpha, b, rho, interval, q)[1]
         v = min(max(sigma - floor, lower[_V]), upper[_V])
         return np.array([rho, b_prime, u, q, v])
+
+
+def _shift_and_floor(
+    alpha: float, b: float, rho: float, interval: MuInterval, q: float
+) -> tuple[float, float, tuple[tuple[float, float], ...]]:
+    """(mu, sigma_star, tails): mu at relative position q inside the
+    interval, and the curvature floor there with its tail maxima."""
+    mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
+    floor, _, tails = _sigma_star_trusted(alpha, b, rho, mu, g2_zeros(alpha, b, rho))
+    return mu, floor, tails
 
 
 def _kink_gradient(
@@ -744,11 +758,16 @@ def params_to_box(params: SviParams) -> BoxCoords:
     for |rho| = 1 (the box keeps rho open) and for b = 0 (no wing scale to
     invert).
     """
+    return box_from_diagnostic(check_no_arbitrage(params))
+
+
+def box_from_diagnostic(diag: ArbitrageDiagnostic) -> BoxCoords:
+    """params_to_box for a smile whose waterfall diagnostic is in hand."""
+    params = diag.params
     if params.b <= 0.0:
         raise NotInDomain(f"b must be positive to invert, got {params.b}")
     if abs(params.rho) >= 1.0:
         raise NotInDomain(f"|rho| must be below 1 to invert, got {params.rho}")
-    diag = check_no_arbitrage(params)
     if not diag.is_free:
         raise NotInDomain(f"parameters are not arbitrage free: {diag.message}")
     interval = diag.interval

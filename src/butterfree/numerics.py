@@ -2,16 +2,17 @@
 squares and the checks on numeric settings.
 
 Roots are found by a local safeguarded Newton iteration on certified
-brackets; the dogbox trust region comes from scipy.  This module pins down
-brackets, tolerances and failure modes so the rest of the package gets
-deterministic behaviour and typed errors.
+brackets; the dogbox trust region comes from scipy and always runs on the
+caller's exact Jacobian, never on finite differences.  This module pins
+down brackets, tolerances and failure modes so the rest of the package
+gets deterministic behaviour and typed errors.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,32 +54,6 @@ class Bracket:
                 f"no sign change over [{self.lo}, {self.hi}]: "
                 f"f(lo)={self.f_lo}, f(hi)={self.f_hi}"
             )
-
-
-@dataclass(frozen=True)
-class LsqOptions:
-    """Termination controls for least_squares_bounded.
-
-    The tolerance defaults are machine epsilon, which in practice means the
-    solver runs until progress stalls or ``max_evals`` is exhausted.
-    ``max_evals`` is also the horizon of calibrate's stall rule, which ends
-    a start early once it lags far behind the best cost found before it
-    and, at its recent rate, cannot catch up within that budget.
-    """
-
-    f_tol: float = field(default_factory=lambda: float(np.finfo(float).eps))
-    x_tol: float = field(default_factory=lambda: float(np.finfo(float).eps))
-    g_tol: float = field(default_factory=lambda: float(np.finfo(float).eps))
-    max_evals: int = 1000
-
-    def __post_init__(self) -> None:
-        for name in ("f_tol", "x_tol", "g_tol"):
-            require_real(name, getattr(self, name), 0.0)
-        if max(self.f_tol, self.x_tol, self.g_tol) < np.finfo(float).eps:
-            raise InvalidInput(
-                "at least one of f_tol, x_tol and g_tol must reach machine epsilon"
-            )
-        require_int("max_evals", self.max_evals, 1)
 
 
 def require_int(name: str, value, least: int) -> None:
@@ -200,27 +175,25 @@ def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: 
 
 def least_squares_bounded(
     residuals: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
     x0: Sequence[float],
     lower: Sequence[float],
     upper: Sequence[float],
-    opts: LsqOptions | None = None,
-    jac: Callable[[np.ndarray], np.ndarray] | str = "2-point",
+    tol: float,
+    max_evals: int,
 ) -> tuple[np.ndarray, float, bool]:
-    """Bound-constrained nonlinear least squares.
+    """Bound-constrained nonlinear least squares with an exact Jacobian.
 
-    Runs a dogbox trust-region iteration.  ``jac`` is either a callable
-    returning the residual Jacobian at x or a scipy finite-difference
-    scheme ("2-point", the default, is a forward difference).  A callable
-    is asked for the Jacobian once per accepted step, at the point whose
+    Runs a dogbox trust-region iteration.  ``jac`` returns the residual
+    Jacobian at x; it is asked once per accepted step, at the point whose
     residuals were just evaluated, with any coordinate that reached a bound
-    set exactly onto it.  Every residual evaluation, including differencing,
-    stays inside [lower, upper].  Returns (x, cost, converged) with
-    cost = 0.5*||r||^2.
+    set exactly onto it.  Every residual evaluation stays inside
+    [lower, upper].  ``tol`` is the relative tolerance on the cost, the
+    step and the scaled gradient alike, and ``max_evals`` caps the residual
+    evaluations.  Returns (x, cost, converged) with cost = 0.5*||r||^2.
     When the evaluation budget runs out the best point found is returned
     with converged=False rather than raising.
     """
-    if opts is None:
-        opts = LsqOptions()
     x0 = np.asarray(x0, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
@@ -232,10 +205,10 @@ def least_squares_bounded(
         jac=jac,
         bounds=(lower, upper),
         method="dogbox",
-        ftol=opts.f_tol,
-        xtol=opts.x_tol,
-        gtol=opts.g_tol,
-        max_nfev=opts.max_evals,
+        ftol=tol,
+        xtol=tol,
+        gtol=tol,
+        max_nfev=max_evals,
     )
     converged = result.status > 0
     return result.x, float(result.cost), bool(converged)

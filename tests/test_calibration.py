@@ -16,7 +16,7 @@ from butterfree.calibration import (
     sigma_upper_bound,
     vega_weights,
 )
-from butterfree.domain import BoxChart, box_to_params
+from butterfree.domain import BoxChart, box_to_params, params_to_box
 from butterfree.fukasawa import fukasawa_threshold
 from butterfree.errors import (
     DomainError,
@@ -193,6 +193,22 @@ class TestCalibrate:
         result = calibrate(s, FAST)
         assert result.diagnostic.is_free
         assert result.rel_error_fro < 0.01
+
+    def test_certificate_runs_the_waterfall_once(self, monkeypatch):
+        import butterfree.domain as domain_module
+
+        calls = []
+        check = domain_module.check_no_arbitrage
+
+        def counted(params):
+            calls.append(params)
+            return check(params)
+
+        monkeypatch.setattr(domain_module, "check_no_arbitrage", counted)
+        monkeypatch.setattr(calibration_module, "check_no_arbitrage", counted)
+        result = calibrate(model_slice(MODEL_ROWS[2]), FAST)
+        assert calls == [result.params]
+        assert result.box == params_to_box(result.params)
 
     def test_no_converged_start(self, monkeypatch):
         def always_fails(*args, **kwargs):
@@ -376,7 +392,11 @@ class TestStallRule:
         def residuals(x):
             return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
 
-        args = ([-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0])
+        def jac(x):
+            return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+        eps = calibration_module._EPS
+        args = (jac, [-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0], eps, 1000)
         watch = calibration_module._StallWatch(residuals, math.inf, 1000)
         x, cost, converged = least_squares_bounded(residuals, *args)
         x2, cost2, converged2 = least_squares_bounded(watch, *args)
@@ -554,6 +574,49 @@ class TestJacobian:
         for j in range(4):
             want = quotient(objective, x, j, 1e-7, central=False)
             assert column_error(jac[:, j], want) <= 1e-5, j
+
+    def test_polish_jacobian_matches_central_differences(self, monkeypatch):
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return least_squares_bounded(*args)
+
+        monkeypatch.setattr(calibration_module, "least_squares_bounded", record)
+        s = noisy_slice()
+        weights = vega_weights(s)
+        guess = calibration_module._quasi_explicit_guess(s.k, s.w_mid, weights)
+        calibration_module._natural_polish(s.k, s.w_mid, weights, guess)
+        ((residuals, jac, x0, lower, upper, _, _),) = calls
+        rng = np.random.default_rng(11)
+        for x in [x0, *rng.uniform(lower, upper, size=(50, 5))]:
+            # keep sigma off its tiny lower bound, where the columns are steep
+            x[4] = max(x[4], 0.05)
+            got = jac(x)
+            for j in range(5):
+                h = 1e-6 * max(1.0, abs(x[j]))
+                ahead, behind = x.copy(), x.copy()
+                ahead[j] += h
+                behind[j] -= h
+                want = (residuals(ahead) - residuals(behind)) / (2.0 * h)
+                assert column_error(got[:, j], want) <= 1e-7, (x.tolist(), j)
+
+    def test_every_solve_gets_an_exact_jacobian(self, monkeypatch):
+        import butterfree.numerics as numerics_module
+
+        jacs = []
+        real = numerics_module.least_squares
+
+        def record(*args, **kwargs):
+            jacs.append(kwargs["jac"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numerics_module, "least_squares", record)
+        result = calibrate(noisy_slice(), FAST)
+        ran = [st for st in result.starts if st.stop != "not run"]
+        # the polish, then one solve per start that ran
+        assert len(jacs) == 1 + len(ran) >= 3
+        assert all(callable(jac) for jac in jacs)
 
 
 def loop_guess(k: np.ndarray, w_mid: np.ndarray, weights: np.ndarray):

@@ -514,3 +514,25 @@ class TestBoxChartProjection:
         # q keeps off the interval walls, where sigma_star blows up
         assert abs(x[3]) <= 1.0 - 1e-3
         assert chart.point(x).alpha <= 1.0
+
+    def test_solves_each_stage_once(self, monkeypatch):
+        import butterfree.domain as domain_module
+
+        calls = []
+
+        def counted(name, solve):
+            def wrapper(*args):
+                calls.append(name)
+                return solve(*args)
+            return wrapper
+
+        stages = ("fukasawa_threshold", "threshold_with_optimizers", "mu_interval",
+                  "interval_with_optimizers", "g2_zeros", "_sigma_star_trusted")
+        for name in stages:
+            monkeypatch.setattr(domain_module, name, counted(name, getattr(domain_module, name)))
+        for params in (VOGT, MODEL_ROWS[2]):
+            calls.clear()
+            BoxChart(alpha_cap=1.0).project(params, self.LOWER, self.UPPER)
+            assert sorted(calls) == [
+                "_sigma_star_trusted", "fukasawa_threshold", "g2_zeros", "mu_interval",
+            ], calls

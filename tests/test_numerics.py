@@ -18,7 +18,6 @@ from butterfree.errors import (
 )
 from butterfree.numerics import (
     Bracket,
-    LsqOptions,
     expand_bracket,
     least_squares_bounded,
     newton_root,
@@ -125,27 +124,42 @@ class TestNewtonRoot:
             newton_root(lambda x: (math.nan, 1.0), Bracket(0.0, 1.0, -1.0, 1.0), 0.5)
 
 
+EPS = float(np.finfo(float).eps)
+
+
+def identity_jacobian(x):
+    return np.eye(len(x))
+
+
+def rosenbrock(x):
+    return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+
+
+def rosenbrock_jacobian(x):
+    return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+
 class TestLeastSquaresBounded:
     def test_linear_residual(self):
         c = 3.7
         x, cost, converged = least_squares_bounded(
-            lambda x: x - c, [0.0], [-10.0], [10.0]
+            lambda x: x - c, identity_jacobian, [0.0], [-10.0], [10.0], EPS, 1000
         )
         assert x[0] == pytest.approx(c, abs=1e-10)
         assert cost == pytest.approx(0.0, abs=1e-18)
         assert converged
 
     def test_active_bound(self):
-        x, cost, _ = least_squares_bounded(lambda x: x - 5.0, [0.5], [0.0], [1.0])
+        x, cost, _ = least_squares_bounded(
+            lambda x: x - 5.0, identity_jacobian, [0.5], [0.0], [1.0], EPS, 1000
+        )
         assert x[0] == pytest.approx(1.0, abs=1e-12)
         assert cost == pytest.approx(0.5 * 16.0, rel=1e-10)
 
     def test_rosenbrock(self):
-        def residuals(x):
-            return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
-
         x, cost, _ = least_squares_bounded(
-            residuals, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0]
+            rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0],
+            EPS, 1000,
         )
         assert np.allclose(x, [1.0, 1.0], atol=1e-8)
         assert cost < 1e-16
@@ -155,16 +169,16 @@ class TestLeastSquaresBounded:
 
         def residuals(x):
             seen.append(x.copy())
-            return np.array([1.0 - x[0], 10.0 * (x[1] - x[0] ** 2)])
+            return rosenbrock(x)
 
         def jac(x):
             # away from the bounds the solver asks for the Jacobian only
             # where it has just evaluated the residuals
             assert np.array_equal(x, seen[-1])
-            return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
+            return rosenbrock_jacobian(x)
 
         x, cost, converged = least_squares_bounded(
-            residuals, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0], jac=jac
+            residuals, jac, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0], EPS, 1000
         )
         assert np.allclose(x, [1.0, 1.0], atol=1e-8)
         assert cost < 1e-16
@@ -172,7 +186,9 @@ class TestLeastSquaresBounded:
 
     def test_infeasible_start(self):
         with pytest.raises(InfeasibleStart):
-            least_squares_bounded(lambda x: x, [2.0], [0.0], [1.0])
+            least_squares_bounded(
+                lambda x: x, identity_jacobian, [2.0], [0.0], [1.0], EPS, 1000
+            )
 
     def test_never_evaluates_outside_bounds(self):
         lower = np.array([-1.0, 0.0])
@@ -183,18 +199,23 @@ class TestLeastSquaresBounded:
             seen.append(x.copy())
             return np.array([x[0] - 0.3, x[1] - 1.4])
 
-        least_squares_bounded(residuals, [0.0, 1.0], lower, upper)
+        def jac(x):
+            seen.append(x.copy())
+            return np.eye(2)
+
+        least_squares_bounded(residuals, jac, [0.0, 1.0], lower, upper, EPS, 1000)
         for x in seen:
             assert np.all(x >= lower - 1e-15) and np.all(x <= upper + 1e-15)
 
     def test_budget_exhaustion_returns_best(self):
-        opts = LsqOptions(max_evals=3)
-
         def residuals(x):
             return np.array([math.tanh(x[0]) - 0.9, x[1] ** 3])
 
+        def jac(x):
+            return np.diag([1.0 - math.tanh(x[0]) ** 2, 3.0 * x[1] ** 2])
+
         x, cost, converged = least_squares_bounded(
-            residuals, [0.0, 1.0], [-5.0, -5.0], [5.0, 5.0], opts
+            residuals, jac, [0.0, 1.0], [-5.0, -5.0], [5.0, 5.0], EPS, 3
         )
         assert not converged
         assert np.isfinite(cost)
