@@ -405,10 +405,14 @@ class TestCalibrateCommand:
         (["--seed", "-1"], None),
         ([], {"lsq": {"max_evals": 50}}),
         ([], {"n_starts": "3"}),
+        ([], {"lsq": {"max_evals": 0}}),
+        ([], {"lsq": {"f_tol": 0.0, "x_tol": 0.0, "g_tol": 0.0}}),
+        ([], {"lsq": {"f_tol": "x"}}),
         ([], {"vega_weighted": "no"}),
         (["--seed", "1"], [1]),
     ], ids=["alpha-cap-inf", "r-inf", "seed-negative", "lsq-unknown-key",
-            "n-starts-string", "vega-weighted-string", "list-config-with-flag"])
+            "n-starts-string", "max-evals-zero", "tolerances-zero",
+            "tolerance-string", "vega-weighted-string", "list-config-with-flag"])
     def test_bad_config_is_input_error(self, capsys, tmp_path, flags, config):
         argv = ["calibrate", "--slice", self._write_row2(tmp_path), *flags]
         if config is not None:
