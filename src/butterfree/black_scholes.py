@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import log_ndtr
-
 from .errors import DomainError, MaxIterations, PriceOutOfRange
 
 _SQRT2 = math.sqrt(2.0)
@@ -58,7 +56,10 @@ def call_price(k: float, theta: float) -> float:
         return max(1.0 - math.exp(k), 0.0)
     d1, d2 = d1_d2(k, theta)
     if k > _LOG_SPACE_K:
-        # exp(k) overflows although the product with Phi(d2) stays bounded
+        # exp(k) overflows although the product with Phi(d2) stays bounded;
+        # scipy is imported only here, off every path check and ingest take
+        from scipy.special import log_ndtr
+
         return norm_cdf(d1) - math.exp(k + float(log_ndtr(d2)))
     return norm_cdf(d1) - math.exp(k) * norm_cdf(d2)
 

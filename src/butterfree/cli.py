@@ -46,7 +46,7 @@ def _read_json(path: str) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of over 4,300 digits
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInput(f"{path} must hold a JSON object")
@@ -70,7 +70,13 @@ def read_params(path: str) -> dict:
     bad = [key for key in _PARAM_KEYS if not isinstance(doc[key], (int, float))]
     if bad:
         raise InvalidInput(f"{path} has values that are not numbers: {', '.join(bad)}")
-    return {key: float(doc[key]) for key in _PARAM_KEYS}
+    values = {}
+    for key in _PARAM_KEYS:
+        try:
+            values[key] = float(doc[key])
+        except OverflowError:
+            raise InvalidInput(f"{path} has a value too large for a float: {key}") from None
+    return values
 
 
 def _params_from_args(args) -> SviParams:
@@ -114,6 +120,10 @@ def slice_from_dict(doc: dict) -> MarketSlice:
             return None if value is None else np.asarray(value, dtype=float)
         except (TypeError, ValueError):
             raise InvalidInput(f"slice field {name} must hold numbers") from None
+        except OverflowError:
+            raise InvalidInput(
+                f"slice field {name} holds a number too large for a float"
+            ) from None
 
     return MarketSlice(
         k=column("k"),

@@ -3,9 +3,12 @@ squares and the checks on numeric settings.
 
 Roots are found by a local safeguarded Newton iteration on certified
 brackets; the dogbox trust region comes from scipy and always runs on the
-caller's exact Jacobian, never on finite differences.  This module pins
-down brackets, tolerances and failure modes so the rest of the package
-gets deterministic behaviour and typed errors.
+caller's exact Jacobian, never on finite differences.  scipy is imported
+at the first least-squares solve rather than with this module (and
+black_scholes imports it only for a call price at k > 700), so code that
+never calibrates never loads it.  This module pins down brackets,
+tolerances and failure modes so the rest of the package gets
+deterministic behaviour and typed errors.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     DomainError,
@@ -78,13 +80,15 @@ def require_finite(**values: float) -> None:
 def require_real(name: str, value, least: float, strict: bool = False) -> None:
     """Raise InvalidInput unless value is a finite real number, not a bool,
     and at least ``least`` (above it when ``strict``)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not math.isfinite(value)
-        or value < least
-        or (strict and value == least)
-    ):
+    try:
+        finite = (
+            not isinstance(value, bool)
+            and isinstance(value, numbers.Real)
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite or value < least or (strict and value == least):
         relation = ">" if strict else ">="
         raise InvalidInput(
             f"{name} must be a finite number {relation} {least}, got {value!r}"
@@ -139,16 +143,22 @@ def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: 
     f returns its value and its derivative.  The iteration starts at x (the
     midpoint if x is not inside the bracket) and shrinks the bracket by the
     sign of every value it sees.  Each step is a Newton step from the latest
-    point, or a bisection when that step would leave the open bracket.  It
-    stops when a Newton step is at most _X_TOL*max(1, |x|), returning the
-    stepped point, or when the bracket is narrower than that.  The step
-    test comes first, so a final step that lands on a bracket end is kept.
-    Raises MaxIterations after _MAX_ROOT_ITER evaluations.
+    point, or a bisection when that step would leave the open bracket or,
+    as in rtsafe, is not converging: it turns back on the last step and is
+    at least half as long.  Where rounding noise in f is wider than the
+    tolerance, Newton would otherwise hop between two points while the
+    bracket hardly shrinks; steps that keep shrinking or keep their
+    direction are plain Newton steps.  It stops when a Newton step is at
+    most _X_TOL*max(1, |x|), returning the stepped point, or when the
+    bracket is narrower than that.  The step test comes first, so a final
+    step that lands on a bracket end is kept.  Raises MaxIterations after
+    _MAX_ROOT_ITER evaluations.
     """
     lo, hi = bracket.lo, bracket.hi
     rising = bracket.f_lo < 0.0
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
+    moved = 0.0
     for _ in range(_MAX_ROOT_ITER):
         fx, dfx = f(x)
         if not math.isfinite(fx):
@@ -163,9 +173,12 @@ def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: 
         width = _X_TOL * max(1.0, abs(x))
         if abs(step) <= width:
             return min(max(x - step, lo), hi)
-        x -= step
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
+        x_next = x - step
+        hop = step * moved > 0.0 and abs(step) >= 0.5 * abs(moved)
+        if hop or not lo < x_next < hi:
+            x_next = 0.5 * (lo + hi)
+        moved = x_next - x
+        x = x_next
         if hi - lo <= width:
             return x
     raise MaxIterations(
@@ -199,6 +212,10 @@ def least_squares_bounded(
     upper = np.asarray(upper, dtype=float)
     if np.any(x0 < lower) or np.any(x0 > upper):
         raise InfeasibleStart(f"start point {x0.tolist()} violates bounds")
+    # deferred: scipy's import costs more than everything else the package
+    # loads, and only calibrate reaches this solve
+    from scipy.optimize import least_squares
+
     result = least_squares(
         residuals,
         x0,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -86,6 +87,30 @@ class TestPrices:
     def test_rejects_negative_theta(self):
         with pytest.raises(DomainError):
             call_price(0.0, -0.1)
+
+
+def call_reference(k: float, theta: float) -> float:
+    """The normalized call price in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        k_, theta_ = mpmath.mpf(k), mpmath.mpf(theta)
+        d1 = -k_ / theta_ + theta_ / 2
+        return float(mpmath.ncdf(d1) - mpmath.exp(k_) * mpmath.ncdf(d1 - theta_))
+
+
+class TestLogSpaceCall:
+    """Past k = 700, where exp(k) nears overflow, the call's second term
+    runs in log space."""
+
+    @pytest.mark.parametrize("k, theta", [(700.5, 40.0), (750.0, 38.0), (1000.0, 45.0)])
+    def test_matches_50_digit_price(self, k, theta):
+        assert call_price(k, theta) == pytest.approx(call_reference(k, theta), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [37.4, 40.0])
+    def test_continuous_across_the_switch(self, theta):
+        below = call_price(700.0, theta)
+        above = call_price(math.nextafter(700.0, math.inf), theta)
+        assert above == pytest.approx(below, rel=1e-12)
+        assert below == pytest.approx(call_reference(700.0, theta), rel=1e-12)
 
 
 class TestVega:

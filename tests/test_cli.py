@@ -274,14 +274,29 @@ class TestBadInputFiles:
         ("calibrate", row2_slice_with(w_bid=[0.04, "x"]), "field w_bid must"),
         ("calibrate", row2_slice_with(w_ask=[0.04, "x"]), "field w_ask must"),
         ("calibrate", row2_slice_with(t="x"), "t must be"),
+        ("check", vogt_params_with(a=10**400), "too large for a float: a"),
+        # json.dumps cannot write an integer this long, so the text is built
+        ("check", json.dumps(vogt_params_with(a=0)).replace('"a": 0', '"a": 1' + "0" * 5000),
+         "not valid JSON"),
+        ("calibrate", row2_slice_with(k=[0.04, 10**400]), "field k holds"),
+        ("calibrate", row2_slice_with(t=10**400), "t must be"),
+        ("config", {"alpha_cap": 10**400}, "alpha_cap must be"),
     ], ids=["params-a-string", "params-a-null", "params-not-object", "slice-k-string",
             "slice-w-mid-string", "slice-w-bid-string", "slice-w-ask-string",
-            "slice-t-string"])
+            "slice-t-string", "params-a-huge", "params-a-over-4300-digits",
+            "slice-k-huge", "slice-t-huge", "config-alpha-cap-huge"])
     def test_exits_64_naming_the_field(self, capsys, tmp_path, command, doc, named):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        flag = "--params" if command == "check" else "--slice"
-        rc, _, err = run(capsys, [command, flag, str(path)])
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if command == "check":
+            argv = ["check", "--params", str(path)]
+        elif command == "calibrate":
+            argv = ["calibrate", "--slice", str(path)]
+        else:
+            slice_path = tmp_path / "slice.json"
+            slice_path.write_text(json.dumps(row2_slice_with()))
+            argv = ["calibrate", "--slice", str(slice_path), "--config", str(path)]
+        rc, _, err = run(capsys, argv)
         assert rc == 64
         assert err.startswith("error: ") and "Traceback" not in err
         assert named in err

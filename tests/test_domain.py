@@ -370,6 +370,18 @@ class TestCheckNoArbitrage:
         assert check_no_arbitrage(above).is_free
         assert check_no_arbitrage(below).status is Status.FAILURE4
 
+    def test_noisy_profile_turn_near_rho_minus_one(self):
+        # 1 - |rho| = 1.06e-5: the tail profile's l-derivative near
+        # l = 1036 carries rounding noise wider than the root tolerance,
+        # so Newton steps alone hop between two points there until
+        # MaxIterations; g is about -0.712 near k = -0.225
+        p = SviParams(
+            a=-6.73605611809143e-05, b=0.8938322550910699, rho=-0.9999893861052941,
+            m=0.08411513653337155, sigma=0.15064348983317047,
+        )
+        assert check_no_arbitrage(p).status is Status.FAILURE4
+        assert np.min(durrleman_g(p, np.linspace(-1.0, 1.0, 2001))) < -0.7
+
     def test_free_verdict_means_non_negative_g(self):
         for p in MODEL_ROWS:
             norm_g = _grid_g(

@@ -114,10 +114,23 @@ class TestNewtonRoot:
         assert root == pytest.approx(0.7390851332151607, abs=1e-15)
 
     def test_budget_exhaustion_raises(self):
-        # a derivative far too large makes Newton creep: each step moves
-        # about 2e-6, so the budget runs out long before the root
+        # every Newton step leaves the bracket, so each step is a bisection,
+        # and 200 halvings cannot narrow a bracket 1e60 wide to the root
         with pytest.raises(MaxIterations):
-            newton_root(lambda x: (x - 1.0, 1e6), Bracket(0.0, 4.0, -1.0, 3.0), 3.0)
+            newton_root(lambda x: (x - 1.0, 0.01), Bracket(0.0, 1e60, -1.0, 1e60), 5e59)
+
+    def test_hopping_is_bisected(self):
+        # a jump of 1e-6 at the root, as rounding noise can make, and a
+        # derivative a little over half the slope: every Newton step
+        # overshoots to the other side, landing just inside the bracket,
+        # so without bisection the bracket never narrows to the tolerance
+        # and the budget runs out
+        f, seen = self.recorded(
+            lambda x: (x - 1.0 + math.copysign(1e-6, x - 1.0), 0.52)
+        )
+        root = newton_root(f, Bracket(0.0, 4.0, -1.0, 3.0), 1.5)
+        assert root == pytest.approx(1.0, abs=1e-11)
+        assert len(seen) <= 40
 
     def test_non_finite_value_raises(self):
         with pytest.raises(DomainError):
