@@ -67,16 +67,13 @@ def read_params(path: str) -> dict:
     missing = [key for key in _PARAM_KEYS if key not in doc]
     if missing:
         raise InvalidInput(f"{path} is missing keys: {', '.join(missing)}")
-    bad = [key for key in _PARAM_KEYS if not isinstance(doc[key], (int, float))]
+    bad = [
+        key for key in _PARAM_KEYS
+        if not isinstance(doc[key], (int, float)) or abs(doc[key]) > sys.float_info.max
+    ]
     if bad:
-        raise InvalidInput(f"{path} has values that are not numbers: {', '.join(bad)}")
-    values = {}
-    for key in _PARAM_KEYS:
-        try:
-            values[key] = float(doc[key])
-        except OverflowError:
-            raise InvalidInput(f"{path} has a value too large for a float: {key}") from None
-    return values
+        raise InvalidInput(f"{path} has values that are not finite numbers: {', '.join(bad)}")
+    return {key: float(doc[key]) for key in _PARAM_KEYS}
 
 
 def _params_from_args(args) -> SviParams:
@@ -118,12 +115,8 @@ def slice_from_dict(doc: dict) -> MarketSlice:
         value = doc.get(name)
         try:
             return None if value is None else np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidInput(f"slice field {name} must hold numbers") from None
-        except OverflowError:
-            raise InvalidInput(
-                f"slice field {name} holds a number too large for a float"
-            ) from None
 
     return MarketSlice(
         k=column("k"),

@@ -80,18 +80,19 @@ def require_finite(**values: float) -> None:
 def require_real(name: str, value, least: float, strict: bool = False) -> None:
     """Raise InvalidInput unless value is a finite real number, not a bool,
     and at least ``least`` (above it when ``strict``)."""
+    got = None
     try:
         finite = (
             not isinstance(value, bool)
             and isinstance(value, numbers.Real)
             and math.isfinite(value)
         )
-    except OverflowError:  # an integer beyond the float range
-        finite = False
+    except OverflowError:  # an integer beyond the float range; its repr may fail too
+        finite, got = False, "an integer too large for a float"
     if not finite or value < least or (strict and value == least):
         relation = ">" if strict else ">="
         raise InvalidInput(
-            f"{name} must be a finite number {relation} {least}, got {value!r}"
+            f"{name} must be a finite number {relation} {least}, got {got or repr(value)}"
         )
 
 
@@ -143,9 +144,9 @@ def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: 
     f returns its value and its derivative.  The iteration starts at x (the
     midpoint if x is not inside the bracket) and shrinks the bracket by the
     sign of every value it sees.  Each step is a Newton step from the latest
-    point, or a bisection when that step would leave the open bracket or,
-    as in rtsafe, is not converging: it turns back on the last step and is
-    at least half as long.  Where rounding noise in f is wider than the
+    point, or a bisection when that step would leave the open bracket or
+    is not converging: it turns back on the last step and is at least half
+    as long.  Where rounding noise in f is wider than the
     tolerance, Newton would otherwise hop between two points while the
     bracket hardly shrinks; steps that keep shrinking or keep their
     direction are plain Newton steps.  It stops when a Newton step is at

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from butterfree.errors import (
     DomainError,
     InfeasibleStart,
+    InvalidInput,
     MaxIterations,
     NoBracketFound,
     NoSignChange,
@@ -21,6 +22,7 @@ from butterfree.numerics import (
     expand_bracket,
     least_squares_bounded,
     newton_root,
+    require_real,
 )
 
 
@@ -114,6 +116,12 @@ class TestNewtonRoot:
         assert root == pytest.approx(0.7390851332151607, abs=1e-15)
 
     def test_budget_exhaustion_raises(self):
+        # a derivative far too large makes Newton creep: each step moves
+        # about 2e-6, so the budget runs out long before the root
+        with pytest.raises(MaxIterations):
+            newton_root(lambda x: (x - 1.0, 1e6), Bracket(0.0, 4.0, -1.0, 3.0), 3.0)
+
+    def test_bisection_budget_exhaustion_raises(self):
         # every Newton step leaves the bracket, so each step is a bisection,
         # and 200 halvings cannot narrow a bracket 1e60 wide to the root
         with pytest.raises(MaxIterations):
@@ -232,3 +240,24 @@ class TestLeastSquaresBounded:
         )
         assert not converged
         assert np.isfinite(cost)
+
+
+class TestRequireReal:
+    def test_accepts_a_finite_number_at_the_least(self):
+        require_real("t", 0.0, 0.0)
+        require_real("t", 10**300, 0.0)
+
+    @pytest.mark.parametrize("value", [True, "1", math.nan, math.inf, -1.0])
+    def test_refuses_bad_values(self, value):
+        with pytest.raises(InvalidInput, match="t must be a finite number"):
+            require_real("t", value, 0.0)
+
+    def test_strict_refuses_the_least(self):
+        with pytest.raises(InvalidInput, match="> 0.0"):
+            require_real("t", 0.0, 0.0, strict=True)
+
+    def test_integer_too_long_to_print(self):
+        # Python will not turn an integer of over 4,300 digits into a string,
+        # so the message must not repr it
+        with pytest.raises(InvalidInput, match="t must be .* too large for a float"):
+            require_real("t", 10**5000, 0.0)
