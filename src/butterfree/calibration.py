@@ -46,6 +46,9 @@ from .svi import SviParams, svi, svi_raw
 #: Margin keeping box samples off the open boundaries of the rectangle.
 _EDGE = 1e-6
 
+#: The sigma ceiling is the larger end of the strike span over this.
+_R = 0.1
+
 #: Machine epsilon, also the box solve's tolerance: a start runs until its
 #: progress stalls or its budget runs out.
 _EPS = float(np.finfo(float).eps)
@@ -125,20 +128,17 @@ class CalibrationConfig:
     """Knobs of the multi-start box calibration.
 
     alpha_cap bounds the normalized level a/sigma; around 1 is plenty for
-    index smiles, raise it for synthetic or long-dated data.  r controls
-    the sigma ceiling max(|k_first|, |k_last|)/r.
+    index smiles, raise it for synthetic or long-dated data.
     """
 
     n_starts: int = 8
     seed: int = 0
-    r: float = 0.1
     alpha_cap: float = 1.0
     vega_weighted: bool = False
 
     def __post_init__(self) -> None:
         require_int("n_starts", self.n_starts, 1)
         require_int("seed", self.seed, 0)
-        require_real("r", self.r, 0.0, strict=True)
         require_real("alpha_cap", self.alpha_cap, 0.0, strict=True)
         if not isinstance(self.vega_weighted, bool):
             raise InvalidInput(
@@ -185,11 +185,9 @@ class CalibrationResult:
     wall_time: float
 
 
-def sigma_upper_bound(slice_: MarketSlice, r: float) -> float:
-    """Ceiling for sigma: the observed strike span scaled by 1/r."""
-    if not r > 0.0:
-        raise InvalidInput(f"r must be positive, got {r}")
-    return max(abs(float(slice_.k[0])) / r, abs(float(slice_.k[-1])) / r)
+def sigma_upper_bound(slice_: MarketSlice) -> float:
+    """Ceiling for sigma: the larger end of the strike span over _R."""
+    return max(abs(float(slice_.k[0])), abs(float(slice_.k[-1]))) / _R
 
 
 def vega_weights(slice_: MarketSlice) -> np.ndarray:
@@ -401,7 +399,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     w_mid = slice_.w_mid
     weights = vega_weights(slice_) if config.vega_weighted else np.ones(len(slice_))
 
-    v_max = sigma_upper_bound(slice_, config.r)
+    v_max = sigma_upper_bound(slice_)
     u_max = config.alpha_cap + 2.0
     lower = np.array([-1.0 + _EDGE, _EDGE, _EDGE, -1.0 + _EDGE, 0.0])
     upper = np.array([1.0 - _EDGE, 1.0 - _EDGE, u_max, 1.0 - _EDGE, v_max])

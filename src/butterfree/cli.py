@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -31,13 +31,14 @@ from .domain import check_no_arbitrage, sigma_star, sigma_star_profile
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, mu_interval
 from .market_data import build_vol_slice, infer_forward_discount, load_chain, year_fraction
+from .numerics import is_real
 from .svi import SviParams, durrleman_g, n_funcs, svi
 
 EXIT_OK = 0
 EXIT_INPUT = 64
 EXIT_NUMERIC = 70
 
-_PARAM_KEYS = ("a", "b", "rho", "m", "sigma")
+_PARAM_KEYS = tuple(f.name for f in fields(SviParams))
 
 
 def _read_json(path: str) -> dict:
@@ -69,7 +70,7 @@ def read_params(path: str) -> dict:
         raise InvalidInput(f"{path} is missing keys: {', '.join(missing)}")
     bad = [
         key for key in _PARAM_KEYS
-        if not isinstance(doc[key], (int, float)) or abs(doc[key]) > sys.float_info.max
+        if not is_real(doc[key]) or abs(doc[key]) > sys.float_info.max
     ]
     if bad:
         raise InvalidInput(f"{path} has values that are not finite numbers: {', '.join(bad)}")
@@ -113,10 +114,14 @@ def slice_from_dict(doc: dict) -> MarketSlice:
 
     def column(name):
         value = doc.get(name)
-        try:
-            return None if value is None else np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidInput(f"slice field {name} must hold numbers") from None
+        if value is None:
+            return None
+        if isinstance(value, list) and all(is_real(x) for x in value):
+            try:
+                return np.asarray(value, dtype=float)
+            except OverflowError:  # an integer beyond the float range
+                pass
+        raise InvalidInput(f"slice field {name} must hold a list of numbers")
 
     return MarketSlice(
         k=column("k"),
@@ -146,16 +151,9 @@ def config_from_dict(doc: dict) -> CalibrationConfig:
 
 
 def result_to_dict(result: CalibrationResult) -> dict:
-    p = result.params
     return {
-        "params": {"a": p.a, "b": p.b, "rho": p.rho, "m": p.m, "sigma": p.sigma},
-        "box": {
-            "rho": result.box.rho,
-            "b_prime": result.box.b_prime,
-            "u": result.box.u,
-            "q": result.box.q,
-            "v": result.box.v,
-        },
+        "params": asdict(result.params),
+        "box": asdict(result.box),
         "cost": result.cost,
         "rel_error_fro": result.rel_error_fro,
         "status": result.diagnostic.status.value,
@@ -225,9 +223,9 @@ def cmd_sigma_star(args) -> int:
 def cmd_calibrate(args) -> int:
     slice_ = read_slice(args.slice)
     doc = _read_json(args.config) if args.config else {}
-    for key in ("n_starts", "seed", "r", "alpha_cap", "vega_weighted"):
-        if getattr(args, key) is not None:
-            doc[key] = getattr(args, key)
+    for field in fields(CalibrationConfig):
+        if getattr(args, field.name) is not None:
+            doc[field.name] = getattr(args, field.name)
     config = config_from_dict(doc)
     result = calibrate(slice_, config)
     out = args.out or (args.slice + ".result.json")
@@ -402,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     # flags override the config file; each dest is its config key
     p_cal.add_argument("--starts", dest="n_starts", type=int, default=None)
     p_cal.add_argument("--seed", type=int, default=None)
-    p_cal.add_argument("--r", type=float, default=None)
     p_cal.add_argument("--alpha-cap", dest="alpha_cap", type=float, default=None)
     p_cal.add_argument("--vega-weighted", action="store_true", default=None)
     p_cal.set_defaults(func=cmd_calibrate)

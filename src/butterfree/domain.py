@@ -257,34 +257,22 @@ def sigma_star(alpha: float, b: float, rho: float, mu: float) -> float:
     of the deficit's l-derivative.  Raises FukasawaViolated when mu is not
     strictly admissible, since G1 must be positive on both tails.
     """
-    return sigma_star_with_argmax(alpha, b, rho, mu)[0]
-
-
-def sigma_star_with_argmax(
-    alpha: float, b: float, rho: float, mu: float
-) -> tuple[float, float]:
-    """Like sigma_star, additionally reporting the reciprocal coordinate h
-    at which the tail deficit peaks; the dangerous log-strike sits at
-    l = 1/h."""
     interval = mu_interval(alpha, b, rho)
     if not interval.contains(mu):
         raise FukasawaViolated(
             f"mu = {mu} is not strictly inside ({interval.lower}, {interval.upper})"
         )
-    zeros = g2_zeros(alpha, b, rho)
-    value, h, _ = _sigma_star_trusted(alpha, b, rho, mu, zeros)
-    return value, h
+    return _sigma_star_trusted(alpha, b, rho, mu)[0]
 
 
 def _sigma_star_trusted(
-    alpha: float, b: float, rho: float, mu: float, zeros: G2Zeros
+    alpha: float, b: float, rho: float, mu: float
 ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """sigma_star, its argmax h, and the (supremum, argmax h) of the tail
-    deficit on each finite tail, left tail first.
-
-    The caller vouches that mu lies strictly inside its interval and that
-    zeros are the roots of G2 at (alpha, b, rho).
-    """
+    """sigma_star, its argmax h (the dangerous log-strike is l = 1/h) and
+    the (supremum, argmax h) of the tail deficit on each finite tail, left
+    tail first.  The tails end at the roots of G2, solved here; the caller
+    vouches that mu lies strictly inside its interval."""
+    zeros = g2_zeros(alpha, b, rho)
     tails = []
     if math.isfinite(zeros.l1):
         tails.append(_side_max(alpha, b, rho, mu, 1.0 / zeros.l1, 0.0))
@@ -526,8 +514,7 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
             ),
         )
 
-    zeros = g2_zeros(alpha, b, rho)
-    s_star = _sigma_star_trusted(alpha, b, rho, mu, zeros)[0]
+    s_star = _sigma_star_trusted(alpha, b, rho, mu)[0]
     if params.sigma < s_star:
         return ArbitrageDiagnostic(
             Status.FAILURE4, params, slope_left, slope_right,
@@ -704,7 +691,7 @@ def _shift_and_floor(
     """(mu, sigma_star, tails): mu at relative position q inside the
     interval, and the curvature floor there with its tail maxima."""
     mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
-    floor, _, tails = _sigma_star_trusted(alpha, b, rho, mu, g2_zeros(alpha, b, rho))
+    floor, _, tails = _sigma_star_trusted(alpha, b, rho, mu)
     return mu, floor, tails
 
 
@@ -772,18 +759,11 @@ def box_from_diagnostic(diag: ArbitrageDiagnostic) -> BoxCoords:
         raise NotInDomain(f"parameters are not arbitrage free: {diag.message}")
     interval = diag.interval
     q = (2.0 * diag.mu - interval.upper - interval.lower) / interval.width()
-    v = params.sigma - diag.sigma_star
-    if v < 0.0:
-        # Guard against roundoff right at the sigma_star floor.
-        if v < -1e-9:
-            raise NotInDomain(
-                f"sigma = {params.sigma} sits below sigma_star = {diag.sigma_star}"
-            )
-        v = 0.0
     return BoxCoords(
         rho=params.rho,
         b_prime=params.b * (1.0 + abs(params.rho)) / 2.0,
         u=diag.alpha - diag.threshold,
         q=q,
-        v=v,
+        # Free means sigma >= sigma_star, so the rounded difference is >= 0
+        v=params.sigma - diag.sigma_star,
     )

@@ -267,6 +267,23 @@ def _critical_point(
     return root, under, over, slope_seen
 
 
+def _wing_slopes(b: float, rho: float) -> tuple[float, float]:
+    """The wing slopes b*(1 -+ rho), once b and rho are checked: finite,
+    b > 0, |rho| <= 1 and both slopes at most 2 + SLOPE_EQ_TOL."""
+    require_finite(b=b, rho=rho)
+    if b <= 0.0:
+        raise DomainError(f"b must be positive, got {b}")
+    if abs(rho) > 1.0:
+        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+    slope_left = b * (1.0 - rho)
+    slope_right = b * (1.0 + rho)
+    if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
+        raise DomainError(
+            f"wing slopes ({slope_left}, {slope_right}) exceed the limit 2"
+        )
+    return slope_left, slope_right
+
+
 def mu_interval(alpha: float, b: float, rho: float) -> MuInterval:
     """Open interval of shifts mu keeping both slope factors positive.
 
@@ -283,17 +300,8 @@ def interval_with_optimizers(
 ) -> tuple[MuInterval, float, float]:
     """mu_interval together with the optimizers l_minus and l_plus of its
     bounds; an optimizer is nan where its bound is -+alpha/2 or infinite."""
-    require_finite(alpha=alpha, b=b, rho=rho)
-    if b <= 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if abs(rho) > 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
-    slope_left = b * (1.0 - rho)
-    slope_right = b * (1.0 + rho)
-    if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
-        raise DomainError(
-            f"wing slopes ({slope_left}, {slope_right}) exceed the limit 2"
-        )
+    require_finite(alpha=alpha)
+    slope_left, slope_right = _wing_slopes(b, rho)
     l_m = l_p = math.nan
     if rho == -1.0:
         lower, l_m = _bound(alpha, b, rho, "-", slope_left)
@@ -365,21 +373,9 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     critical point inside it: after one walk out to the upper end no
     bracket expansion is needed.
     """
-    require_finite(b=b, rho=rho)
-    if b <= 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if abs(rho) > 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+    slope_left, slope_right = _wing_slopes(b, rho)
     if abs(rho) == 1.0:
-        if 2.0 * b > 2.0 + SLOPE_EQ_TOL:
-            raise DomainError(f"wing slope 2b = {2 * b} exceeds the limit 2")
         return 0.0, math.nan, math.nan
-    slope_left = b * (1.0 - rho)
-    slope_right = b * (1.0 + rho)
-    if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
-        raise DomainError(
-            f"wing slopes ({slope_left}, {slope_right}) exceed the limit 2"
-        )
     limited = {"-": slope_left >= 2.0 - SLOPE_EQ_TOL, "+": slope_right >= 2.0 - SLOPE_EQ_TOL}
     if all(limited.values()):
         return 0.0, math.nan, math.nan

@@ -77,16 +77,18 @@ def require_finite(**values: float) -> None:
             raise DomainError(f"{name} must be finite, got {value}")
 
 
+def is_real(value) -> bool:
+    """Whether value is a real number.  A bool is not one, although Python
+    and JSON let it stand for 1 or 0."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def require_real(name: str, value, least: float, strict: bool = False) -> None:
-    """Raise InvalidInput unless value is a finite real number, not a bool,
+    """Raise InvalidInput unless value is a finite real number (is_real)
     and at least ``least`` (above it when ``strict``)."""
     got = None
     try:
-        finite = (
-            not isinstance(value, bool)
-            and isinstance(value, numbers.Real)
-            and math.isfinite(value)
-        )
+        finite = is_real(value) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range; its repr may fail too
         finite, got = False, "an integer too large for a float"
     if not finite or value < least or (strict and value == least):

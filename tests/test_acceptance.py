@@ -22,12 +22,12 @@ from conftest import (
 from butterfree.black_scholes import call_price
 from butterfree.calibration import CalibrationConfig, calibrate
 from butterfree.domain import (
+    _sigma_star_trusted,
     BoxCoords,
     Status,
     box_to_params,
     check_no_arbitrage,
     g2_zeros,
-    sigma_star_with_argmax,
 )
 from butterfree.fukasawa import (
     L_minus,
@@ -136,7 +136,7 @@ def test_criterion_5_box_parametrization_is_tight():
     tried = failed = 0
     for params in samples[:300]:
         norm = normalize(params)
-        floor, h_star = sigma_star_with_argmax(norm.alpha, norm.b, norm.rho, norm.mu)
+        floor, h_star = _sigma_star_trusted(norm.alpha, norm.b, norm.rho, norm.mu)[:2]
         if floor <= 1e-12:
             continue
         tried += 1

@@ -16,7 +16,7 @@ from butterfree.calibration import (
     sigma_upper_bound,
     vega_weights,
 )
-from butterfree.domain import BoxChart, box_to_params, params_to_box
+from butterfree.domain import BoxChart, Status, box_to_params, params_to_box
 from butterfree.fukasawa import fukasawa_threshold
 from butterfree.errors import (
     DomainError,
@@ -27,7 +27,7 @@ from butterfree.errors import (
     NumericFailure,
 )
 from butterfree.numerics import least_squares_bounded
-from butterfree.svi import SviParams, svi
+from butterfree.svi import SviParams, durrleman_g, svi
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
 
 #: Cheap but reliable config for module-level tests; the informed start is
@@ -95,20 +95,13 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             CalibrationConfig(n_starts=0)
         with pytest.raises(InvalidInput):
-            CalibrationConfig(r=0.0)
-        with pytest.raises(InvalidInput):
             CalibrationConfig(alpha_cap=-1.0)
 
 
 class TestSigmaUpperBound:
     def test_strike_span_rule(self):
         s = MarketSlice(k=np.array([-0.5, 0.0, 0.4]), w_mid=np.full(3, 0.04))
-        assert sigma_upper_bound(s, 0.1) == pytest.approx(5.0)
-
-    def test_rejects_bad_r(self):
-        s = MarketSlice(k=np.array([-0.1, 0.1]), w_mid=np.full(2, 0.04))
-        with pytest.raises(InvalidInput):
-            sigma_upper_bound(s, 0.0)
+        assert sigma_upper_bound(s) == pytest.approx(5.0)
 
 
 class TestVegaWeights:
@@ -210,6 +203,32 @@ class TestCalibrate:
         assert calls == [result.params]
         assert result.box == params_to_box(result.params)
 
+    def test_sigma_nudge_certifies_a_winner_on_the_floor(self, monkeypatch):
+        # exact data from a box point with v = 0: the winner's image lands
+        # a hair under its re-certified sigma_star, and one nudge of sigma
+        # clears it
+        x = (0.13747569842815788, 0.6295888397686957, 0.4158877411226808,
+             -0.2977677509861759, 0.0)
+        k = np.linspace(-0.8, 0.8, 17)
+        s = MarketSlice(k=k, w_mid=svi(SviParams(*BoxChart(5.0).point(x).raw), k))
+        check = calibration_module.check_no_arbitrage
+        verdicts = []
+
+        def counted(params):
+            verdicts.append(check(params))
+            return verdicts[-1]
+
+        monkeypatch.setattr(calibration_module, "check_no_arbitrage", counted)
+        result = calibrate(s, CalibrationConfig(alpha_cap=5.0, n_starts=2, seed=0))
+        assert [d.status for d in verdicts] == [Status.FAILURE4, Status.FREE]
+        assert result.diagnostic is verdicts[-1]
+        sigma = verdicts[0].params.sigma
+        assert sigma < result.params.sigma <= sigma * (1.0 + 1e-8)
+        p = result.params
+        l = np.geomspace(1e-6, 1e4, 2000)
+        ks = p.sigma * np.concatenate([-l[::-1], l]) + p.m
+        assert float(np.min(durrleman_g(p, ks))) >= -1e-10
+
     def test_no_converged_start(self, monkeypatch):
         def always_fails(*args, **kwargs):
             raise InfeasibleStart("forced failure")
@@ -246,7 +265,7 @@ class TestRoundingFloor:
         lower = np.array([-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0])
         upper = np.array([
             1.0 - 1e-6, 1.0 - 1e-6, config.alpha_cap + 2.0, 1.0 - 1e-6,
-            sigma_upper_bound(s, config.r),
+            sigma_upper_bound(s),
         ])
         x0s = np.random.default_rng(config.seed).uniform(lower, upper, (n, 5))
         assert [st.x0 for st in result.starts[:n]] == [tuple(x0) for x0 in x0s]
@@ -355,7 +374,7 @@ class TestStallRule:
         assert first.cost == best_cost
         assert first.x == best_x
         # calibrate's box
-        v_max = sigma_upper_bound(noisy_slice(), FAST.r)
+        v_max = sigma_upper_bound(noisy_slice())
         lower = [-1.0 + 1e-6, 1e-6, 1e-6, -1.0 + 1e-6, 0.0]
         upper = [1.0 - 1e-6, 1.0 - 1e-6, FAST.alpha_cap + 2.0, 1.0 - 1e-6, v_max]
         assert all(lo <= c <= hi for lo, c, hi in zip(lower, first.x, upper))

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output formats, file round trips."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -17,7 +18,8 @@ from butterfree.cli import (
     slice_to_dict,
     write_slice,
 )
-from butterfree.domain import sigma_star, sigma_star_profile
+import butterfree.calibration as calibration_module
+from butterfree.domain import Status, sigma_star, sigma_star_profile
 from butterfree.errors import InvalidInput
 from butterfree.fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, l_star, mu_interval
 from butterfree.market_data import year_fraction
@@ -281,10 +283,16 @@ class TestBadInputFiles:
         ("calibrate", row2_slice_with(k=[0.04, 10**400]), "field k must"),
         ("calibrate", row2_slice_with(t=10**400), "t must be"),
         ("config", {"alpha_cap": 10**400}, "alpha_cap must be"),
+        # JSON booleans are not numbers, although Python reads them as 1 and 0
+        ("check", vogt_params_with(a=True), "not finite numbers: a"),
+        ("calibrate", row2_slice_with(w_mid=[True, *row2_slice_with()["w_mid"][1:]]),
+         "field w_mid must"),
+        ("calibrate", row2_slice_with(k=[False, *row2_slice_with()["k"][1:]]), "field k must"),
     ], ids=["params-a-string", "params-a-null", "params-not-object", "slice-k-string",
             "slice-w-mid-string", "slice-w-bid-string", "slice-w-ask-string",
             "slice-t-string", "params-a-huge", "params-a-over-4300-digits",
-            "slice-k-huge", "slice-t-huge", "config-alpha-cap-huge"])
+            "slice-k-huge", "slice-t-huge", "config-alpha-cap-huge", "params-a-true",
+            "slice-w-mid-true", "slice-k-false"])
     def test_exits_64_naming_the_field(self, capsys, tmp_path, command, doc, named):
         path = tmp_path / "doc.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -414,9 +422,45 @@ class TestCalibrateCommand:
         assert rc == 64
         assert "unknown config keys: bogus, lsq" in err
 
+    def test_r_is_not_a_setting(self, capsys, tmp_path):
+        # the sigma ceiling's scale is fixed; neither a flag nor a config
+        # key sets it
+        slice_path = self._write_row2(tmp_path)
+        rc, _, err = run(capsys, ["calibrate", "--slice", slice_path, "--r", "0.1"])
+        assert rc == 64
+        assert "unrecognized arguments: --r" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 0.1}))
+        rc, _, err = run(capsys, ["calibrate", "--slice", slice_path, "--config", str(cfg)])
+        assert rc == 64
+        assert "unknown config keys: r" in err
+
+    def test_failed_certificate_exits_70(self, capsys, tmp_path, monkeypatch):
+        # a certificate that never clears: the sigma nudges give up after
+        # the margin 1e-8, calibrate raises NumericFailure, and main maps it
+        # to 70
+        check = calibration_module.check_no_arbitrage
+        calls = []
+
+        def never_free(params):
+            calls.append(params)
+            return dataclasses.replace(check(params), status=Status.FAILURE4)
+
+        monkeypatch.setattr(calibration_module, "check_no_arbitrage", never_free)
+        slice_path = self._write_row2(tmp_path)
+        rc, out, err = run(capsys, [
+            "calibrate", "--slice", slice_path, "--starts", "1", "--seed", "0",
+        ])
+        assert rc == 70
+        assert err.startswith("numeric failure: ") and "Traceback" not in err
+        assert "Failure4" in err
+        assert "wrote" not in out
+        # the winner, then one nudge for each margin 1e-12, 1e-10 and 1e-8
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("flags, config", [
         (["--alpha-cap", "inf"], None),
-        (["--r", "inf"], None),
+        ([], {"r": math.inf}),
         (["--seed", "-1"], None),
         ([], {"lsq": {"max_evals": 50}}),
         ([], {"n_starts": "3"}),

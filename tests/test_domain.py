@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 
 from butterfree.domain import (
     _profile_slope,
+    _sigma_star_trusted,
     ArbitrageDiagnostic,
     BoxChart,
     BoxCoords,
@@ -22,7 +23,6 @@ from butterfree.domain import (
     params_to_box,
     sigma_star,
     sigma_star_profile,
-    sigma_star_with_argmax,
 )
 from butterfree.errors import (
     DegenerateSigma,
@@ -201,7 +201,7 @@ class TestSigmaStarProfile:
 
 class TestSigmaStar:
     def test_frozen_values(self):
-        s, h = sigma_star_with_argmax(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
+        s, h = _sigma_star_trusted(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)[:2]
         assert s == pytest.approx(0.12355390516143426, abs=1e-10)
         assert h == pytest.approx(-0.32080853785732955, abs=1e-6)
         assert sigma_star(0.2, 0.8, -0.3, 0.1) == pytest.approx(
@@ -209,7 +209,7 @@ class TestSigmaStar:
         )
 
     def test_argmax_attains_the_supremum(self):
-        s, h = sigma_star_with_argmax(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
+        s, h = _sigma_star_trusted(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)[:2]
         assert sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, h) == pytest.approx(
             s, rel=1e-9
         )
@@ -217,7 +217,7 @@ class TestSigmaStar:
     def test_symmetric_sides_agree(self):
         # equal side maxima must not confuse the scan
         z = g2_zeros(0.2, 0.7, 0.0, )
-        s, h = sigma_star_with_argmax(0.2, 0.7, 0.0, 0.0)
+        s, h = _sigma_star_trusted(0.2, 0.7, 0.0, 0.0)[:2]
         left = max(
             sigma_star_profile(0.2, 0.7, 0.0, 0.0, float(x))
             for x in np.linspace(1.0 / z.l1, 0.0, 2000)[1:-1]
@@ -280,7 +280,7 @@ class TestSigmaStar:
             if status not in (Status.FREE, Status.FAILURE4):
                 continue
             checked += 1
-            s, _ = sigma_star_with_argmax(alpha, b, rho, mu)
+            s = sigma_star(alpha, b, rho, mu)
             z = g2_zeros(alpha, b, rho)
             brute = max(
                 float(np.max(deficit(alpha, b, rho, mu, t / z.l1))),
@@ -291,13 +291,11 @@ class TestSigmaStar:
     def test_rejects_mu_outside_interval(self):
         with pytest.raises(FukasawaViolated):
             sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, 5.0)
-        with pytest.raises(FukasawaViolated):
-            sigma_star_with_argmax(FIG_ALPHA, FIG_B, FIG_RHO, 5.0)
 
     def test_floor_is_sharp(self):
         # at sigma just above the floor the diagnostic clears zero
         # everywhere; just below it dips negative near the argmax strike
-        s, h = sigma_star_with_argmax(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
+        s, h = _sigma_star_trusted(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)[:2]
         above = NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 + 1e-6))
         assert np.min(_grid_g(above)) >= -1e-12
         below = denormalize(
@@ -336,7 +334,7 @@ class TestCheckNoArbitrage:
         assert diag.threshold == pytest.approx(-0.4995678944855586, abs=1e-12)
 
     def test_curvature_failure(self):
-        s, _ = sigma_star_with_argmax(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
+        s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
         p = denormalize(NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 0.5 * s))
         diag = check_no_arbitrage(p)
         assert diag.status is Status.FAILURE4
@@ -360,7 +358,7 @@ class TestCheckNoArbitrage:
             check_no_arbitrage(SviParams(a=0.1, b=0.5, rho=0.0, m=0.0, sigma=0.0))
 
     def test_sigma_star_boundary_flip(self):
-        s, _ = sigma_star_with_argmax(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
+        s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
         above = denormalize(
             NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 + 1e-8))
         )
@@ -421,7 +419,7 @@ class TestDifferentialOracle:
             g_min = float(np.min(durrleman_g(params, sigma * (l_grid + mu))))
             assert (status is Status.FREE) == (g_min >= -1e-10), (where, g_min)
             if status is Status.FAILURE4:
-                _, h = sigma_star_with_argmax(alpha, b, rho, mu)
+                h = _sigma_star_trusted(alpha, b, rho, mu)[1]
                 assert durrleman_g(params, sigma * (1.0 / h + mu)) < 0.0, where
         assert min(seen.values()) >= 50, seen
 

@@ -5,12 +5,15 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from butterfree.domain import _threshold_partials
 from butterfree.errors import DomainError, FukasawaViolated, NoFiniteOptimum
 from butterfree.fukasawa import (
+    _LEVEL_EDGE,
     L_minus,
     L_plus,
     MuInterval,
@@ -22,6 +25,7 @@ from butterfree.fukasawa import (
     l_star,
     mu_interval,
     threshold_rho0_closed_form,
+    threshold_with_optimizers,
 )
 from butterfree.svi import NormalizedParams, g_split, n_funcs
 from conftest import VOGT
@@ -442,6 +446,90 @@ class TestThreshold:
                 warnings.warn(
                     f"threshold {f} at or below floor {floor} for (b, rho) = ({b}, {rho})",
                     stacklevel=1,
+                )
+
+
+#: (b, rho) at which the threshold's gap is already open at the first level
+#: of its search: a tiny b, and 1 - |rho| of 5.4e-11.
+FLOOR_TINY_B = (1.373349053970226e-08, 0.0007057328590045486)
+FLOOR_NEAR_RHO_ONE = (0.4568528468207588, -0.9999999999464029)
+
+
+def gap_50_digits(b: float, rho: float, level) -> mpmath.mpf:
+    """inf L_plus - sup L_minus at alpha = b*level, in 50 digits.
+
+    Each bound's optimizer is the root of g_pm(l) = level on the far side
+    of the side's anchor (the vertex where g_pm runs monotone into it),
+    bisected in 50 digits in a bracket walked out from the anchor.
+    """
+    with mpmath.workdps(50):
+        b_, r_, level = mpmath.mpf(b), mpmath.mpf(rho), mpmath.mpf(level)
+        vertex = -r_ / mpmath.sqrt(1 - r_ * r_)
+
+        def g(l, c):
+            r = mpmath.sqrt(l * l + 1)
+            base = r_ * r + l
+            return base * base * (r * (mpmath.mpf(0.5) + c * r_) + c * l) - (r_ * l + r)
+
+        def bound(side):
+            # c = +-b/4 and the sign of the slope-factor term, by side
+            sign = -1 if side == "-" else 1
+            c = -sign * b_ / 4
+            monotone, anchor = _anchor(b, rho, side)
+            lo = vertex if monotone else mpmath.mpf(anchor)
+            hi = lo + sign
+            while g(hi, c) < level:
+                lo, hi = hi, hi + 2 * (hi - lo)
+            for _ in range(250):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid, c) < level else (lo, mid)
+            r = mpmath.sqrt(lo * lo + 1)
+            n0 = b_ * (level + r_ * lo + r)
+            n1 = b_ * (r_ + lo / r)
+            return 2 * n0 * (1 / n1 - sign * mpmath.mpf(0.25)) - lo
+
+        return bound("+") - bound("-")
+
+
+class TestThresholdAtTheFloor:
+    """Where the gap is already open at the first level of the search,
+    floor + _LEVEL_EDGE, F is the positivity floor -b*sqrt(1-rho^2)."""
+
+    @pytest.mark.parametrize("b, rho", [FLOOR_TINY_B, FLOOR_NEAR_RHO_ONE],
+                             ids=["tiny-b", "near-rho-one"])
+    def test_threshold_is_the_floor(self, b, rho):
+        f, l_minus, l_plus = threshold_with_optimizers(b, rho)
+        assert f == -b * math.sqrt(1.0 - rho * rho)
+        assert math.isnan(l_minus) and math.isnan(l_plus)
+
+    @pytest.mark.parametrize("b, rho", [
+        FLOOR_TINY_B,
+        pytest.param(*FLOOR_NEAR_RHO_ONE, marks=pytest.mark.xfail(strict=True, reason=(
+            "the float gap near the vertex has no digits left: in 50 digits "
+            "the gap is -9.66e4 here and F is -4.096e-6, not the floor -4.730e-6"
+        ))),
+    ], ids=["tiny-b", "near-rho-one"])
+    def test_gap_is_open_at_the_first_level(self, b, rho):
+        with mpmath.workdps(50):
+            level = -mpmath.sqrt(1 - mpmath.mpf(rho) ** 2) + _LEVEL_EDGE
+            assert gap_50_digits(b, rho, level) > 0
+
+    def test_partials_match_difference_quotients(self):
+        def quotient(f, x, h):
+            return (f(x + h) - f(x - h)) / ((x + h) - (x - h))
+
+        # near |rho| = 1 a step of 1e-14 in rho already leaves the floor
+        # branch, so only the b column is checked there
+        for (b, rho), along_rho in ((FLOOR_TINY_B, True), (FLOOR_NEAR_RHO_ONE, False)):
+            f_b, f_rho = _threshold_partials(
+                b, rho, fukasawa_threshold(b, rho), math.nan, math.nan
+            )
+            assert f_b == pytest.approx(
+                quotient(lambda x: fukasawa_threshold(x, rho), b, 1e-6 * b), rel=1e-9
+            )
+            if along_rho:
+                assert f_rho == pytest.approx(
+                    quotient(lambda x: fukasawa_threshold(b, x), rho, 1e-6), rel=1e-6
                 )
 
 
