@@ -19,11 +19,13 @@ what makes the critical points unique and bracketable.
 
 The interval is non-empty exactly when alpha exceeds a threshold F(b, rho),
 the root of the strictly increasing gap alpha -> inf L_plus - sup L_minus.
-Every solve here is a safeguarded Newton iteration on exact derivatives:
-g_pm' in closed form for the critical points and, by the envelope theorem,
-the gap's slope from the bound partials at them.  Everything here requires
-the wing slopes b*(1 -+ rho) to stay at or below 2; beyond that limit no
-smile is arbitrage free.
+Every solve here is a safeguarded Newton iteration on exact derivatives.
+A critical point alone is Newton on the closed-form g_pm'.  F is one
+Newton iteration on the level and both critical points together: each
+step moves every l once toward the current level and then the level by
+the gap's slope, which the envelope theorem takes from the bound partials
+at those l.  Everything here requires the wing slopes b*(1 -+ rho) to stay
+at or below 2; beyond that limit no smile is arbitrage free.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ from .errors import (
     DomainError,
     FukasawaViolated,
     NoFiniteOptimum,
+    NumericFailure,
 )
-from .numerics import Bracket, expand_bracket, newton_root, require_finite
+from .numerics import _X_TOL, Bracket, expand_bracket, newton_root, require_finite
 from .svi import n_funcs
 
 #: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
@@ -99,7 +102,7 @@ def bound_partials(
     if side not in ("-", "+"):
         raise DomainError(f"side must be '-' or '+', got {side!r}")
     n0, n1, _, _ = n_funcs(alpha, b, rho, l)
-    factor = 1.0 / n1 + (0.25 if side == "-" else -0.25)
+    factor = _inverse_slope(n1, l) + (0.25 if side == "-" else -0.25)
     d_alpha = 2.0 * factor
     d_b = 2.0 * (rho * l + math.sqrt(l * l + 1.0)) * factor - 2.0 * n0 / (b * n1)
     d_rho = 2.0 * b * l * factor - 2.0 * n0 * b / (n1 * n1)
@@ -202,69 +205,80 @@ def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
     is unique.  Raises NoFiniteOptimum at the slope limit and DomainError
     for alpha below the admissible floor -b*sqrt(1-rho^2).
     """
-    monotone, anchor = _anchor(b, rho, side)
+    monotone, _ = _anchor(b, rho, side)
     floor = -b * math.sqrt(1.0 - rho * rho)
     if alpha < floor or (monotone and alpha <= floor):
         raise DomainError(
             f"alpha = {alpha} is below the admissible floor {floor} for this smile"
         )
-    level = alpha / b
-    return _critical_point(b, rho, side, level, *_expand(b, rho, side, level, anchor))[0]
-
-
-#: An evaluated point (l, g_pm(l)) of one half-line.
-_Probe = tuple[float, float]
-
-
-def _expand(
-    b: float, rho: float, side: str, level: float, start: float
-) -> tuple[_Probe, _Probe]:
-    """Evaluated points under and over the level, found by walking away
-    from the vertex from a point ``start`` where g_pm is under it."""
-
-    def f(l: float) -> float:
-        return g_pm(b, rho, l, side) - level
-
-    bracket = expand_bracket(f, start, -1 if side == "-" else 1)
-    lo = (bracket.lo, bracket.f_lo + level)
-    hi = (bracket.hi, bracket.f_hi + level)
-    return (lo, hi) if bracket.f_lo < 0.0 else (hi, lo)
+    return _critical_point(b, rho, side, alpha / b)
 
 
 def _critical_point(
-    b: float, rho: float, side: str, level: float, under: _Probe, over: _Probe,
-    start: float | None = None,
-) -> tuple[float, _Probe, _Probe, float]:
-    """The root of g_pm(l) = level between an evaluated point under the
-    level and one over it, by Newton on the closed-form g_pm' from
-    ``start`` (by default the secant point of the two).
-
-    Returns the root, the tightest evaluated points under and over the
-    level, and g_pm' at the last point evaluated.  g_pm is monotone on the
-    far side of its anchor, so those points bracket the root for every
-    level between their values.
-    """
-    slope_seen = math.nan
-
-    def f(l: float) -> tuple[float, float]:
-        nonlocal under, over, slope_seen
-        g, slope_seen = _g_pm_slope(b, rho, l, side)
-        if g < level:
-            if g > under[1]:
-                under = (l, g)
-        elif g > level and g < over[1]:
-            over = (l, g)
-        return g - level, slope_seen
-
-    (l_u, g_u), (l_o, g_o) = under, over
+    b: float, rho: float, side: str, level: float, start: float | None = None
+) -> float:
+    """The root of g_pm(l) = level, bracketed by walking away from the
+    side's anchor, by Newton on the closed-form g_pm' from ``start`` (by
+    default the secant point of the bracket)."""
+    _, anchor = _anchor(b, rho, side)
+    bracket = expand_bracket(
+        lambda l: g_pm(b, rho, l, side) - level, anchor, -1 if side == "-" else 1
+    )
     if start is None:
+        # the secant point of the evaluated points under and over the level
+        (l_u, f_u), (l_o, f_o) = (bracket.lo, bracket.f_lo), (bracket.hi, bracket.f_hi)
+        if f_u > 0.0:
+            (l_u, f_u), (l_o, f_o) = (l_o, f_o), (l_u, f_u)
+        g_u, g_o = f_u + level, f_o + level
         start = l_u + (level - g_u) * (l_o - l_u) / (g_o - g_u)
-    if l_u < l_o:
-        bracket = Bracket(l_u, l_o, g_u - level, g_o - level)
-    else:
-        bracket = Bracket(l_o, l_u, g_o - level, g_u - level)
-    root = newton_root(f, bracket, start)
-    return root, under, over, slope_seen
+    return newton_root(lambda l: _residual(b, rho, side, level, l), bracket, start)
+
+
+def _residual(
+    b: float, rho: float, side: str, level: float, l: float,
+    shape: tuple[int, float] | None = None,
+) -> tuple[float, float]:
+    """g_pm(l) - level and its l-derivative, or with shape = (p, g_pm(anchor))
+    the difference of the p-th roots of g_pm(l) - g_pm(anchor) and
+    level - g_pm(anchor).
+
+    Away from the side's anchor, g_pm - g_pm(anchor) grows like
+    |l - anchor|^p: p = 3 where g_pm runs monotone into the vertex, at
+    level -sqrt(1-rho^2), and p = 2 at a turning point.  So g_pm' vanishes
+    at the anchor and Newton on g_pm creeps toward a root near it, while
+    the p-th root grows about linearly.  Both residuals have the sign of
+    g_pm(l) - level.
+    """
+    g, slope = _g_pm_slope(b, rho, l, side)
+    if shape is None:
+        return g - level, slope
+    power, base = shape
+    root = _root(g - base, power)
+    d_root = slope / (power * abs(root) ** (power - 1)) if root else 0.0
+    return root - _root(level - base, power), d_root
+
+
+def _root(x: float, power: int) -> float:
+    """The real power-th root of x, signed: ** of a negative float to a
+    fractional power is complex, and math.cbrt needs Python 3.11."""
+    return math.copysign(abs(x) ** (1.0 / power), x)
+
+
+def _vertex_start(b: float, rho: float, side: str, level: float) -> float | None:
+    """Newton's start for the root of g_pm(l) = level on a side where g_pm
+    runs monotone into the vertex, or None where the cubic below is flat.
+
+    Near l_star, g_pm(l) + sqrt(1-rho^2) ~ c*(l - l_star)^3, with
+    c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the side's factor' at
+    l_star; the start is the root of that cubic.
+    """
+    one_m_r2 = 1.0 - rho * rho
+    wing = b * one_m_r2 / 4.0
+    cubic = abs(one_m_r2 * one_m_r2 * ((wing if side == "-" else -wing) - rho / 2.0))
+    if cubic == 0.0:
+        return None
+    offset = ((level + math.sqrt(one_m_r2)) / cubic) ** (1.0 / 3.0)
+    return l_star(rho) + (offset if side == "+" else -offset)
 
 
 def _wing_slopes(b: float, rho: float) -> tuple[float, float]:
@@ -343,8 +357,16 @@ def _bound_at(
 ) -> tuple[float, float]:
     """L_minus or L_plus at l, and its alpha-derivative."""
     n0, n1, _, _ = n_funcs(alpha, b, rho, l)
-    factor = 1.0 / n1 + (0.25 if side == "-" else -0.25)
+    factor = _inverse_slope(n1, l) + (0.25 if side == "-" else -0.25)
     return 2.0 * n0 * factor - l, 2.0 * factor
+
+
+def _inverse_slope(n1: float, l: float) -> float:
+    """1/N'(l), or NumericFailure where N' rounds to 0: so close to the
+    vertex that floating point no longer tells it from l."""
+    if n1 == 0.0:
+        raise NumericFailure(f"N'({l}) rounds to 0; the bound is not resolved there")
+    return 1.0 / n1
 
 
 def fukasawa_threshold(b: float, rho: float) -> float:
@@ -363,129 +385,103 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     the interval bounds there (nan on a side at its slope limit, and
     wherever F is 0 or the positivity floor).
 
-    Newton runs on the gap in the level alpha/b, where D and its slope
+    F solves three equations in (level, l_minus, l_plus), with the level
+    alpha/b: g_pm(l_pm) = level on each side, and D = 0 for the gap
+    D = L_plus(l_plus) - L_minus(l_minus).  In the level, D and its slope
     b*D'(alpha) = b*(2/N'(l_plus) - 2/N'(l_minus) - 1) stay of order one
-    however small b is.  It starts at the floor plus _LEVEL_EDGE; if the
-    gap is already open there, F is the floor -b*sqrt(1-rho^2) itself.
-    Since D' > 1, the gap is positive a level distance 1.25*|D|/b further
-    on, which certifies the bracket.  l_minus falls and l_plus rises with
-    the level, so points evaluated at the bracket's ends bracket every
-    critical point inside it: after one walk out to the upper end no
-    bracket expansion is needed.
+    however small b is.  The first level, the floor plus _LEVEL_EDGE, is
+    solved exactly; if the gap is already open there, F is the floor
+    -b*sqrt(1-rho^2) itself.  Since D' > 1, the gap is positive a level
+    distance 1.25*|D|/b further on, which certifies the level bracket.
+
+    From there one safeguarded Newton iteration runs on the level.  At each
+    level it takes one Newton step of each l toward it, on the p-th root of
+    g_pm - g_pm(anchor) (_residual), and evaluates the gap at those l.
+    L_pm has zero l-derivative at a critical point, so that gap is off by
+    the square of the l error, and the envelope slope steps the level.
+    L_minus(l) <= sup L_minus and L_plus(l) >= inf L_plus at every l of
+    their half-lines, so a negative gap certifies the bracket's lower end
+    wherever it is evaluated.  A gap that is not negative counts only at
+    converged critical points: the l are stepped on at that level while
+    their steps at least halve, and a side whose steps do not is solved
+    exactly.  So is a side whose step would fall back past its critical
+    point at the first level, or leave the floats.
     """
     slope_left, slope_right = _wing_slopes(b, rho)
     if abs(rho) == 1.0:
         return 0.0, math.nan, math.nan
-    limited = {"-": slope_left >= 2.0 - SLOPE_EQ_TOL, "+": slope_right >= 2.0 - SLOPE_EQ_TOL}
-    if all(limited.values()):
+    sides = [
+        side for side, slope in (("-", slope_left), ("+", slope_right))
+        if slope < 2.0 - SLOPE_EQ_TOL
+    ]
+    if not sides:
         return 0.0, math.nan, math.nan
-    level_floor = -math.sqrt(1.0 - rho * rho)
-    level_lo = level_floor + _LEVEL_EDGE
-    lines = {
-        side: _HalfLine(b, rho, side, level_lo) for side in "-+" if not limited[side]
+    depth = math.sqrt(1.0 - rho * rho)
+    level_lo = _LEVEL_EDGE - depth
+    anchors = {side: _anchor(b, rho, side) for side in sides}
+    shapes = {
+        side: (3, -depth) if monotone else (2, g_pm(b, rho, anchor, side))
+        for side, (monotone, anchor) in anchors.items()
     }
-    points = {"-": math.nan, "+": math.nan}
+    first = {
+        side: _critical_point(
+            b, rho, side, level_lo,
+            _vertex_start(b, rho, side, level_lo) if anchors[side][0] else None,
+        )
+        for side in sides
+    }
+    points = dict(first)
+
+    def step_sides(level: float, which) -> dict[str, float]:
+        """One Newton step toward level of the l on each side in ``which``;
+        by side, each step's size relative to max(1, |l|) that exceeds the
+        root tolerance."""
+        moved = {}
+        for side in which:
+            l = points[side]
+            value, slope = _residual(b, rho, side, level, l, shapes[side])
+            l_next = l - value / slope if slope else math.nan
+            outward = l_next < first[side] if side == "-" else l_next > first[side]
+            if outward and math.isfinite(l_next):
+                points[side] = l_next
+                step = abs(l_next - l) / max(1.0, abs(l))
+                if step > _X_TOL:
+                    moved[side] = step
+            else:
+                points[side] = _critical_point(b, rho, side, level)
+        return moved
 
     def gap(level: float) -> tuple[float, float]:
         alpha = b * level
         # the bounds are -+alpha/2 on a side at its slope limit
         lower, d_lower, upper, d_upper = -alpha / 2.0, -0.5, alpha / 2.0, 0.5
-        for side, line in lines.items():
-            points[side] = l = line.solve(level)
-            if side == "-":
-                lower, d_lower = _bound_at(l, alpha, b, rho, side)
-            else:
-                upper, d_upper = _bound_at(l, alpha, b, rho, side)
-        value = upper - lower
-        for line in lines.values():
-            line.narrow(value < 0.0)
-        return value, b * (d_upper - d_lower)
+        if "-" in points:
+            lower, d_lower = _bound_at(points["-"], alpha, b, rho, "-")
+        if "+" in points:
+            upper, d_upper = _bound_at(points["+"], alpha, b, rho, "+")
+        return upper - lower, b * (d_upper - d_lower)
+
+    def joint(level: float) -> tuple[float, float]:
+        moved = step_sides(level, points)
+        value, slope = gap(level)
+        while value >= 0.0 and moved:
+            # a gap that is not negative counts only at critical points:
+            # step on while Newton converges, and solve the rest exactly
+            last, moved = moved, step_sides(level, moved)
+            for side in [side for side in moved if moved[side] > 0.5 * last[side]]:
+                points[side] = _critical_point(b, rho, side, level)
+                del moved[side]
+            value, slope = gap(level)
+        return value, slope
 
     gap_lo, slope_lo = gap(level_lo)
     if gap_lo > 0.0:
         # Open near the floor already; the threshold collapses onto it.
-        return -b * math.sqrt(1.0 - rho * rho), math.nan, math.nan
-    if gap_lo == 0.0:
-        return b * level_lo, points["-"], points["+"]
-    level_hi = level_lo + 1.25 * abs(gap_lo) / b + _LEVEL_EDGE
-    for side, line in lines.items():
-        line.over = _expand(b, rho, side, level_hi, points[side])[1]
-    # D' > 1 gives D(level_hi) > gap_lo + 1.25*|gap_lo|, a certified bound
-    bracket = Bracket(level_lo, level_hi, gap_lo, 0.25 * abs(gap_lo))
-    level = newton_root(gap, bracket, level_lo - gap_lo / slope_lo)
-    return b * level, points["-"], points["+"]
-
-
-class _HalfLine:
-    """The critical point l(level) of one side, tracked along the
-    threshold's Newton iteration.
-
-    ``under`` and ``over`` are evaluated points under and over every level
-    still inside the iteration's bracket; narrow() tightens them once the
-    gap's sign says which end of the bracket moved.  The first solve starts
-    from their secant point, each later one a Newton step on from the last
-    root.  On a side where g_pm runs monotone into the vertex l_star, g_pm'
-    and g_pm'' vanish there, so Newton creeps toward a root near it; there
-    the starts follow g_pm(l) + sqrt(1-rho^2) ~ c*(l - l_star)^3, with
-    c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the side's factor' at
-    l_star: the first from c itself, each later one by rescaling the last
-    root's offset from l_star.
-    """
-
-    def __init__(self, b: float, rho: float, side: str, level: float) -> None:
-        self.b, self.rho, self.side = b, rho, side
-        monotone, anchor = _anchor(b, rho, side)
-        self.under, self.over = _expand(b, rho, side, level, anchor)
-        one_m_r2 = 1.0 - rho * rho
-        wing = b * one_m_r2 / 4.0
-        cubic = one_m_r2 * one_m_r2 * ((wing if side == "-" else -wing) - rho / 2.0)
-        # (l_star, |c|, sqrt(1-rho^2)) where the cubic model applies
-        self.cubic = None
-        if monotone and cubic != 0.0:
-            self.cubic = anchor, abs(cubic), math.sqrt(one_m_r2)
-        self.last: tuple[float, float, float] | None = None
-        self.probes = self.under, self.over
-
-    def solve(self, level: float) -> float:
-        start = None
-        if self.cubic is not None:
-            vertex, c, depth = self.cubic
-            if self.last is None:
-                offset = ((level + depth) / c) ** (1.0 / 3.0)
-                start = vertex + (offset if self.side == "+" else -offset)
-            else:
-                level_0, l_0, _ = self.last
-                ratio = (level + depth) / (level_0 + depth)
-                start = vertex + (l_0 - vertex) * ratio ** (1.0 / 3.0)
-        elif self.last is not None:
-            level_0, l_0, slope_0 = self.last
-            if slope_0 != 0.0:
-                start = l_0 + (level - level_0) / slope_0
-        l, under, over, slope = _critical_point(
-            self.b, self.rho, self.side, level, self.under, self.over, start
-        )
-        self.probes = under, over
-        self.last = level, l, slope
-        return l
-
-    def narrow(self, below_root: bool) -> None:
-        """The last level solved becomes the bracket's lower end if
-        ``below_root``, its upper end otherwise."""
-        if below_root:
-            self.under = self.probes[0]
-        else:
-            self.over = self.probes[1]
-
-
-def threshold_rho0_closed_form(b: float) -> float:
-    """Closed form of the threshold on the symmetric axis rho = 0.
-
-    Valid for 0 < b < 2: the critical point solves a cubic whose relevant
-    root is l = -6b/sqrt((b^2-4)(b^2-16)), and the threshold is b*g_minus
-    there.  Serves as an independent check of the root-finding route.
-    """
-    if not 0.0 < b < 2.0:
-        raise DomainError(f"closed form requires 0 < b < 2, got b={b}")
-    disc = (b * b - 4.0) * (b * b - 16.0)
-    l_hat = -6.0 * b / math.sqrt(disc)
-    return b * g_pm(b, 0.0, l_hat, "-")
+        return -b * depth, math.nan, math.nan
+    level = level_lo
+    if gap_lo < 0.0:
+        level_hi = level_lo + 1.25 * abs(gap_lo) / b + _LEVEL_EDGE
+        # D' > 1 gives D(level_hi) > gap_lo + 1.25*|gap_lo|, a certified bound
+        bracket = Bracket(level_lo, level_hi, gap_lo, 0.25 * abs(gap_lo))
+        level = newton_root(joint, bracket, level_lo - gap_lo / slope_lo)
+    return b * level, points.get("-", math.nan), points.get("+", math.nan)

@@ -18,6 +18,7 @@ from conftest import (
     params_vector,
     rel_fro,
 )
+from reference import threshold_rho0_closed_form
 
 from butterfree.black_scholes import call_price
 from butterfree.calibration import CalibrationConfig, calibrate
@@ -37,7 +38,6 @@ from butterfree.fukasawa import (
     l_pm_of_alpha,
     l_star,
     mu_interval,
-    threshold_rho0_closed_form,
 )
 from butterfree.market_data import (
     build_vol_slice,

@@ -207,8 +207,8 @@ class TestCalibrate:
         # exact data from a box point with v = 0: the winner's image lands
         # a hair under its re-certified sigma_star, and one nudge of sigma
         # clears it
-        x = (0.13747569842815788, 0.6295888397686957, 0.4158877411226808,
-             -0.2977677509861759, 0.0)
+        x = (0.051548893578729604, 0.21862110594035816, 2.30841820287942,
+             0.11841977219946109, 0.0)
         k = np.linspace(-0.8, 0.8, 17)
         s = MarketSlice(k=k, w_mid=svi(SviParams(*BoxChart(5.0).point(x).raw), k))
         check = calibration_module.check_no_arbitrage

@@ -264,6 +264,21 @@ def row2_slice_with(**changes) -> dict:
     return doc
 
 
+#: (b, rho) where N' rounds to 0 at a critical point of the threshold solve.
+FLAT_VERTEX = ["--b", "5.169873948587552e-09", "--rho", "-0.9999999999999987"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold"] + FLAT_VERTEX,
+    ["check", "--a", "0.01"] + FLAT_VERTEX + ["--m", "0", "--sigma", "0.1"],
+], ids=["threshold", "check"])
+def test_unresolved_vertex_exits_70(capsys, argv):
+    rc, _, err = run(capsys, argv)
+    assert rc == 70
+    assert err.startswith("numeric failure:")
+    assert "Traceback" not in err
+
+
 class TestBadInputFiles:
     """Malformed documents exit 64 with a message naming the field."""
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from butterfree import fukasawa
 from butterfree.domain import _threshold_partials
 from butterfree.errors import DomainError, FukasawaViolated, NoFiniteOptimum
 from butterfree.fukasawa import (
@@ -24,11 +25,11 @@ from butterfree.fukasawa import (
     l_pm_of_alpha,
     l_star,
     mu_interval,
-    threshold_rho0_closed_form,
     threshold_with_optimizers,
 )
 from butterfree.svi import NormalizedParams, g_split, n_funcs
 from conftest import VOGT
+from reference import threshold_rho0_closed_form
 
 #: Vogt alpha/b/rho in normalized coordinates; the running example.
 V_ALPHA = VOGT.a / VOGT.sigma
@@ -180,8 +181,9 @@ class TestGPm:
             )
 
     def test_flat_to_second_order_at_the_vertex(self):
-        # g_pm' and g_pm'' vanish at l_star, which the threshold's cubic
-        # start on a monotone side relies on
+        # g_pm' and g_pm'' vanish at l_star, so on a monotone side
+        # g_pm + sqrt(1-rho^2) grows like (l - l_star)^3: the threshold
+        # steps such a side on its cube root, whose slope does not vanish
         for rho in (-0.6, 0.0, 0.3):
             ls = l_star(rho)
             for side in "-+":
@@ -531,6 +533,71 @@ class TestThresholdAtTheFloor:
                 assert f_rho == pytest.approx(
                     quotient(lambda x: fukasawa_threshold(b, x), rho, 1e-6), rel=1e-6
                 )
+
+
+def threshold_cases(seed: int, n: int, rho_gap: float) -> list[tuple[float, float]]:
+    """n seeded (b, rho) with 1 - |rho| >= rho_gap: every fourth b puts the
+    steeper wing slope within 1e-6..1e-2 of 2, the rest are log-uniform
+    from 1e-8 up to that limit.  Both turning and monotone sides occur."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        rho = float(rng.uniform(-1.0 + rho_gap, 1.0 - rho_gap))
+        if i % 4 == 0:
+            b = (2.0 - 10.0 ** rng.uniform(-6.0, -2.0)) / (1.0 + abs(rho))
+        else:
+            b = math.exp(rng.uniform(math.log(1e-8), math.log(2.0 / (1.0 + abs(rho)))))
+        cases.append((b, rho))
+    return cases
+
+
+class TestJointThresholdSolve:
+    """threshold_with_optimizers solves (level, l_minus, l_plus) in one
+    Newton iteration whose level bracket rests on the evaluated gap never
+    being below the gap at the critical points."""
+
+    def test_g_evaluations_per_threshold(self, monkeypatch):
+        cases = threshold_cases(31, 200, 1e-3)
+        assert {_anchor(b, rho, side)[0] for b, rho in cases for side in "-+"
+                if b * (1.0 + abs(rho)) < 2.0} == {False, True}
+        calls = []
+        g_pm_slope = fukasawa._g_pm_slope
+        monkeypatch.setattr(
+            fukasawa, "_g_pm_slope", lambda *a: calls.append(1) or g_pm_slope(*a)
+        )
+        for b, rho in cases:
+            fukasawa_threshold(b, rho)
+        # the nested solve, with each level's critical points solved to
+        # full precision, took 63 per threshold here
+        assert len(calls) / len(cases) <= 40.0
+
+    def test_gap_changes_sign_at_the_threshold_in_50_digits(self):
+        for b, rho in threshold_cases(37, 40, 1e-4):
+            level = fukasawa_threshold(b, rho) / b
+            assert gap_50_digits(b, rho, level - 1e-10) < 0, (b, rho)
+            assert gap_50_digits(b, rho, level + 1e-10) > 0, (b, rho)
+
+    def test_off_critical_gap_is_never_below_the_critical_gap(self):
+        # L_minus(l) <= sup L_minus and L_plus(l) >= inf L_plus on each
+        # half-line, so a negative evaluated gap certifies a level below F
+        rng = np.random.default_rng(43)
+        for b, rho in threshold_cases(41, 40, 1e-3):
+            if b * (1.0 + abs(rho)) >= 2.0 - 1e-9:
+                continue
+            alpha = fukasawa_threshold(b, rho) + b * float(rng.uniform(-0.01, 0.5))
+            if not alpha > -b * math.sqrt(1.0 - rho * rho):
+                continue
+            l_minus, l_plus = (l_pm_of_alpha(alpha, b, rho, side) for side in "-+")
+            critical = L_plus(l_plus, alpha, b, rho) - L_minus(l_minus, alpha, b, rho)
+            vertex = l_star(rho)
+            for _ in range(25):
+                # off by a factor of 1e-4..10 of each optimizer's distance
+                # from the vertex, inward or outward
+                moves = rng.choice((-1.0, 1.0), 2) * 10.0 ** rng.uniform(-4.0, 1.0, 2)
+                off_minus = l_minus + (l_minus - vertex) * max(moves[0], -0.99)
+                off_plus = l_plus + (l_plus - vertex) * max(moves[1], -0.99)
+                evaluated = L_plus(off_plus, alpha, b, rho) - L_minus(off_minus, alpha, b, rho)
+                assert evaluated >= critical - 1e-12 * max(1.0, abs(critical)), (b, rho)
 
 
 class TestClosedForm:
