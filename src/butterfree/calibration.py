@@ -193,11 +193,7 @@ def sigma_upper_bound(slice_: MarketSlice) -> float:
 def vega_weights(slice_: MarketSlice) -> np.ndarray:
     """Black-Scholes total-vol vegas of the mid quotes, used as residual
     weights; computed once from the data, not from the model."""
-    out = np.empty(len(slice_))
-    for i, (k, w) in enumerate(zip(slice_.k, slice_.w_mid)):
-        d1, _ = d1_d2(float(k), math.sqrt(float(w)))
-        out[i] = norm_pdf(d1)
-    return out
+    return norm_pdf(d1_d2(slice_.k, np.sqrt(slice_.w_mid))[0])
 
 
 class _Objective:

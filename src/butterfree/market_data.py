@@ -13,13 +13,13 @@ import csv
 import datetime as dt
 import io
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .black_scholes import implied_total_vol
+from .black_scholes import implied_total_vols, inversion_error
 from .calibration import MarketSlice
 from .errors import (
     EmptySlice,
@@ -33,6 +33,7 @@ from .errors import (
 _strike = attrgetter("strike")
 
 _REQUIRED_COLUMNS = ("expiry", "strike", "kind", "bid", "ask")
+_KINDS = {"c": "call", "call": "call", "p": "put", "put": "put"}
 
 #: Average year length in days used to turn expiry dates into maturities.
 DAYS_PER_YEAR = 365.25
@@ -102,24 +103,14 @@ class OptionChain:
             seen.add(key)
         if self.spot is not None and not self.spot > 0.0:
             raise InvalidInput(f"spot must be positive, got {self.spot}")
-        # legs() bisects this strike-sorted view; it holds references only,
+        # pairs() walks this strike-sorted view; it holds references only,
         # so it costs far less memory than a dict index of the quotes
         object.__setattr__(self, "_by_strike", tuple(sorted(self.quotes, key=_strike)))
 
-    def strikes(self) -> list[float]:
-        return sorted({q.strike for q in self.quotes})
-
-    def legs(self, strike: float) -> tuple[OptionQuote | None, OptionQuote | None]:
-        """The (call, put) pair quoted at a strike, either possibly absent."""
-        call = put = None
-        i = bisect_left(self._by_strike, strike, key=_strike)
-        for q in self._by_strike[i:i + 2]:
-            if q.strike == strike:
-                if q.kind == "call":
-                    call = q
-                else:
-                    put = q
-        return call, put
+    def pairs(self) -> list[tuple[float, OptionQuote | None, OptionQuote | None]]:
+        """(strike, call, put) for every quoted strike, in increasing order."""
+        legs = [(s, {q.kind: q for q in group}) for s, group in groupby(self._by_strike, key=_strike)]
+        return [(strike, leg.get("call"), leg.get("put")) for strike, leg in legs]
 
 
 @dataclass(frozen=True)
@@ -135,27 +126,38 @@ class SkippedQuote:
     reason: str
 
 
-def _parse_row(line: int, row: dict) -> OptionQuote | tuple[None, str]:
-    kind = (row.get("kind") or "").strip().lower()
-    if kind in ("c", "call"):
-        kind = "call"
-    elif kind in ("p", "put"):
-        kind = "put"
-    else:
-        return None, f"unknown kind {row.get('kind')!r}"
+def _parse_row(expiry, strike, kind, bid, ask) -> OptionQuote | str:
+    """A row's required fields (None past a short row's end) as a quote, or
+    the reason they are not one."""
+    side = _KINDS.get((kind or "").strip().lower())
+    if side is None:
+        return f"unknown kind {kind!r}"
     try:
-        strike = float(row["strike"])
-        bid = float(row["bid"])
-        ask = float(row["ask"])
+        strike, bid, ask = float(strike), float(bid), float(ask)
     except (TypeError, ValueError) as exc:
-        return None, f"non-numeric field: {exc}"
-    expiry = (row.get("expiry") or "").strip()
+        return f"non-numeric field: {exc}"
+    expiry = (expiry or "").strip()
     if not expiry:
-        return None, "missing expiry"
+        return "missing expiry"
     try:
-        return OptionQuote(strike=strike, expiry=expiry, kind=kind, bid=bid, ask=ask)
+        return OptionQuote(strike=strike, expiry=expiry, kind=side, bid=bid, ask=ask)
     except InvalidInput as exc:
-        return None, str(exc)
+        return str(exc)
+
+
+def _take_spot(text: str | None, expiry: str, spots: dict[str, float]) -> str | None:
+    """Record a row's spot, if it has one, for its expiry; or say why not."""
+    if not (text or "").strip():
+        return None
+    try:
+        spot = float(text)
+    except ValueError:
+        return "non-numeric spot"
+    prior = spots.get(expiry)
+    if prior is not None and abs(prior - spot) > 1e-9 * max(1.0, abs(prior)):
+        return f"spot {spot} conflicts with {prior}"
+    spots[expiry] = spot
+    return None
 
 
 def load_chain(source) -> tuple[list[OptionChain], list[RejectedRow]]:
@@ -179,51 +181,49 @@ def _load_stream(handle) -> tuple[list[OptionChain], list[RejectedRow]]:
     text = handle.read()
     if not text.strip():
         return [], []
-    reader = csv.DictReader(io.StringIO(text))
-    header = [h.strip().lower() for h in reader.fieldnames or []]
-    missing = [c for c in _REQUIRED_COLUMNS if c not in header]
+    reader = csv.reader(io.StringIO(text))
+    names = next(reader, [])
+    # columns are read as a dict of the row would hold them: a repeated
+    # name keeps its last column, and names match stripped and lower-cased
+    last = {name: j for j, name in enumerate(names)}
+    cols = {name.strip().lower(): j for name, j in last.items()}
+    missing = [c for c in _REQUIRED_COLUMNS if c not in cols]
     if missing:
         raise ParseError(f"header is missing columns: {', '.join(missing)}")
-    has_spot = "spot" in header
+    width, required = len(names), itemgetter(*(cols[c] for c in _REQUIRED_COLUMNS))
+    spot = itemgetter(cols["spot"]) if "spot" in cols else lambda fields: None
+
+    def raw(fields: list) -> str:
+        # one field per distinct name, a short row's missing ones empty and
+        # a long row's surplus appended as a list
+        parts = ["" if fields[j] is None else fields[j] for j in last.values()]
+        return ",".join(parts + [str(fields[width:])] * (len(fields) > width))
 
     rejects: list[RejectedRow] = []
     by_expiry: dict[str, dict[tuple[float, str], OptionQuote]] = {}
     spots: dict[str, float] = {}
-    for line_no, raw_row in enumerate(reader, start=2):
-        row = {k.strip().lower(): v for k, v in raw_row.items() if k is not None}
-        raw = ",".join("" if v is None else str(v) for v in raw_row.values())
-        parsed = _parse_row(line_no, row)
-        if isinstance(parsed, tuple):
-            rejects.append(RejectedRow(line_no, parsed[1], raw))
-            continue
-        quote = parsed
-        quotes = by_expiry.setdefault(quote.expiry, {})
-        key = (quote.strike, quote.kind)
-        if key in quotes:
-            rejects.append(
-                RejectedRow(line_no, f"duplicate {quote.kind} at strike {quote.strike}", raw)
-            )
-            continue
-        if has_spot and (row.get("spot") or "").strip():
-            try:
-                spot = float(row["spot"])
-            except ValueError:
-                rejects.append(RejectedRow(line_no, "non-numeric spot", raw))
+    line_no = 1
+    for fields in reader:
+        if not fields:
+            continue  # a blank line takes no line number
+        line_no += 1
+        fields += [None] * (width - len(fields))
+        quote = reason = _parse_row(*required(fields))
+        if not isinstance(quote, str):
+            quotes = by_expiry.setdefault(quote.expiry, {})
+            key = (quote.strike, quote.kind)
+            if key in quotes:
+                reason = f"duplicate {quote.kind} at strike {quote.strike}"
+            elif (reason := _take_spot(spot(fields), quote.expiry, spots)) is None:
+                quotes[key] = quote
                 continue
-            prior = spots.get(quote.expiry)
-            if prior is not None and abs(prior - spot) > 1e-9 * max(1.0, abs(prior)):
-                rejects.append(
-                    RejectedRow(line_no, f"spot {spot} conflicts with {prior}", raw)
-                )
-                continue
-            spots[quote.expiry] = spot
-        quotes[key] = quote
+        rejects.append(RejectedRow(line_no, reason, raw(fields)))
 
-    chains = []
-    for expiry in sorted(by_expiry):
-        quotes = by_expiry[expiry]
-        ordered = tuple(quotes[key] for key in sorted(quotes))
-        chains.append(OptionChain(expiry=expiry, quotes=ordered, spot=spots.get(expiry)))
+    chains = [
+        OptionChain(expiry=expiry, quotes=tuple(quotes[key] for key in sorted(quotes)),
+                    spot=spots.get(expiry))
+        for expiry, quotes in sorted(by_expiry.items())
+    ]
     return chains, rejects
 
 
@@ -247,20 +247,13 @@ def infer_forward_discount(chain: OptionChain) -> ForwardDiscount:
     slope is -DF and the intercept DF*F.  All strikes with both legs quoted
     enter the regression; the rmse lets callers judge how clean parity held.
     """
-    strikes = []
-    diffs = []
-    for strike in chain.strikes():
-        call, put = chain.legs(strike)
-        if call is None or put is None:
-            continue
-        strikes.append(strike)
-        diffs.append(call.mid - put.mid)
-    if len(strikes) < 2:
+    both = [(strike, call.mid - put.mid) for strike, call, put in chain.pairs()
+            if call is not None and put is not None]
+    if len(both) < 2:
         raise InsufficientPairs(
-            f"parity regression needs two strikes with both legs, got {len(strikes)}"
+            f"parity regression needs two strikes with both legs, got {len(both)}"
         )
-    x = np.asarray(strikes)
-    y = np.asarray(diffs)
+    x, y = np.asarray(both).T
     slope, intercept = np.polyfit(x, y, 1)
     discount = -float(slope)
     if discount <= 0.0:
@@ -273,11 +266,6 @@ def infer_forward_discount(chain: OptionChain) -> ForwardDiscount:
     return ForwardDiscount(forward=forward, discount=discount, residual_rmse=rmse)
 
 
-def _invert(k: float, price: float, kind: str) -> float:
-    theta = implied_total_vol(k, price, kind)
-    return theta * theta
-
-
 def build_vol_slice(
     chain: OptionChain, fd: ForwardDiscount, t: float
 ) -> tuple[MarketSlice, list[SkippedQuote]]:
@@ -288,52 +276,45 @@ def build_vol_slice(
     Per strike the out-of-the-money leg is used (call above the forward, put
     below), falling back to the other leg when that side is not quoted.  A
     zero-bid quote or a strike whose mid cannot be inverted is skipped with a
-    reason; bid or ask sides that fail only produce a NaN on that side.
+    reason; bid or ask sides that fail only produce a NaN on that side.  All
+    mids, bids and asks are inverted in one batch.
     """
     if not t > 0.0:
         raise InvalidInput(f"t must be positive, got {t}")
     scale = fd.discount * fd.forward
-    ks: list[float] = []
-    w_mid: list[float] = []
-    w_bid: list[float] = []
-    w_ask: list[float] = []
-    skipped: list[SkippedQuote] = []
-    for strike in chain.strikes():
-        call, put = chain.legs(strike)
+    picked = []
+    for strike, call, put in chain.pairs():
         preferred = (call, put) if strike >= fd.forward else (put, call)
         quote = preferred[0] if preferred[0] is not None else preferred[1]
-        if quote is None:
-            continue
+        if quote is not None:
+            picked.append((strike, quote))
+    ks = [math.log(strike / fd.forward) for strike, _ in picked]
+    prices = [(q.mid / scale, q.bid / scale, q.ask / scale) for _, q in picked]
+    is_call = [q.kind == "call" for _, q in picked]
+    theta, code = implied_total_vols(
+        np.repeat(ks, 3), np.ravel(prices), np.repeat(is_call, 3))
+    w = (theta * theta).reshape(-1, 3)
+
+    rows, skipped = [], []
+    for i, ((strike, quote), codes) in enumerate(zip(picked, code.reshape(-1, 3).tolist())):
         if quote.bid == 0.0:
             # an empty bid side makes the mid half the spread, not a price
             skipped.append(SkippedQuote(strike, f"{quote.kind} bid is zero"))
             continue
-        k = math.log(strike / fd.forward)
-        try:
-            mid = _invert(k, quote.mid / scale, quote.kind)
-        except PriceOutOfRange as exc:
-            skipped.append(SkippedQuote(strike, f"{quote.kind} mid: {exc}"))
-            continue
-        sides = []
-        for price in (quote.bid, quote.ask):
-            try:
-                sides.append(_invert(k, price / scale, quote.kind))
-            except PriceOutOfRange:
-                sides.append(math.nan)
-        ks.append(k)
-        w_mid.append(mid)
-        w_bid.append(sides[0])
-        w_ask.append(sides[1])
-    if not ks:
+        for side, failed in enumerate(codes):
+            if failed:
+                exc = inversion_error(failed, ks[i], prices[i][side], is_call[i])
+                if not isinstance(exc, PriceOutOfRange):
+                    raise exc
+                if side == 0:
+                    skipped.append(SkippedQuote(strike, f"{quote.kind} mid: {exc}"))
+                    break
+        else:
+            rows.append(i)
+    if not rows:
         raise EmptySlice(f"no invertible quotes for expiry {chain.expiry}")
     slice_ = MarketSlice(
-        k=np.asarray(ks),
-        w_mid=np.asarray(w_mid),
-        w_bid=np.asarray(w_bid),
-        w_ask=np.asarray(w_ask),
-        t=t,
-        forward=fd.forward,
-        discount=fd.discount,
-        expiry=chain.expiry,
+        k=np.asarray(ks)[rows], w_mid=w[rows, 0], w_bid=w[rows, 1], w_ask=w[rows, 2],
+        t=t, forward=fd.forward, discount=fd.discount, expiry=chain.expiry,
     )
     return slice_, skipped

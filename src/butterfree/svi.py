@@ -91,16 +91,6 @@ class NormalizedParams:
             )
 
 
-@dataclass(frozen=True)
-class GSplit:
-    """The butterfly diagnostic split into its sigma-independent factors."""
-
-    g1_plus: float
-    g1_minus: float
-    g1: float
-    g2: float
-
-
 def svi_raw(k, a, b, rho, m, sigma):
     """Total variance w(k) from raw values, with no SviParams validation.
 
@@ -147,17 +137,6 @@ def normalize(params: SviParams) -> NormalizedParams:
     )
 
 
-def denormalize(norm: NormalizedParams) -> SviParams:
-    """Reattach sigma: (alpha, mu) scale back to (a, m)."""
-    return SviParams(
-        a=norm.alpha * norm.sigma,
-        b=norm.b,
-        rho=norm.rho,
-        m=norm.mu * norm.sigma,
-        sigma=norm.sigma,
-    )
-
-
 def n_funcs(alpha: float, b: float, rho: float, l: float) -> tuple[float, float, float, float]:
     """Normalized smile N and its first three derivatives at l.
 
@@ -186,22 +165,6 @@ def durrleman_g(params: SviParams, k):
     w2 = svi_d2(params, k)
     g = (1.0 - kk * w1 / (2.0 * w)) ** 2 - (w1 * w1 / 4.0) * (1.0 / w + 0.25) + w2 / 2.0
     return g if g.ndim else float(g)
-
-
-def g_split(norm: NormalizedParams, l: float) -> GSplit:
-    """Evaluate the split diagnostic at reduced log-strike l.
-
-    Recombines to the raw diagnostic as
-    g(k) = G1(l) + G2(l)/(2*sigma) at k = sigma*(l + mu).
-    """
-    n0, n1, n2, _ = n_funcs(norm.alpha, norm.b, norm.rho, l)
-    if n0 <= 0.0:
-        raise NonPositiveVariance("normalized variance must be positive at l")
-    shift = (l + norm.mu) / (2.0 * n0)
-    g1p = 1.0 - n1 * (shift + 0.25)
-    g1m = 1.0 - n1 * (shift - 0.25)
-    g2 = n2 - n1 * n1 / (2.0 * n0)
-    return GSplit(g1_plus=g1p, g1_minus=g1m, g1=g1p * g1m, g2=g2)
 
 
 def density(params: SviParams, k: float) -> float:

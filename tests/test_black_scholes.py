@@ -3,24 +3,34 @@
 from __future__ import annotations
 
 import math
+import re
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from butterfree.black_scholes import (
+    ABOVE_CEILING,
+    AT_INTRINSIC,
+    AT_UPPER,
+    BELOW_FLOOR,
+    MAX_ITERATIONS,
+    NON_FINITE,
     THETA_MAX,
     THETA_MIN,
     call_price,
     d1_d2,
     implied_total_vol,
+    implied_total_vols,
+    inversion_error,
     norm_cdf,
     norm_pdf,
     put_price,
     vega_total,
 )
-from butterfree.errors import DomainError, PriceOutOfRange
+from butterfree.errors import DomainError, MaxIterations, PriceOutOfRange
 from butterfree.svi import SviParams, svi
+from reference import scalar_call, scalar_implied_total_vol, scalar_put
 
 
 class TestD1D2:
@@ -88,6 +98,14 @@ class TestPrices:
         with pytest.raises(DomainError):
             call_price(0.0, -0.1)
 
+    @given(k=st.one_of(st.floats(-60.0, 60.0), st.floats(650.0, 1300.0)),
+           theta=st.floats(1e-6, THETA_MAX))
+    @settings(derandomize=True)
+    def test_keep_the_scalar_operation_order(self, k, theta):
+        assert call_price(k, theta) == scalar_call(k, theta)
+        if k < 709.0:
+            assert put_price(k, theta) == scalar_put(k, theta)
+
 
 def call_reference(k: float, theta: float) -> float:
     """The normalized call price in 50-digit arithmetic."""
@@ -111,6 +129,13 @@ class TestLogSpaceCall:
         above = call_price(math.nextafter(700.0, math.inf), theta)
         assert above == pytest.approx(below, rel=1e-12)
         assert below == pytest.approx(call_reference(700.0, theta), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [700.5, 1e3, 1e5])
+    @pytest.mark.parametrize("theta", [1e-9, 1e-3, 1.0, 10.0, 30.0, 37.5, 44.0, 50.0])
+    def test_matches_50_digit_price_across_the_vol_range(self, k, theta):
+        # past k = 1250 every price up to theta = 50 underflows to zero
+        want = call_reference(k, theta)
+        assert call_price(k, theta) == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
 class TestVega:
@@ -180,6 +205,120 @@ class TestImpliedTotalVol:
     def test_rejects_non_finite_price(self):
         with pytest.raises(PriceOutOfRange):
             implied_total_vol(0.0, math.nan)
+
+
+class TestOverflowingStrikes:
+    """Where exp(k) overflows a double, the inverter answers without it: a
+    call's intrinsic value is 0, and a put's is infinite, above every price."""
+
+    @pytest.mark.parametrize("k", [709.8, 710.0, 1e3])
+    def test_call_inverts(self, k):
+        theta = implied_total_vol(k, 0.5, "call")
+        assert call_price(k, theta) == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [709.8, 710.0, 1e3])
+    def test_put_is_below_intrinsic(self, k):
+        with pytest.raises(PriceOutOfRange, match="at or below intrinsic value inf"):
+            implied_total_vol(k, 0.5, "put")
+
+    def test_zero_vol_prices(self):
+        assert call_price(710.0, 0.0) == 0.0
+        assert put_price(710.0, 0.0) == math.inf
+
+
+def _outcome(k, price, kind):
+    try:
+        return "ok", scalar_implied_total_vol(k, price, kind)
+    except (PriceOutOfRange, MaxIterations) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@st.composite
+def quotes(draw):
+    """(k, price, kind) inside and at every edge of the inverter's domain."""
+    k = draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-60.0, 60.0),
+                       st.floats(650.0, 1300.0)))
+    # mostly the out-of-the-money leg, whose price is not pinned at intrinsic
+    kind = draw(st.sampled_from(["otm", "otm", "call", "put"]))
+    if kind == "otm":
+        kind = "call" if k >= 0.0 else "put"
+    exp_k = math.exp(k) if k < 709.0 else math.inf
+    upper = 1.0 if kind == "call" else exp_k
+
+    def model(theta):
+        # a put's price past k = 709 is not a double; 0.5 stands in for it
+        if kind == "call":
+            return scalar_call(k, theta)
+        return scalar_put(k, theta) if exp_k < math.inf else 0.5
+
+    edge = draw(st.sampled_from(
+        ["theta", "theta", "theta", "nudged", "floor", "below floor", "ceiling",
+         "above ceiling", "intrinsic", "upper", "nan", "inf", "zero"]))
+    if edge in ("theta", "nudged"):
+        price = model(10.0 ** draw(st.floats(-3.0, math.log10(THETA_MAX))))
+        if edge == "nudged":
+            price *= 1.0 + draw(st.floats(-1e-6, 1e-6))
+    elif edge in ("floor", "below floor"):
+        price = model(THETA_MIN) * (0.5 if edge == "below floor" else 1.0)
+    elif edge in ("ceiling", "above ceiling"):
+        price = model(THETA_MAX)
+        if edge == "above ceiling":
+            price = 0.5 * (price + upper)
+    elif edge == "intrinsic":
+        price = max(1.0 - exp_k, 0.0) if kind == "call" else max(exp_k - 1.0, 0.0)
+    elif edge == "upper":
+        price = upper
+    else:
+        price = {"nan": math.nan, "inf": math.inf, "zero": 0.0}[edge]
+    return k, price, kind
+
+
+class TestBatchedInverter:
+    """implied_total_vols runs the one-quote loop on every element at once."""
+
+    @given(st.lists(quotes(), min_size=1, max_size=12))
+    @example([(0.0, 2e-10, "call"), (1200.0, 0.9, "call"), (709.8, 0.5, "put"),
+              (710.0, 0.5, "call"), (1e3, 1e-300, "call"), (-0.3, 0.25, "put")])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_matches_the_scalar_loop_bit_for_bit(self, draws):
+        ks, prices, kinds = zip(*draws)
+        theta, code = implied_total_vols(ks, prices, [kind == "call" for kind in kinds])
+        for i, (k, price, kind) in enumerate(draws):
+            if code[i]:
+                exc = inversion_error(int(code[i]), k, price, kind == "call")
+                got = type(exc).__name__, str(exc)
+            else:
+                got = "ok", float(theta[i])
+            assert got == _outcome(k, price, kind)
+
+    @pytest.mark.parametrize("k, price, kind, code, text", [
+        (0.0, math.nan, "call", NON_FINITE, "price must be finite, got nan"),
+        (-0.5, 0.3, "call", AT_INTRINSIC,
+         "call price 0.3 at or below intrinsic value 0.3934693402873666"),
+        (0.3, 0.1, "put", AT_INTRINSIC,
+         "put price 0.1 at or below intrinsic value 0.3498588075760032"),
+        (0.0, 1.0, "call", AT_UPPER, "call price 1.0 at or above upper bound 1.0"),
+        (-0.2, 0.9, "put", AT_UPPER,
+         "put price 0.9 at or above upper bound 0.8187307530779818"),
+        (0.0, 1e-12, "call", BELOW_FLOOR, "call price 1e-12 below the price at total vol 1e-09"),
+        (1300.0, 0.5, "call", ABOVE_CEILING, "call price 0.5 above the price at total vol 50.0"),
+        (math.nan, 0.5, "call", MAX_ITERATIONS,
+         "implied total vol did not converge within 200 iterations"),
+    ])
+    def test_failure_codes_keep_the_scalar_messages(self, k, price, kind, code, text):
+        theta, codes = implied_total_vols(k, price, kind == "call")
+        assert codes.tolist() == [code] and math.isnan(theta[0])
+        want = MaxIterations if code == MAX_ITERATIONS else PriceOutOfRange
+        exc = inversion_error(code, k, price, kind == "call")
+        assert type(exc) is want and str(exc) == text
+        with pytest.raises(want, match=f"^{re.escape(text)}$"):
+            implied_total_vol(k, price, kind)
+        with pytest.raises(want, match=f"^{re.escape(text)}$"):
+            scalar_implied_total_vol(k, price, kind)
+
+    def test_empty_batch(self):
+        theta, code = implied_total_vols([], [], [])
+        assert theta.shape == code.shape == (0,)
 
 
 class TestWingLimit:

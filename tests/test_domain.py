@@ -31,8 +31,9 @@ from butterfree.errors import (
     NotInDomain,
 )
 from butterfree.fukasawa import interval_with_optimizers, l_star
-from butterfree.svi import NormalizedParams, SviParams, denormalize, durrleman_g, g_split
+from butterfree.svi import NormalizedParams, SviParams, durrleman_g
 from conftest import MODEL_ROWS, VOGT
+from reference import denormalize, g_split
 
 #: Example with an off-center shift and both G2 zeros finite; its tail
 #: deficit profile has one interior peak per side with the left one global.

@@ -27,9 +27,9 @@ from butterfree.fukasawa import (
     mu_interval,
     threshold_with_optimizers,
 )
-from butterfree.svi import NormalizedParams, g_split, n_funcs
+from butterfree.svi import NormalizedParams, n_funcs
 from conftest import VOGT
-from reference import threshold_rho0_closed_form
+from reference import g_split, threshold_rho0_closed_form
 
 #: Vogt alpha/b/rho in normalized coordinates; the running example.
 V_ALPHA = VOGT.a / VOGT.sigma

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from butterfree.black_scholes import call_price, put_price
 from butterfree.calibration import CalibrationConfig, calibrate
@@ -28,6 +30,7 @@ from butterfree.market_data import (
 )
 from butterfree.svi import svi
 from conftest import MODEL_GRID, MODEL_ROWS, params_vector
+from reference import slice_one_quote_at_a_time
 
 GOLDEN_CSV = """\
 expiry,strike,kind,bid,ask,spot
@@ -76,8 +79,8 @@ class TestLoadChain:
         near, far = chains
         assert len(near.quotes) == 6
         assert near.spot == 100.0
-        assert near.strikes() == [90.0, 100.0, 110.0]
-        call, put = near.legs(100.0)
+        assert [strike for strike, _, _ in near.pairs()] == [90.0, 100.0, 110.0]
+        _, (_, call, put), _ = near.pairs()
         # single-letter kinds are normalized
         assert call is not None and call.kind == "call" and call.bid == 5.0
         assert put is not None and put.kind == "put"
@@ -113,6 +116,68 @@ class TestLoadChain:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_chain("/no/such/file.csv")
+
+
+def dictreader_raws(text: str) -> list[str]:
+    """Each data row as a csv.DictReader sees it, joined back into text."""
+    return [",".join("" if v is None else str(v) for v in row.values())
+            for row in csv.DictReader(io.StringIO(text))]
+
+
+class TestRaggedRows:
+    """A rejected row's raw text is the row read as a dict over the header:
+    one field per distinct header name (a repeated name keeps its last
+    column), empty fields for a short row and the surplus of a long row
+    appended as a list."""
+
+    CASES = {
+        "plain": "expiry,strike,kind,bid,ask\n",
+        "messy header": " Expiry,STRIKE ,kind,bid,ask,bid,spot\n",
+    }
+    ROWS = (
+        "2026-12-18,100",
+        "2026-12-18,100,call",
+        "2026-12-18,100,call,1.0",
+        "2026-12-18,100,call,1.0,2.0,3.0,4.0,5.0",
+        "2026-12-18,100,call,1.0,2.0,3.0,4.0,5.0",
+        "",
+        "2026-12-18",
+        "x,y,z,w,v,u,t,s,r",
+    )
+
+    NONE = "non-numeric field: float() argument must be a string or a real number, not 'NoneType'"
+    REASONS = {
+        "plain": [
+            (2, "unknown kind None"), (3, NONE), (4, NONE),
+            (6, "duplicate call at strike 100.0"),
+            (7, "unknown kind None"), (8, "unknown kind 'z'"),
+        ],
+        # bid is the sixth column, so the short rows lack it and the long
+        # ones quote bid 3.0 over ask 2.0
+        "messy header": [
+            (2, "unknown kind None"), (3, NONE), (4, NONE),
+            (5, "need 0 <= bid <= ask, got bid=3.0 ask=2.0"),
+            (6, "need 0 <= bid <= ask, got bid=3.0 ask=2.0"),
+            (7, "unknown kind None"), (8, "unknown kind 'z'"),
+        ],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_raw_and_reason_match_a_dict_reading(self, case):
+        text = self.CASES[case] + "\n".join(self.ROWS) + "\n"
+        _, rejects = load_chain(io.StringIO(text))
+        # the blank line is skipped and takes no line number
+        assert [(r.line, r.reason) for r in rejects] == self.REASONS[case]
+        raws = dictreader_raws(text)
+        assert [r.raw for r in rejects] == [raws[r.line - 2] for r in rejects]
+
+    def test_raw_spelled_out(self):
+        _, plain = load_chain(io.StringIO(self.CASES["plain"] + "\n".join(self.ROWS)))
+        _, messy = load_chain(io.StringIO(self.CASES["messy header"] + "\n".join(self.ROWS)))
+        assert plain[0].raw == "2026-12-18,100,,,"
+        assert plain[3].raw == "2026-12-18,100,call,1.0,2.0,['3.0', '4.0', '5.0']"
+        assert messy[2].raw == "2026-12-18,100,call,,,"
+        assert messy[3].raw == "2026-12-18,100,call,3.0,2.0,4.0,['5.0']"
 
 
 class TestQuoteAndChain:
@@ -151,9 +216,10 @@ class TestQuoteAndChain:
             hits = [q for q in quotes if q.strike == strike and q.kind == kind]
             return hits[0] if hits else None
 
-        # unquoted strikes below, inside and above the quoted range too
-        for strike in (*chain.strikes(), 80.0, 100.0, 120.0):
-            assert chain.legs(strike) == (scan(strike, "call"), scan(strike, "put"))
+        assert chain.pairs() == [
+            (strike, scan(strike, "call"), scan(strike, "put"))
+            for strike in (90.0, 95.0, 105.0, 110.0)
+        ]
 
     def test_forward_discount_validation(self):
         with pytest.raises(InvalidInput):
@@ -313,6 +379,38 @@ class TestBuildVolSlice:
         chain = _flat_chain([90.0, 100.0, 110.0])
         with pytest.raises(InvalidInput):
             build_vol_slice(chain, self.FD, t=0.0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(5.0, 400.0), st.sampled_from(["call", "put"]),
+                st.sampled_from([0.0, 1e-13, 1e-6, 0.01, 1.0, 10.0, 100.0, 1e3]),
+                st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+            ),
+            min_size=1, max_size=30, unique_by=lambda q: (q[0], q[1]),
+        ),
+        st.floats(50.0, 150.0), st.floats(0.8, 1.05),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_matches_one_quote_at_a_time(self, legs, forward, discount):
+        # bids from zero up, spreads from none to wider than the bid, prices
+        # from below the floor vol to above the upper bound
+        quotes = tuple(
+            OptionQuote(strike, "e", kind, scale * bid, scale * (bid + spread))
+            for strike, kind, scale, bid, spread in legs
+        )
+        chain = OptionChain("e", quotes)
+        fd = ForwardDiscount(forward, discount, 0.0)
+        ks, w_mid, w_bid, w_ask, skipped = slice_one_quote_at_a_time(chain, fd)
+        if not ks:
+            with pytest.raises(EmptySlice):
+                build_vol_slice(chain, fd, t=0.5)
+            return
+        slice_, got_skipped = build_vol_slice(chain, fd, t=0.5)
+        assert [(s.strike, s.reason) for s in got_skipped] == skipped
+        for got, want in ((slice_.k, ks), (slice_.w_mid, w_mid),
+                          (slice_.w_bid, w_bid), (slice_.w_ask, w_ask)):
+            assert got.tobytes() == np.asarray(want).tobytes()
 
 
 class TestEndToEnd:
