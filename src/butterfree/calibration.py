@@ -19,7 +19,6 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .errors import (
     NoConvergedStart,
     NumericFailure,
 )
-from .numerics import least_squares_bounded, require_int, require_real
+from .numerics import dogbox, least_squares_bounded, require_int, require_real
 from .svi import SviParams, svi, svi_raw
 
 #: Margin keeping box samples off the open boundaries of the rectangle.
@@ -150,7 +149,8 @@ class CalibrationConfig:
 class StartResult:
     """Outcome of one start: where it began, where it stopped, and the cost.
 
-    ``nfev`` counts the start's residual evaluations.  ``stop`` says why it
+    ``nfev`` counts the start's residual evaluations and ``njev`` its
+    Jacobian evaluations.  ``stop`` says why it
     ended: "converged" (a solver tolerance was met), "budget" (its 1,000
     evaluations ran out), "stalled" (the stall rule ended it far above the
     best cost of the starts before it), "not run" (an earlier start reached
@@ -168,6 +168,7 @@ class StartResult:
     nfev: int
     stop: str
     error: str | None = None
+    njev: int = 0
 
     @property
     def converged(self) -> bool:
@@ -200,9 +201,11 @@ class _Objective:
     """Weighted total-variance residuals over the chart, and their exact
     Jacobian.
 
-    The solver asks for the Jacobian at the point whose residuals it has
-    just evaluated, so jacobian() reuses that chart point and adds only the
-    partials, which are one-sided at the chart's kinks.
+    The chart point of the last x asked for is kept (``last``) and reused
+    while x stays equal, so the Jacobian at the point whose residuals the
+    solver has just evaluated adds only the partials, which are one-sided
+    at the chart's kinks.  A caller may hand it a chart point it already
+    holds, such as the projection of the informed start.
     """
 
     def __init__(
@@ -212,16 +215,18 @@ class _Objective:
         self.w_mid = slice_.w_mid
         self.weights = weights
         self.pipeline = pipeline
-        self._last: ChartPoint | None = None
+        self.last: ChartPoint | None = None
+
+    def point(self, x: np.ndarray) -> ChartPoint:
+        if self.last is None or self.last.x != tuple(float(c) for c in x):
+            self.last = self.pipeline.point(x)
+        return self.last
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        self._last = self.pipeline.point(x)
-        return (svi_raw(self.k, *self._last.raw) - self.w_mid) * self.weights
+        return (svi_raw(self.k, *self.point(x).raw) - self.w_mid) * self.weights
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        p = self._last
-        if p is None or p.x != tuple(float(c) for c in x):
-            p = self.pipeline.point(x)
+        p = self.point(x)
         d_res = _svi_jacobian(self.k, self.weights, *p.raw[1:])
         return d_res @ self.pipeline.partials(p)
 
@@ -238,19 +243,14 @@ def _svi_jacobian(
     ]) * weights[:, None]
 
 
-class _Stalled(Exception):
-    """Raised through the solver when the stall rule ends a start; caught
-    in calibrate."""
-
-
 class _StallWatch:
-    """One start's residuals, with the stall rule applied after each
-    evaluation.
+    """One start's evaluations, and the stall rule applied after each.
 
     The watch counts the evaluations (``nfev``) and keeps the lowest-cost
-    point among them (``best_x``, ``best_cost``).  At evaluation n > W
-    (W = _STALL_WINDOW), with c_n the start's best cost so far, it raises
-    _Stalled when c_n exceeds _STALL_RATIO * best and
+    one among them (``best_cost`` and ``best_at``, whatever the caller
+    passes along with the cost).  At evaluation n > W (W =
+    _STALL_WINDOW), with c_n the start's best cost so far, the start has
+    stalled when c_n exceeds _STALL_RATIO * best and
 
         ln(c_n / best) > ((max_evals - n) / W) * ln(c_{n-W} / c_n),
 
@@ -265,34 +265,27 @@ class _StallWatch:
     never stops a start.
     """
 
-    def __init__(
-        self,
-        residuals: Callable[[np.ndarray], np.ndarray],
-        best: float,
-        max_evals: int,
-    ) -> None:
-        self.residuals = residuals
+    def __init__(self, best: float, max_evals: int) -> None:
         self.best = best
         self.max_evals = max_evals
         self.nfev = 0
-        self.best_x: np.ndarray | None = None
+        self.best_at: ChartPoint | None = None
         self.best_cost = math.inf
         # c_{n-W}, ..., c_n
         self._recent: deque[float] = deque(maxlen=_STALL_WINDOW + 1)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        r = self.residuals(x)
+    def stalled(self, cost: float, at: ChartPoint | None = None) -> bool:
+        """Count one evaluation, of this cost at ``at``; return whether the
+        start has stalled."""
         self.nfev += 1
-        cost = 0.5 * float(np.dot(r, r))
         if cost < self.best_cost:
-            self.best_x, self.best_cost = np.array(x, dtype=float), cost
+            self.best_at, self.best_cost = at, cost
         self._recent.append(self.best_cost)
         if self.nfev > _STALL_WINDOW and self.best_cost > _STALL_RATIO * self.best:
             recent = math.log(self._recent[0] / self.best_cost)
             horizon = (self.max_evals - self.nfev) / _STALL_WINDOW
-            if math.log(self.best_cost / self.best) > horizon * recent:
-                raise _Stalled
-        return r
+            return math.log(self.best_cost / self.best) > horizon * recent
+        return False
 
 
 def _floored(a: float, b: float, rho: float, m: float, sigma: float) -> SviParams:
@@ -365,7 +358,8 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     """Fit an arbitrage-free smile to one maturity of total variances.
 
     Draws ``n_starts`` uniform box starts plus one deterministic
-    quasi-explicit start, polishes each with bounded least squares on the
+    quasi-explicit start, polishes each with bounded least squares
+    (numerics.dogbox, stepped one evaluation at a time) on the
     (optionally vega-weighted) total-variance residuals, and keeps the
     lowest cost.  The quasi-explicit start runs first, then the uniform
     ones in index order; once a start's cost is at or below the rounding
@@ -382,7 +376,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     it; starts that fail before their first evaluation or are not run are
     discarded, and NoConvergedStart is raised if none survive.  ``starts``
     is ordered by index, with the quasi-explicit start last; each records
-    its ``nfev`` and why it stopped.
+    its ``nfev``, its ``njev`` and why it stopped.
     """
     if config is None:
         config = CalibrationConfig()
@@ -408,7 +402,8 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     try:
         guess = _quasi_explicit_guess(k, w_mid, weights)
         guess = _natural_polish(k, w_mid, weights, guess)
-        x0s.append(pipeline.project(guess, lower, upper))
+        objective.last = pipeline.project(guess, lower, upper)
+        x0s.append(np.array(objective.last.x))
     except ButterfreeError:
         pass  # the uniform starts still run
 
@@ -418,6 +413,8 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     scale = float(np.max(np.abs(weights * w_mid)))
     floor = 0.5 * len(slice_) * (_FLOOR_ULPS * _EPS * scale) ** 2
     starts: list[StartResult] = []
+    # each start's chart point at its lowest-cost evaluation
+    points: dict[int, ChartPoint | None] = {}
     stopped_by: int | None = None
     best_cost = math.inf
     # the informed start (index n_starts, when present) runs first
@@ -429,20 +426,31 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
                 error=f"not run: start {stopped_by} reached the rounding floor",
             ))
             continue
-        watch = _StallWatch(objective.residuals, best_cost, _MAX_EVALS)
-        error = None
+        watch = _StallWatch(best_cost, _MAX_EVALS)
+        error, njev = None, 0
         try:
-            x, cost, converged = least_squares_bounded(
-                watch, objective.jacobian, x0s[i], lower, upper, _EPS, _MAX_EVALS,
+            steps = dogbox(
+                objective.residuals, objective.jacobian, x0s[i], lower, upper, _EPS, _MAX_EVALS,
             )
+            while True:
+                cost, njev = next(steps)
+                if watch.stalled(float(cost), objective.last):
+                    break
+        except StopIteration as done:
+            x, cost, converged, _, njev = done.value
             stop = "converged" if converged else "budget"
-        except _Stalled:
-            x, cost, stop = watch.best_x, watch.best_cost, "stalled"
         except ButterfreeError as exc:
-            x, cost, stop, error = watch.best_x, watch.best_cost, "failed", str(exc)
+            stop, error = "failed", str(exc)
+        else:
+            stop = "stalled"
+        if stop in ("stalled", "failed"):
+            # the start's best evaluated point, if it has one
+            x = None if watch.best_at is None else watch.best_at.x
+            cost = watch.best_cost
         starts.append(StartResult(
-            i, x0, None if x is None else tuple(x), float(cost), watch.nfev, stop, error,
+            i, x0, None if x is None else tuple(x), float(cost), watch.nfev, stop, error, njev,
         ))
+        points[i] = watch.best_at
         best_cost = min(best_cost, float(cost))
         if cost <= floor:
             stopped_by = i
@@ -456,8 +464,12 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         )
     best = min(usable, key=lambda s: (s.cost, s.index))
 
-    x_best = np.asarray(best.x)
-    a, b, rho, m, sigma = pipeline.point(x_best).raw
+    # the winner's lowest-cost evaluation is its end point, unless the
+    # solver then set a coordinate onto a bound it had reached
+    point = points[best.index]
+    if point.x != best.x:
+        point = pipeline.point(best.x)
+    a, b, rho, m, sigma = point.raw
     params = SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
     diagnostic = check_no_arbitrage(params)
     # Rebuilding (a, m) from (alpha, mu) and back moves alpha = a/sigma by an

@@ -168,6 +168,7 @@ def result_to_dict(result: CalibrationResult) -> dict:
                 "cost": s.cost if math.isfinite(s.cost) else None,
                 "converged": s.converged,
                 "nfev": s.nfev,
+                "njev": s.njev,
                 "stop": s.stop,
                 "error": s.error,
             }

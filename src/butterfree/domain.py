@@ -661,12 +661,14 @@ class BoxChart:
             d_sigma,
         ])
 
-    def project(self, params: SviParams, lower, upper) -> np.ndarray:
-        """Box coordinates whose image is the closest expressible free smile.
+    def project(self, params: SviParams, lower, upper) -> ChartPoint:
+        """The chart point of the box coordinates whose image is the closest
+        expressible free smile; its ``x`` holds the coordinates.
 
         Each coordinate is clipped into [lower, upper], except q, which
         keeps a margin of a thousandth of the interval width because
         sigma_star blows up against the walls.  params need not be free.
+        The point is the one ``point(x)`` would give, solved once.
         """
         lower = [float(c) for c in lower]
         upper = [float(c) for c in upper]
@@ -674,15 +676,18 @@ class BoxChart:
         rho = min(max(params.rho, lower[_RHO]), upper[_RHO])
         b_prime = min(max(params.b * (1.0 + abs(rho)) / 2.0, lower[_BP]), upper[_BP])
         b = b_prime * 2.0 / (1.0 + abs(rho))
-        threshold = fukasawa_threshold(b, rho)
+        threshold, *at_threshold = threshold_with_optimizers(b, rho)
         u = min(max(params.a / sigma - threshold, lower[_U]), upper[_U])
-        alpha = self._clamp(threshold, u)[2]
-        interval = mu_interval(alpha, b, rho)
+        room, u_eff, alpha = self._clamp(threshold, u)
+        interval, *optimizers = interval_with_optimizers(alpha, b, rho)
         q = (2.0 * params.m / sigma - interval.upper - interval.lower) / interval.width()
         q = min(max(q, -1.0 + 1e-3), 1.0 - 1e-3)
-        floor = _shift_and_floor(alpha, b, rho, interval, q)[1]
+        mu, floor, tails = _shift_and_floor(alpha, b, rho, interval, q)
         v = min(max(sigma - floor, lower[_V]), upper[_V])
-        return np.array([rho, b_prime, u, q, v])
+        return ChartPoint(
+            (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), room,
+            u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, floor + v,
+        )
 
 
 def _shift_and_floor(

@@ -210,12 +210,13 @@ def _load_stream(handle) -> tuple[list[OptionChain], list[RejectedRow]]:
         fields += [None] * (width - len(fields))
         quote = reason = _parse_row(*required(fields))
         if not isinstance(quote, str):
-            quotes = by_expiry.setdefault(quote.expiry, {})
+            # an expiry gets a chain only once one of its rows is accepted
+            quotes = by_expiry.get(quote.expiry, {})
             key = (quote.strike, quote.kind)
             if key in quotes:
                 reason = f"duplicate {quote.kind} at strike {quote.strike}"
             elif (reason := _take_spot(spot(fields), quote.expiry, spots)) is None:
-                quotes[key] = quote
+                by_expiry.setdefault(quote.expiry, quotes)[key] = quote
                 continue
         rejects.append(RejectedRow(line_no, reason, raw(fields)))
 
@@ -276,7 +277,9 @@ def build_vol_slice(
     Per strike the out-of-the-money leg is used (call above the forward, put
     below), falling back to the other leg when that side is not quoted.  A
     zero-bid quote or a strike whose mid cannot be inverted is skipped with a
-    reason; bid or ask sides that fail only produce a NaN on that side.  All
+    reason, and so is a strike whose log-moneyness rounds onto that of the
+    last strike kept; bid or ask sides that fail only produce a NaN on that
+    side, and a side inverted across the mid takes the mid's variance.  All
     mids, bids and asks are inverted in one batch.
     """
     if not t > 0.0:
@@ -294,6 +297,10 @@ def build_vol_slice(
     theta, code = implied_total_vols(
         np.repeat(ks, 3), np.ravel(prices), np.repeat(is_call, 3))
     w = (theta * theta).reshape(-1, 3)
+    # bid <= mid <= ask in price, so in variance too; where the inverter's
+    # price tolerance puts a side across the mid, the side takes the mid
+    w[:, 1] = np.minimum(w[:, 1], w[:, 0])
+    w[:, 2] = np.maximum(w[:, 2], w[:, 0])
 
     rows, skipped = [], []
     for i, ((strike, quote), codes) in enumerate(zip(picked, code.reshape(-1, 3).tolist())):
@@ -310,7 +317,13 @@ def build_vol_slice(
                     skipped.append(SkippedQuote(strike, f"{quote.kind} mid: {exc}"))
                     break
         else:
-            rows.append(i)
+            if rows and ks[i] <= ks[rows[-1]]:
+                # distinct strikes can round to one log-moneyness
+                prior = picked[rows[-1]][0]
+                skipped.append(SkippedQuote(
+                    strike, f"log-moneyness {ks[i]!r} collides with strike {prior!r}"))
+            else:
+                rows.append(i)
     if not rows:
         raise EmptySlice(f"no invertible quotes for expiry {chain.expiry}")
     slice_ = MarketSlice(

@@ -166,7 +166,9 @@ def scalar_implied_total_vol(k: float, price: float, kind: str = "call") -> floa
 
 def slice_one_quote_at_a_time(chain, fd) -> tuple[list, list, list, list, list]:
     """(k, w_mid, w_bid, w_ask, skips) of a chain, inverting each strike's
-    out-of-the-money mid, bid and ask in turn with the scalar loop."""
+    out-of-the-money mid, bid and ask in turn with the scalar loop.  The
+    later of two strikes on one log-moneyness is skipped, and a side
+    inverted across the mid takes the mid's variance."""
     ks, w_mid, w_bid, w_ask, skipped = [], [], [], [], []
     scale = fd.discount * fd.forward
     for strike in sorted({q.strike for q in chain.quotes}):
@@ -192,8 +194,12 @@ def slice_one_quote_at_a_time(chain, fd) -> tuple[list, list, list, list, list]:
                 sides.append(side * side)
             except PriceOutOfRange:
                 sides.append(math.nan)
+        if ks and k <= ks[-1]:
+            skipped.append((strike, f"log-moneyness {k!r} collides with strike {kept!r}"))
+            continue
+        kept = strike
         ks.append(k)
         w_mid.append(theta * theta)
-        w_bid.append(sides[0])
-        w_ask.append(sides[1])
+        w_bid.append(min(sides[0], theta * theta))
+        w_ask.append(max(sides[1], theta * theta))
     return ks, w_mid, w_bid, w_ask, skipped

@@ -26,7 +26,8 @@ from butterfree.errors import (
     NoConvergedStart,
     NumericFailure,
 )
-from butterfree.numerics import least_squares_bounded
+import butterfree.numerics as numerics_module
+from butterfree.numerics import dogbox, least_squares_bounded
 from butterfree.svi import SviParams, durrleman_g, svi
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
 
@@ -233,9 +234,7 @@ class TestCalibrate:
         def always_fails(*args, **kwargs):
             raise InfeasibleStart("forced failure")
 
-        monkeypatch.setattr(
-            calibration_module, "least_squares_bounded", always_fails
-        )
+        monkeypatch.setattr(calibration_module, "dogbox", always_fails)
         with pytest.raises(NoConvergedStart):
             calibrate(model_slice(MODEL_ROWS[2]), FAST)
 
@@ -291,14 +290,9 @@ def noisy_slice() -> MarketSlice:
 def stops_at(trail, best: float, max_evals: int = 1000):
     """The evaluation at which the stall rule stops a start whose cost at
     each evaluation follows ``trail``, or None."""
-    costs = iter(trail)
-    watch = calibration_module._StallWatch(
-        lambda x: np.array([math.sqrt(2.0 * next(costs))]), best, max_evals
-    )
-    for n in range(1, len(trail) + 1):
-        try:
-            watch(np.zeros(1))
-        except calibration_module._Stalled:
+    watch = calibration_module._StallWatch(best, max_evals)
+    for n, cost in enumerate(trail, 1):
+        if watch.stalled(cost):
             return n
     return None
 
@@ -415,13 +409,18 @@ class TestStallRule:
             return np.array([[-1.0, 0.0], [-20.0 * x[0], 10.0]])
 
         eps = calibration_module._EPS
-        args = (jac, [-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0], eps, 1000)
-        watch = calibration_module._StallWatch(residuals, math.inf, 1000)
-        x, cost, converged = least_squares_bounded(residuals, *args)
-        x2, cost2, converged2 = least_squares_bounded(watch, *args)
-        assert x.tolist() == x2.tolist()
-        assert cost == cost2 and converged == converged2
-        assert watch.best_cost == pytest.approx(cost2, abs=1e-30)
+        args = (residuals, jac, [-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0], eps, 1000)
+        x, cost, converged = least_squares_bounded(*args)
+        watch = calibration_module._StallWatch(math.inf, 1000)
+        steps = dogbox(*args)
+        with pytest.raises(StopIteration) as done:
+            while not watch.stalled(next(steps)[0]):
+                pass
+        result = done.value.value
+        assert x.tolist() == result.x.tolist()
+        assert cost == result.cost and converged == result.converged
+        assert watch.nfev == result.nfev
+        assert watch.best_cost == pytest.approx(result.cost, abs=1e-30)
 
     def test_noisy_random_starts_stall(self):
         result = calibrate(noisy_slice(), FAST)
@@ -621,23 +620,48 @@ class TestJacobian:
                 assert column_error(got[:, j], want) <= 1e-7, (x.tolist(), j)
 
     def test_every_solve_gets_an_exact_jacobian(self, monkeypatch):
-        # least_squares_bounded imports scipy's solver at call time, so the
-        # patch goes on scipy.optimize itself
-        import scipy.optimize
-
+        # the polish reaches dogbox through least_squares_bounded, the
+        # starts call it from calibrate
         jacs = []
-        real = scipy.optimize.least_squares
+        real = numerics_module.dogbox
 
-        def record(*args, **kwargs):
-            jacs.append(kwargs["jac"])
-            return real(*args, **kwargs)
+        def record(residuals, jac, *args):
+            jacs.append(jac)
+            return real(residuals, jac, *args)
 
-        monkeypatch.setattr(scipy.optimize, "least_squares", record)
+        monkeypatch.setattr(numerics_module, "dogbox", record)
+        monkeypatch.setattr(calibration_module, "dogbox", record)
         result = calibrate(noisy_slice(), FAST)
         ran = [st for st in result.starts if st.stop != "not run"]
         # the polish, then one solve per start that ran
         assert len(jacs) == 1 + len(ran) >= 3
         assert all(callable(jac) for jac in jacs)
+
+    def test_njev_counts_each_starts_jacobian_calls(self, monkeypatch):
+        # starts run one after another, the informed one first, and each
+        # begins with a residual evaluation: a start's calls are its nfev
+        # residual evaluations and the Jacobian calls up to the next one
+        calls = []
+        residuals, jacobian = _Objective.residuals, _Objective.jacobian
+
+        def counted(name, fn):
+            return lambda objective, x: calls.append(name) or fn(objective, x)
+
+        monkeypatch.setattr(_Objective, "residuals", counted("r", residuals))
+        monkeypatch.setattr(_Objective, "jacobian", counted("j", jacobian))
+        result = calibrate(noisy_slice(), CalibrationConfig(n_starts=4, seed=0))
+        ran = sorted((st for st in result.starts if st.stop != "not run"),
+                     key=lambda st: (st.index != 4, st.index))
+        assert {st.stop for st in ran} >= {"converged", "stalled"}
+        pos = 0
+        for st in ran:
+            seen = {"r": 0, "j": 0}
+            while pos < len(calls) and (calls[pos] == "j" or seen["r"] < st.nfev):
+                seen[calls[pos]] += 1
+                pos += 1
+            assert seen == {"r": st.nfev, "j": st.njev}
+            assert st.njev >= 1
+        assert pos == len(calls)
 
 
 def loop_guess(k: np.ndarray, w_mid: np.ndarray, weights: np.ndarray):

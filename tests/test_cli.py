@@ -407,6 +407,8 @@ class TestCalibrateCommand:
         assert [s["stop"] for s in doc["starts"]] == ["not run"] * 8 + ["converged"]
         assert [s["nfev"] for s in doc["starts"][:-1]] == [0] * 8
         assert doc["starts"][-1]["nfev"] >= 1
+        assert [s["njev"] for s in doc["starts"][:-1]] == [0] * 8
+        assert doc["starts"][-1]["njev"] >= 1
 
     def test_seeded_rerun_is_byte_identical(self, capsys, tmp_path):
         slice_path = self._write_row2(tmp_path)

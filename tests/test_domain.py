@@ -516,15 +516,18 @@ class TestBoxChartProjection:
         for _ in range(30):
             x = rng.uniform((-0.9, 0.05, 1e-3, -0.9, 0.0), (0.9, 1.0, 2.0, 0.9, 2.0))
             back = chart.project(SviParams(*chart.point(x).raw), self.LOWER, self.UPPER)
-            assert np.allclose(back, x, rtol=1e-9, atol=1e-9), (x, back)
+            assert np.allclose(back.x, x, rtol=1e-9, atol=1e-9), (x, back.x)
 
     def test_lands_inside_the_box_from_an_arbitrageable_smile(self):
         chart = BoxChart(alpha_cap=1.0)
-        x = chart.project(VOGT, self.LOWER, self.UPPER)
+        point = chart.project(VOGT, self.LOWER, self.UPPER)
+        x = np.array(point.x)
         assert np.all(x >= self.LOWER) and np.all(x <= self.UPPER)
         # q keeps off the interval walls, where sigma_star blows up
         assert abs(x[3]) <= 1.0 - 1e-3
-        assert chart.point(x).alpha <= 1.0
+        assert point.alpha <= 1.0
+        # the projection is the chart point of its own coordinates
+        assert repr(point) == repr(chart.point(x))
 
     def test_solves_each_stage_once(self, monkeypatch):
         import butterfree.domain as domain_module
@@ -545,5 +548,6 @@ class TestBoxChartProjection:
             calls.clear()
             BoxChart(alpha_cap=1.0).project(params, self.LOWER, self.UPPER)
             assert sorted(calls) == [
-                "_sigma_star_trusted", "fukasawa_threshold", "g2_zeros", "mu_interval",
+                "_sigma_star_trusted", "g2_zeros", "interval_with_optimizers",
+                "threshold_with_optimizers",
             ], calls

@@ -1,8 +1,8 @@
-"""scipy loads only when a least-squares solve runs.
+"""The package runs without scipy.
 
 A fresh interpreter imports the package, runs the waterfall, the box
-chart, chain ingest and the CLI's check, and reports which scipy modules
-it holds after each; then it calibrates, which needs scipy's solver.
+chart, chain ingest, the CLI's check and a calibration, and reports which
+scipy modules it holds after each.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def flat_chain_csv(forward=100.0, discount=0.99, theta=0.2) -> str:
     return out.getvalue()
 
 
-def test_scipy_loads_only_for_a_least_squares_solve():
+def test_no_scipy_module_is_loaded():
     slice_ = model_slice(MODEL_ROWS[2])
     box = (0.3, 0.5, 1.0, 0.2, 0.5)
     payload = [
@@ -84,8 +84,8 @@ def test_scipy_loads_only_for_a_least_squares_solve():
     }
     # exit code 4 is the CLI's Failure3 verdict
     assert report["code"] == 4
-    assert "scipy.optimize" in report["after_fit"]
-    # the deferred import leaves the fit bit-identical to one made here
+    assert report["after_fit"] == []
+    # the fresh interpreter's fit is bit-identical to one made here
     fit = calibrate(slice_, CalibrationConfig(n_starts=1, seed=0))
     p = fit.params
     assert report["fit"] == [p.a, p.b, p.rho, p.m, p.sigma, fit.cost]

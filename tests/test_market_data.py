@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from butterfree.black_scholes import call_price, put_price
 from butterfree.calibration import CalibrationConfig, calibrate
@@ -116,6 +116,16 @@ class TestLoadChain:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_chain("/no/such/file.csv")
+
+    def test_an_expiry_with_no_accepted_row_has_no_chain(self):
+        text = "expiry,strike,kind,bid,ask,spot\n2026-12-18,100,call,1,2,abc\n"
+        chains, rejects = load_chain(io.StringIO(text))
+        assert chains == []
+        assert [(r.line, r.reason) for r in rejects] == [(2, "non-numeric spot")]
+        # a later accepted row of the same expiry still makes its chain
+        chains, rejects = load_chain(io.StringIO(text + "2026-12-18,100,call,1,2,\n"))
+        assert [(c.expiry, len(c.quotes), c.spot) for c in chains] == [("2026-12-18", 1, None)]
+        assert len(rejects) == 1
 
 
 def dictreader_raws(text: str) -> list[str]:
@@ -341,6 +351,18 @@ class TestBuildVolSlice:
         assert skipped == []
         assert slice_.w_mid[-1] == pytest.approx(0.04, abs=1e-10)
 
+    def test_strikes_on_one_log_moneyness_keep_the_first(self):
+        # 400 / 50 and 399.99999999999994 / 50 have one log in floats
+        fd = ForwardDiscount(forward=50.0, discount=1.0, residual_rmse=0.0)
+        quotes = tuple(OptionQuote(strike, "e", "call", 1e-13, 1e-13)
+                       for strike in (400.0, 399.99999999999994))
+        assert math.log(quotes[0].strike / 50.0) == math.log(quotes[1].strike / 50.0)
+        slice_, skipped = build_vol_slice(OptionChain("e", quotes), fd, t=0.5)
+        assert slice_.k.tolist() == [math.log(8.0)]
+        assert [(s.strike, s.reason) for s in skipped] == [
+            (400.0, f"log-moneyness {math.log(8.0)!r} collides with strike 399.99999999999994"),
+        ]
+
     def test_uninvertible_mid_is_skipped(self):
         bad = 0.99 * 100.0 * 1.2  # call worth more than the forward bound
         quotes = [
@@ -391,6 +413,9 @@ class TestBuildVolSlice:
         ),
         st.floats(50.0, 150.0), st.floats(0.8, 1.05),
     )
+    # two strikes that round to one log-moneyness: the later one is skipped
+    @example([(400.0, "call", 1e-13, 1.0, 0.0), (399.99999999999994, "call", 1e-13, 1.0, 0.0)],
+             50.0, 1.0)
     @settings(derandomize=True, max_examples=150, deadline=None)
     def test_matches_one_quote_at_a_time(self, legs, forward, discount):
         # bids from zero up, spreads from none to wider than the bid, prices

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from butterfree.errors import (
+    ButterfreeError,
     DomainError,
     InfeasibleStart,
     InvalidInput,
@@ -19,6 +20,7 @@ from butterfree.errors import (
 )
 from butterfree.numerics import (
     Bracket,
+    dogbox,
     expand_bracket,
     least_squares_bounded,
     newton_root,
@@ -240,6 +242,127 @@ class TestLeastSquaresBounded:
         )
         assert not converged
         assert np.isfinite(cost)
+
+
+def run_dogbox(*args):
+    steps = dogbox(*args)
+    while True:
+        try:
+            next(steps)
+        except StopIteration as done:
+            return done.value
+
+
+def bounded_problem(rng: np.random.Generator):
+    """(residuals, jac, x0, lower, upper) of a seeded problem in 1-5
+    unknowns: an exponential fit, an extended Rosenbrock valley or a sine
+    fit whose residuals are inf or nan past x[0] = 1.  About a third of the
+    start coordinates sit on a bound."""
+    n = int(rng.integers(1, 6))
+    m = n + int(rng.integers(0, 8))
+    a = rng.standard_normal((m, n))
+    c = rng.standard_normal(m)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        t = np.linspace(0.0, 2.0, m)[:, None]
+
+        def residuals(x):
+            return np.exp(-t * x * x).sum(axis=1) + a @ x - c
+
+        def jac(x):
+            return -2.0 * t * x * np.exp(-t * x * x) + a
+    elif kind == 1:
+        def residuals(x):
+            return np.concatenate([a @ x - c, 10.0 * (x[1:] - x[:-1] ** 2)])
+
+        def jac(x):
+            valley = np.zeros((n - 1, n))
+            valley[range(n - 1), range(1, n)] = 10.0
+            valley[range(n - 1), range(n - 1)] = -20.0 * x[:-1]
+            return np.vstack([a, valley])
+    else:
+        bad = rng.choice([math.inf, math.nan])
+
+        def residuals(x):
+            r = a @ np.sin(x) - c
+            if x[0] > 1.0:
+                r[0] = bad
+            return r
+
+        def jac(x):
+            return a * np.cos(x)
+    lower = -rng.uniform(0.1, 3.0, n)
+    upper = rng.uniform(0.1, 3.0, n)
+    x0 = rng.uniform(lower, upper)
+    on = rng.random(n) < 0.3
+    x0[on] = np.where(rng.random(n) < 0.5, lower, upper)[on]
+    return residuals, jac, x0, lower, upper
+
+
+class TestDogboxMatchesScipy:
+    """dogbox is scipy's least_squares(method="dogbox") with an exact
+    Jacobian, bit for bit: the same x, cost, evaluations and verdict."""
+
+    def test_seeded_bounded_problems(self):
+        from scipy.optimize import least_squares
+
+        rng = np.random.default_rng(2018)
+        seen = {"budget": 0, "start on a bound": 0, "non-finite trial": 0}
+        for trial in range(300):
+            residuals, jac, x0, lower, upper = bounded_problem(rng)
+            tol = (EPS, 1e-14, 1e-8)[trial % 3]
+            budget = int(rng.choice([3, 10, 50, 1000]))
+            calls = {"f": 0, "j": 0}
+
+            def f(x):
+                calls["f"] += 1
+                r = residuals(x)
+                seen["non-finite trial"] += calls["f"] > 1 and not np.all(np.isfinite(r))
+                return r
+
+            def j(x):
+                calls["j"] += 1
+                return jac(x)
+
+            if not np.all(np.isfinite(residuals(x0))):
+                with pytest.raises(ButterfreeError, match="not finite at the start"):
+                    run_dogbox(residuals, jac, x0, lower, upper, tol, budget)
+                continue
+            want = least_squares(f, x0, jac=j, bounds=(lower, upper), method="dogbox",
+                                 ftol=tol, xtol=tol, gtol=tol, max_nfev=budget)
+            got = run_dogbox(residuals, jac, x0, lower, upper, tol, budget)
+            assert got.x.tobytes() == want.x.tobytes(), trial
+            assert got.cost == want.cost, trial
+            assert got.converged == (want.status > 0), trial
+            assert (got.nfev, got.njev) == (calls["f"], calls["j"]), trial
+            seen["budget"] += want.status == 0
+            seen["start on a bound"] += bool(np.any((x0 == lower) | (x0 == upper)))
+        assert min(seen.values()) >= 5, seen
+
+    def test_non_finite_residuals_at_the_start_raise(self):
+        with pytest.raises(ButterfreeError, match="not finite at the start"):
+            run_dogbox(lambda x: np.array([math.nan]), identity_jacobian,
+                       [0.5], [0.0], [1.0], EPS, 100)
+
+    def test_yields_each_evaluation(self):
+        seen = []
+
+        def residuals(x):
+            seen.append(0.5 * float(np.dot(rosenbrock(x), rosenbrock(x))))
+            return rosenbrock(x)
+
+        steps = dogbox(residuals, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0],
+                       [2.0, 2.0], EPS, 1000)
+        yielded = []
+        with pytest.raises(StopIteration) as done:
+            while True:
+                yielded.append(next(steps))
+        result = done.value.value
+        assert [cost for cost, _ in yielded] == seen
+        assert result.nfev == len(seen)
+        # njev counts the Jacobian calls made before each evaluation
+        assert [njev for _, njev in yielded][:2] == [0, 1]
+        assert yielded[-1][1] <= result.njev
 
 
 class TestRequireReal:
