@@ -39,7 +39,7 @@ from .errors import (
     NoConvergedStart,
     NumericFailure,
 )
-from .numerics import dogbox, least_squares_bounded, require_int, require_real
+from .numerics import dogbox, require_int, require_real
 from .svi import SviParams, svi, svi_raw
 
 #: Margin keeping box samples off the open boundaries of the rectangle.
@@ -205,7 +205,8 @@ class _Objective:
     while x stays equal, so the Jacobian at the point whose residuals the
     solver has just evaluated adds only the partials, which are one-sided
     at the chart's kinks.  A caller may hand it a chart point it already
-    holds, such as the projection of the informed start.
+    holds, such as the projection of the informed start.  ``njev`` counts
+    the Jacobian calls since the caller last set it.
     """
 
     def __init__(
@@ -216,6 +217,7 @@ class _Objective:
         self.weights = weights
         self.pipeline = pipeline
         self.last: ChartPoint | None = None
+        self.njev = 0
 
     def point(self, x: np.ndarray) -> ChartPoint:
         if self.last is None or self.last.x != tuple(float(c) for c in x):
@@ -226,6 +228,7 @@ class _Objective:
         return (svi_raw(self.k, *self.point(x).raw) - self.w_mid) * self.weights
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
+        self.njev += 1
         p = self.point(x)
         d_res = _svi_jacobian(self.k, self.weights, *p.raw[1:])
         return d_res @ self.pipeline.partials(p)
@@ -350,7 +353,7 @@ def _natural_polish(
     def jacobian(x: np.ndarray) -> np.ndarray:
         return _svi_jacobian(k, weights, *x[1:])
 
-    x, _, _ = least_squares_bounded(residuals, jacobian, x0, lo, hi, 1e-14, 400)
+    x = dogbox(residuals, jacobian, x0, lo, hi, 1e-14, 400).x
     return _floored(*(float(c) for c in x))
 
 
@@ -358,25 +361,25 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     """Fit an arbitrage-free smile to one maturity of total variances.
 
     Draws ``n_starts`` uniform box starts plus one deterministic
-    quasi-explicit start, polishes each with bounded least squares
-    (numerics.dogbox, stepped one evaluation at a time) on the
-    (optionally vega-weighted) total-variance residuals, and keeps the
-    lowest cost.  The quasi-explicit start runs first, then the uniform
-    ones in index order; once a start's cost is at or below the rounding
-    floor 0.5*n*(16*eps*max|weights*w_mid|)^2 the data is one smile to
-    rounding, and the remaining starts are recorded as not run.  Each
-    later start is watched by the stall rule (_StallWatch): after 50
-    evaluations it is stopped once its cost sits more than 1e3 times
-    above the best cost so far and its recent progress cannot close that
-    gap within 1,000 evaluations.  The rule extrapolates: a start that idles
-    on a plateau and then drops is protected only by the 1e3 ratio, and
-    one idling further above the best cost so far is stopped even if it
-    would have gone on to win.  Starts that exhaust their evaluation budget,
-    stall or fail still report their best evaluated point and compete with
-    it; starts that fail before their first evaluation or are not run are
-    discarded, and NoConvergedStart is raised if none survive.  ``starts``
-    is ordered by index, with the quasi-explicit start last; each records
-    its ``nfev``, its ``njev`` and why it stopped.
+    quasi-explicit start, polishes each with one bounded least-squares
+    call (numerics.dogbox) on the (optionally vega-weighted) total-variance
+    residuals, and keeps the lowest cost.  The quasi-explicit start runs
+    first, then the uniform ones in index order; once a start's cost is at
+    or below the rounding floor 0.5*n*(16*eps*max|weights*w_mid|)^2 the
+    data is one smile to rounding, and the remaining starts are recorded as
+    not run.  Each later start is watched by the stall rule (_StallWatch,
+    dogbox's ``stop`` callback): after 50 evaluations it is stopped once
+    its cost sits more than 1e3 times above the best cost so far and its
+    recent progress cannot close that gap within 1,000 evaluations.  The
+    rule extrapolates: a start that idles on a plateau and then drops is
+    protected only by the 1e3 ratio, and one idling further above the best
+    cost so far is stopped even if it would have gone on to win.  Starts
+    that exhaust their evaluation budget, stall or fail still report their
+    best evaluated point and compete with it; starts that fail before their
+    first evaluation or are not run are discarded, and NoConvergedStart is
+    raised if none survive.  ``starts`` is ordered by index, with the
+    quasi-explicit start last; each records its ``nfev``, its ``njev`` and
+    why it stopped.
     """
     if config is None:
         config = CalibrationConfig()
@@ -427,28 +430,23 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
             ))
             continue
         watch = _StallWatch(best_cost, _MAX_EVALS)
-        error, njev = None, 0
+        objective.njev, error = 0, None
         try:
-            steps = dogbox(
+            x, cost, stop, _, _ = dogbox(
                 objective.residuals, objective.jacobian, x0s[i], lower, upper, _EPS, _MAX_EVALS,
+                stop=lambda c: watch.stalled(float(c), objective.last),
             )
-            while True:
-                cost, njev = next(steps)
-                if watch.stalled(float(cost), objective.last):
-                    break
-        except StopIteration as done:
-            x, cost, converged, _, njev = done.value
-            stop = "converged" if converged else "budget"
         except ButterfreeError as exc:
             stop, error = "failed", str(exc)
-        else:
+        if stop == "stopped":
             stop = "stalled"
         if stop in ("stalled", "failed"):
             # the start's best evaluated point, if it has one
             x = None if watch.best_at is None else watch.best_at.x
             cost = watch.best_cost
         starts.append(StartResult(
-            i, x0, None if x is None else tuple(x), float(cost), watch.nfev, stop, error, njev,
+            i, x0, None if x is None else tuple(x), float(cost), watch.nfev, stop, error,
+            objective.njev,
         ))
         points[i] = watch.best_at
         best_cost = min(best_cost, float(cost))

@@ -19,6 +19,7 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import datetime as dt
 import json
 import math
 import sys
@@ -31,7 +32,7 @@ from .domain import check_no_arbitrage, sigma_star, sigma_star_profile
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, mu_interval
 from .market_data import build_vol_slice, infer_forward_discount, load_chain, year_fraction
-from .numerics import is_real
+from .numerics import is_real, require_real
 from .svi import SviParams, durrleman_g, n_funcs, svi
 
 EXIT_OK = 0
@@ -245,6 +246,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    if args.t is not None:  # a bad flag fails the command, not each chain
+        require_real("--t", args.t, 0.0, strict=True)
     chains, rejects = load_chain(args.csv)
     if not chains:
         print("no chains found")
@@ -257,7 +260,7 @@ def cmd_ingest(args) -> int:
     for chain in chains:
         try:
             fd = infer_forward_discount(chain)
-            t = args.t if args.t is not None else year_fraction(chain.expiry, args.valuation)
+            t = args.t if args.t is not None else year_fraction(chain.expiry, str(args.valuation))
             slice_, skipped = build_vol_slice(chain, fd, t)
         except ButterfreeError as exc:
             print(f"{chain.expiry}: skipped ({exc})")
@@ -407,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ing = sub.add_parser("ingest", help="read a quote file, emit slice files")
     p_ing.add_argument("--csv", required=True)
-    p_ing.add_argument("--valuation", help="valuation date YYYY-MM-DD")
+    p_ing.add_argument("--valuation", type=dt.date.fromisoformat,
+                       help="valuation date YYYY-MM-DD")
     p_ing.add_argument("--t", type=float, default=None, help="year fraction override")
     p_ing.add_argument("--out-dir", dest="out_dir", default=".")
     p_ing.set_defaults(func=cmd_ingest)

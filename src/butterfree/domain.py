@@ -16,9 +16,10 @@ in order:
 Surviving all four steps is equivalent to g >= 0 on the whole line.  The
 same four quantities give a bijection between the strictly free region and
 a simple box (rho, b', u, q, v), which is what the calibrator optimizes
-over: every box point maps to an arbitrage-free smile by construction.
-This module owns that chart: its forward map, its exact partials and the
-projection of a raw smile into the box.
+over: in real arithmetic every box point maps to an arbitrage-free smile
+(box_to_params says where floats fall short).  This module owns that
+chart: its forward map, its exact partials and the projection of a raw
+smile into the box.
 """
 
 from __future__ import annotations
@@ -569,7 +570,7 @@ class BoxChart:
     alpha is enforced by clamping the margin u inside the mapping, which
     keeps a solver's rectangle fixed while guaranteeing alpha <= alpha_cap
     for every evaluated point; with the default infinite cap the chart is
-    box_to_params.
+    box_to_params, Free in real arithmetic, not always in floats.
 
     Every chart quantity is a root or an optimum, so its partials come from
     the solved point alone: the threshold F(b, rho) by the implicit
@@ -735,9 +736,13 @@ def _threshold_partials(
 def box_to_params(box: BoxCoords) -> SviParams:
     """Map box coordinates to raw smile parameters.
 
-    Every point of the box lands strictly inside steps 1-3 of the waterfall
-    and at or above the sigma_star floor, so the result is always free of
-    butterfly arbitrage.
+    In real arithmetic every box point lands strictly inside steps 1-3 of
+    the waterfall and at or above the sigma_star floor, so the result is
+    free of butterfly arbitrage.  In floats, rebuilding (a, m) =
+    (alpha*sigma, mu*sigma) moves alpha and mu by ulps, and where v is 0
+    (or below the move that causes in sigma_star) the re-certified
+    sigma_star can exceed sigma by ulps (Failure4); calibrate's sigma
+    nudge covers that until ROADMAP item 2 mends the chart.
     """
     x = (box.rho, box.b_prime, box.u, box.q, box.v)
     return SviParams(*BoxChart().point(x).raw)

@@ -205,22 +205,22 @@ def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
     is unique.  Raises NoFiniteOptimum at the slope limit and DomainError
     for alpha below the admissible floor -b*sqrt(1-rho^2).
     """
-    monotone, _ = _anchor(b, rho, side)
+    monotone, anchor = _anchor(b, rho, side)
     floor = -b * math.sqrt(1.0 - rho * rho)
     if alpha < floor or (monotone and alpha <= floor):
         raise DomainError(
             f"alpha = {alpha} is below the admissible floor {floor} for this smile"
         )
-    return _critical_point(b, rho, side, alpha / b)
+    return _critical_point(b, rho, side, anchor, alpha / b)
 
 
 def _critical_point(
-    b: float, rho: float, side: str, level: float, start: float | None = None
+    b: float, rho: float, side: str, anchor: float, level: float,
+    start: float | None = None,
 ) -> float:
     """The root of g_pm(l) = level, bracketed by walking away from the
-    side's anchor, by Newton on the closed-form g_pm' from ``start`` (by
-    default the secant point of the bracket)."""
-    _, anchor = _anchor(b, rho, side)
+    side's anchor (_anchor), by Newton on the closed-form g_pm' from
+    ``start`` (by default the secant point of the bracket)."""
     bracket = expand_bracket(
         lambda l: g_pm(b, rho, l, side) - level, anchor, -1 if side == "-" else 1
     )
@@ -425,10 +425,10 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     }
     first = {
         side: _critical_point(
-            b, rho, side, level_lo,
-            _vertex_start(b, rho, side, level_lo) if anchors[side][0] else None,
+            b, rho, side, anchor, level_lo,
+            _vertex_start(b, rho, side, level_lo) if monotone else None,
         )
-        for side in sides
+        for side, (monotone, anchor) in anchors.items()
     }
     points = dict(first)
 
@@ -448,7 +448,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
                 if step > _X_TOL:
                     moved[side] = step
             else:
-                points[side] = _critical_point(b, rho, side, level)
+                points[side] = _critical_point(b, rho, side, anchors[side][1], level)
         return moved
 
     def gap(level: float) -> tuple[float, float]:
@@ -469,7 +469,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
             # step on while Newton converges, and solve the rest exactly
             last, moved = moved, step_sides(level, moved)
             for side in [side for side in moved if moved[side] > 0.5 * last[side]]:
-                points[side] = _critical_point(b, rho, side, level)
+                points[side] = _critical_point(b, rho, side, anchors[side][1], level)
                 del moved[side]
             value, slope = gap(level)
         return value, slope

@@ -4,17 +4,17 @@ squares and the checks on numeric settings.
 Roots are found by a local safeguarded Newton iteration on certified
 brackets.  Least squares is a port of scipy's dogbox trust region that
 always runs on the caller's exact Jacobian, never on finite differences,
-and yields after every residual evaluation so a caller can stop a run
-between evaluations; the package needs no scipy.  This module pins down
-brackets, tolerances and failure modes so the rest of the package gets
-deterministic behaviour and typed errors.
+and asks an optional ``stop`` callback after every residual evaluation
+whether to end the run there; the package needs no scipy.  This module
+pins down brackets, tolerances and failure modes so the rest of the
+package gets deterministic behaviour and typed errors.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.linalg import lstsq, norm
@@ -189,16 +189,15 @@ def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: 
     )
 
 
-
-
 class LsqResult(NamedTuple):
-    """Where a dogbox run ended: the point x, its cost 0.5*||r||^2, whether
-    a tolerance was met (False when the evaluation budget ran out), and the
-    residual and Jacobian evaluations made."""
+    """Where a dogbox run ended: the point x, its cost 0.5*||r||^2, why it
+    ended ("converged" when a tolerance was met, "budget" when the
+    evaluation budget ran out, "stopped" when ``stop`` answered true), and
+    the residual and Jacobian evaluations made."""
 
     x: np.ndarray
     cost: float
-    converged: bool
+    converged: str
     nfev: int
     njev: int
 
@@ -211,9 +210,10 @@ def dogbox(
     upper: Sequence[float],
     tol: float,
     max_evals: int,
-) -> Generator[tuple[float, int], None, LsqResult]:
+    stop: Callable[[float], bool] | None = None,
+) -> LsqResult:
     """Bound-constrained nonlinear least squares by the rectangular
-    trust-region dogleg of Voglis & Lagaris (2004), as a generator.
+    trust-region dogleg of Voglis & Lagaris (2004).
 
     This is scipy's ``least_squares(method="dogbox")`` (scipy/optimize/
     _lsq/dogbox.py, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
@@ -234,12 +234,12 @@ def dogbox(
     ``max_evals`` caps the trial points, counting the start.  Like
     scipy's, the residuals and the Jacobian are kept for the last point
     either was asked at, so a trial point equal to it spends budget
-    without a new evaluation.  After each residual evaluation the
-    generator yields (cost, njev): that evaluation's 0.5*||r||^2 and the
-    Jacobian evaluations so far, so a caller can stop the run between
-    evaluations.  Run to the end it returns an LsqResult.  Raises
-    InfeasibleStart for x0 outside the bounds and NumericFailure for
-    non-finite residuals at x0.
+    without a new evaluation.  After each residual evaluation, the
+    start's included, ``stop`` (if given) is called with that evaluation's
+    0.5*||r||^2; when it answers true the run ends there, at the last
+    accepted point.  Every residual evaluation stays inside [lower, upper].
+    Returns an LsqResult.  Raises InfeasibleStart for x0 outside the bounds
+    and NumericFailure for non-finite residuals at x0.
     """
     x = np.array(x0, dtype=float)
     lb = np.asarray(lower, dtype=float)
@@ -248,7 +248,8 @@ def dogbox(
         raise InfeasibleStart(f"start point {x.tolist()} violates bounds")
     f = residuals(x.copy())
     cost = 0.5 * np.dot(f, f)
-    yield cost, 0
+    if stop is not None and stop(cost):
+        return LsqResult(x, float(cost), "stopped", 1, 0)
     if not np.all(np.isfinite(f)):
         raise NumericFailure(f"residuals are not finite at the start point {x.tolist()}")
     J = jac(x.copy())
@@ -297,7 +298,8 @@ def dogbox(
             if f_at is None:
                 f_at = residuals(x_new.copy())
                 nfev += 1
-                yield 0.5 * np.dot(f_at, f_at), njev
+                if stop is not None and stop(0.5 * np.dot(f_at, f_at)):
+                    return LsqResult(x, float(cost), "stopped", nfev, njev)
             f_new = f_at
             spent += 1
             step_h_norm = norm(step, ord=np.inf)
@@ -339,7 +341,7 @@ def dogbox(
                 njev += 1
             J = J_at
             g = J.T.dot(f)
-    return LsqResult(x, float(cost), converged, nfev, njev)
+    return LsqResult(x, float(cost), "converged" if converged else "budget", nfev, njev)
 
 
 def _dogleg_step(
@@ -392,33 +394,3 @@ def _to_bound(
                                      (ub - x)[non_zero] / s_non_zero)
     min_step = np.min(steps)
     return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)
-
-
-def least_squares_bounded(
-    residuals: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
-    x0: Sequence[float],
-    lower: Sequence[float],
-    upper: Sequence[float],
-    tol: float,
-    max_evals: int,
-) -> tuple[np.ndarray, float, bool]:
-    """Bound-constrained nonlinear least squares with an exact Jacobian:
-    dogbox run to the end.
-
-    ``jac`` returns the residual Jacobian at x; it is asked once per
-    accepted step, at the point whose residuals were just evaluated, with
-    any coordinate that reached a bound set exactly onto it.  Every
-    residual evaluation stays inside [lower, upper].  ``tol`` is the
-    relative tolerance on the cost, the step and the scaled gradient
-    alike, and ``max_evals`` caps the residual evaluations.  Returns (x,
-    cost, converged) with cost = 0.5*||r||^2.  When the evaluation budget
-    runs out the best point found is returned with converged=False rather
-    than raising.
-    """
-    steps = dogbox(residuals, jac, x0, lower, upper, tol, max_evals)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value[:3]

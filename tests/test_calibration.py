@@ -26,8 +26,7 @@ from butterfree.errors import (
     NoConvergedStart,
     NumericFailure,
 )
-import butterfree.numerics as numerics_module
-from butterfree.numerics import dogbox, least_squares_bounded
+from butterfree.numerics import dogbox
 from butterfree.svi import SviParams, durrleman_g, svi
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
 
@@ -379,8 +378,8 @@ class TestStallRule:
         def no_guess(*args):
             raise NumericFailure("no informed start")
 
-        seen = []
-        residuals = _Objective.residuals
+        seen, jacobians = [], []
+        residuals, jacobian = _Objective.residuals, _Objective.jacobian
 
         def failing(objective, x):
             if len(seen) == 59:
@@ -389,13 +388,20 @@ class TestStallRule:
             seen.append((0.5 * float(np.dot(r, r)), tuple(x)))
             return r
 
+        def counted(objective, x):
+            jacobians.append(tuple(x))
+            return jacobian(objective, x)
+
         monkeypatch.setattr(calibration_module, "_quasi_explicit_guess", no_guess)
         monkeypatch.setattr(_Objective, "residuals", failing)
+        monkeypatch.setattr(_Objective, "jacobian", counted)
         result = calibrate(noisy_slice(), CalibrationConfig(n_starts=1, seed=0))
         (start,) = result.starts
         assert start.stop == "failed" and not start.converged
         assert start.error == "forced failure at evaluation 60"
         assert start.nfev == len(seen) == 59
+        # the Jacobian taken after the last evaluation counts too
+        assert start.njev == len(jacobians) >= 1
         best_cost, best_x = min(seen, key=lambda s: s[0])
         assert start.cost == best_cost == result.cost
         assert start.x == best_x
@@ -410,13 +416,9 @@ class TestStallRule:
 
         eps = calibration_module._EPS
         args = (residuals, jac, [-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0], eps, 1000)
-        x, cost, converged = least_squares_bounded(*args)
+        x, cost, converged, _, _ = dogbox(*args)
         watch = calibration_module._StallWatch(math.inf, 1000)
-        steps = dogbox(*args)
-        with pytest.raises(StopIteration) as done:
-            while not watch.stalled(next(steps)[0]):
-                pass
-        result = done.value.value
+        result = dogbox(*args, stop=watch.stalled)
         assert x.tolist() == result.x.tolist()
         assert cost == result.cost and converged == result.converged
         assert watch.nfev == result.nfev
@@ -598,9 +600,9 @@ class TestJacobian:
 
         def record(*args):
             calls.append(args)
-            return least_squares_bounded(*args)
+            return dogbox(*args)
 
-        monkeypatch.setattr(calibration_module, "least_squares_bounded", record)
+        monkeypatch.setattr(calibration_module, "dogbox", record)
         s = noisy_slice()
         weights = vega_weights(s)
         guess = calibration_module._quasi_explicit_guess(s.k, s.w_mid, weights)
@@ -620,16 +622,12 @@ class TestJacobian:
                 assert column_error(got[:, j], want) <= 1e-7, (x.tolist(), j)
 
     def test_every_solve_gets_an_exact_jacobian(self, monkeypatch):
-        # the polish reaches dogbox through least_squares_bounded, the
-        # starts call it from calibrate
         jacs = []
-        real = numerics_module.dogbox
 
-        def record(residuals, jac, *args):
+        def record(residuals, jac, *args, **kwargs):
             jacs.append(jac)
-            return real(residuals, jac, *args)
+            return dogbox(residuals, jac, *args, **kwargs)
 
-        monkeypatch.setattr(numerics_module, "dogbox", record)
         monkeypatch.setattr(calibration_module, "dogbox", record)
         result = calibrate(noisy_slice(), FAST)
         ran = [st for st in result.starts if st.stop != "not run"]

@@ -567,6 +567,33 @@ class TestIngestCommand:
         assert rc == 0
         assert read_slice(str(tmp_path / "2026-12-18.slice.json")).t == 0.5
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--t", "-1", "--t must be a finite number > 0.0"),
+        ("--t", "nan", "--t must be a finite number > 0.0"),
+        ("--valuation", "notadate", "argument --valuation: invalid"),
+    ])
+    def test_bad_flag_is_input_error(self, capsys, tmp_path, flag, value, message):
+        csv_path = tmp_path / "quotes.csv"
+        csv_path.write_text(parity_csv(["2026-12-18"]))
+        rc, out, err = run(capsys, [
+            "ingest", "--csv", str(csv_path), flag, value, "--out-dir", str(tmp_path),
+        ])
+        assert rc == 64
+        assert message in err
+        assert "skipped" not in out
+        assert not (tmp_path / "2026-12-18.slice.json").exists()
+
+    def test_expiry_not_after_valuation_is_skipped(self, capsys, tmp_path):
+        csv_path = tmp_path / "quotes.csv"
+        csv_path.write_text(parity_csv(["2026-08-16", "2026-12-18"]))
+        rc, out, _ = run(capsys, [
+            "ingest", "--csv", str(csv_path), "--valuation", "2026-08-16",
+            "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        assert "2026-08-16: skipped (expiry 2026-08-16 is not after valuation" in out
+        assert (tmp_path / "2026-12-18.slice.json").exists()
+
     def test_single_pair_expiry_is_skipped(self, capsys, tmp_path):
         csv_path = tmp_path / "thin.csv"
         csv_path.write_text(parity_csv(["2026-12-18"], ks=(0.0,)))

@@ -444,6 +444,28 @@ class TestBoxCoords:
             BoxCoords(rho=math.nan, b_prime=0.5, u=0.1, q=0.0, v=0.0)
 
 
+def interior_box(rng: np.random.Generator) -> BoxCoords:
+    return BoxCoords(
+        rho=float(rng.uniform(-0.95, 0.95)),
+        b_prime=float(rng.uniform(0.05, 1.0)),
+        u=float(rng.uniform(1e-3, 2.0)),
+        q=float(rng.uniform(-0.95, 0.95)),
+        v=float(rng.uniform(0.0, 1.0)),
+    )
+
+
+def floor_box(rng: np.random.Generator) -> BoxCoords:
+    """A box point on the face v = 0; 6 of 200 drawn from seed 7 come back
+    Failure4."""
+    return BoxCoords(
+        rho=float(rng.uniform(-0.95, 0.95)),
+        b_prime=float(rng.uniform(0.01, 0.99)),
+        u=float(10.0 ** rng.uniform(-3.0, 0.5)),
+        q=float(rng.uniform(-0.999, 0.999)),
+        v=0.0,
+    )
+
+
 class TestBoxMap:
     def test_centered_q_hits_interval_midpoint(self):
         box = BoxCoords(rho=-0.3, b_prime=0.6, u=0.4, q=0.0, v=0.1)
@@ -472,16 +494,17 @@ class TestBoxMap:
         assert back.q == pytest.approx(box.q, abs=1e-8)
         assert back.v == pytest.approx(box.v, abs=1e-8)
 
-    def test_sampled_boxes_are_free(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            box = BoxCoords(
-                rho=float(rng.uniform(-0.95, 0.95)),
-                b_prime=float(rng.uniform(0.05, 1.0)),
-                u=float(rng.uniform(1e-3, 2.0)),
-                q=float(rng.uniform(-0.95, 0.95)),
-                v=float(rng.uniform(0.0, 1.0)),
-            )
+    @pytest.mark.parametrize("seed, count, draw", [
+        pytest.param(3, 50, interior_box, id="interior"),
+        pytest.param(7, 200, floor_box, id="v-zero", marks=pytest.mark.xfail(
+            strict=True,
+            reason="ROADMAP item 2: at v = 0, rebuilding (a, m) = (alpha*sigma, "
+                   "mu*sigma) can leave sigma ulps under the re-certified sigma*")),
+    ])
+    def test_sampled_boxes_are_free(self, seed, count, draw):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            box = draw(rng)
             diag = check_no_arbitrage(box_to_params(box))
             assert diag.is_free, (box, diag.message)
 

@@ -22,7 +22,6 @@ from butterfree.numerics import (
     Bracket,
     dogbox,
     expand_bracket,
-    least_squares_bounded,
     newton_root,
     require_real,
 )
@@ -165,22 +164,22 @@ def rosenbrock_jacobian(x):
 class TestLeastSquaresBounded:
     def test_linear_residual(self):
         c = 3.7
-        x, cost, converged = least_squares_bounded(
+        x, cost, converged, _, _ = dogbox(
             lambda x: x - c, identity_jacobian, [0.0], [-10.0], [10.0], EPS, 1000
         )
         assert x[0] == pytest.approx(c, abs=1e-10)
         assert cost == pytest.approx(0.0, abs=1e-18)
-        assert converged
+        assert converged == "converged"
 
     def test_active_bound(self):
-        x, cost, _ = least_squares_bounded(
+        x, cost, *_ = dogbox(
             lambda x: x - 5.0, identity_jacobian, [0.5], [0.0], [1.0], EPS, 1000
         )
         assert x[0] == pytest.approx(1.0, abs=1e-12)
         assert cost == pytest.approx(0.5 * 16.0, rel=1e-10)
 
     def test_rosenbrock(self):
-        x, cost, _ = least_squares_bounded(
+        x, cost, *_ = dogbox(
             rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0],
             EPS, 1000,
         )
@@ -200,18 +199,16 @@ class TestLeastSquaresBounded:
             assert np.array_equal(x, seen[-1])
             return rosenbrock_jacobian(x)
 
-        x, cost, converged = least_squares_bounded(
+        x, cost, converged, _, _ = dogbox(
             residuals, jac, [-1.2, 1.0], [-2.0, -2.0], [2.0, 2.0], EPS, 1000
         )
         assert np.allclose(x, [1.0, 1.0], atol=1e-8)
         assert cost < 1e-16
-        assert converged
+        assert converged == "converged"
 
     def test_infeasible_start(self):
         with pytest.raises(InfeasibleStart):
-            least_squares_bounded(
-                lambda x: x, identity_jacobian, [2.0], [0.0], [1.0], EPS, 1000
-            )
+            dogbox(lambda x: x, identity_jacobian, [2.0], [0.0], [1.0], EPS, 1000)
 
     def test_never_evaluates_outside_bounds(self):
         lower = np.array([-1.0, 0.0])
@@ -226,7 +223,7 @@ class TestLeastSquaresBounded:
             seen.append(x.copy())
             return np.eye(2)
 
-        least_squares_bounded(residuals, jac, [0.0, 1.0], lower, upper, EPS, 1000)
+        dogbox(residuals, jac, [0.0, 1.0], lower, upper, EPS, 1000)
         for x in seen:
             assert np.all(x >= lower - 1e-15) and np.all(x <= upper + 1e-15)
 
@@ -237,20 +234,11 @@ class TestLeastSquaresBounded:
         def jac(x):
             return np.diag([1.0 - math.tanh(x[0]) ** 2, 3.0 * x[1] ** 2])
 
-        x, cost, converged = least_squares_bounded(
+        x, cost, converged, _, _ = dogbox(
             residuals, jac, [0.0, 1.0], [-5.0, -5.0], [5.0, 5.0], EPS, 3
         )
-        assert not converged
+        assert converged == "budget"
         assert np.isfinite(cost)
-
-
-def run_dogbox(*args):
-    steps = dogbox(*args)
-    while True:
-        try:
-            next(steps)
-        except StopIteration as done:
-            return done.value
 
 
 def bounded_problem(rng: np.random.Generator):
@@ -326,14 +314,14 @@ class TestDogboxMatchesScipy:
 
             if not np.all(np.isfinite(residuals(x0))):
                 with pytest.raises(ButterfreeError, match="not finite at the start"):
-                    run_dogbox(residuals, jac, x0, lower, upper, tol, budget)
+                    dogbox(residuals, jac, x0, lower, upper, tol, budget)
                 continue
             want = least_squares(f, x0, jac=j, bounds=(lower, upper), method="dogbox",
                                  ftol=tol, xtol=tol, gtol=tol, max_nfev=budget)
-            got = run_dogbox(residuals, jac, x0, lower, upper, tol, budget)
+            got = dogbox(residuals, jac, x0, lower, upper, tol, budget)
             assert got.x.tobytes() == want.x.tobytes(), trial
             assert got.cost == want.cost, trial
-            assert got.converged == (want.status > 0), trial
+            assert got.converged == ("converged" if want.status > 0 else "budget"), trial
             assert (got.nfev, got.njev) == (calls["f"], calls["j"]), trial
             seen["budget"] += want.status == 0
             seen["start on a bound"] += bool(np.any((x0 == lower) | (x0 == upper)))
@@ -341,28 +329,44 @@ class TestDogboxMatchesScipy:
 
     def test_non_finite_residuals_at_the_start_raise(self):
         with pytest.raises(ButterfreeError, match="not finite at the start"):
-            run_dogbox(lambda x: np.array([math.nan]), identity_jacobian,
-                       [0.5], [0.0], [1.0], EPS, 100)
+            dogbox(lambda x: np.array([math.nan]), identity_jacobian,
+                   [0.5], [0.0], [1.0], EPS, 100)
 
-    def test_yields_each_evaluation(self):
-        seen = []
+    def test_stop_sees_each_evaluation(self):
+        seen, asked = [], []
 
         def residuals(x):
             seen.append(0.5 * float(np.dot(rosenbrock(x), rosenbrock(x))))
             return rosenbrock(x)
 
-        steps = dogbox(residuals, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0],
-                       [2.0, 2.0], EPS, 1000)
-        yielded = []
-        with pytest.raises(StopIteration) as done:
-            while True:
-                yielded.append(next(steps))
-        result = done.value.value
-        assert [cost for cost, _ in yielded] == seen
+        def stop(cost):
+            asked.append(cost)
+            return False
+
+        result = dogbox(residuals, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0],
+                        [2.0, 2.0], EPS, 1000, stop)
+        assert asked == seen
         assert result.nfev == len(seen)
-        # njev counts the Jacobian calls made before each evaluation
-        assert [njev for _, njev in yielded][:2] == [0, 1]
-        assert yielded[-1][1] <= result.njev
+        # a stop that never answers true changes nothing
+        plain = dogbox(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0],
+                       [2.0, 2.0], EPS, 1000)
+        assert result.x.tobytes() == plain.x.tobytes()
+        assert result[1:] == plain[1:]
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_stop_ends_the_run(self, n):
+        asked = []
+
+        def stop(cost):
+            asked.append(cost)
+            return len(asked) == n
+
+        result = dogbox(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0],
+                        [2.0, 2.0], EPS, 1000, stop)
+        assert len(asked) == result.nfev == n
+        assert result.converged == "stopped"
+        # the run ends at its last accepted point, never above the start
+        assert result.cost <= asked[0]
 
 
 class TestRequireReal:
