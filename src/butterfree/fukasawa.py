@@ -19,13 +19,12 @@ what makes the critical points unique and bracketable.
 
 The interval is non-empty exactly when alpha exceeds a threshold F(b, rho),
 the root of the strictly increasing gap alpha -> inf L_plus - sup L_minus.
-Every solve here is a safeguarded Newton iteration on exact derivatives.
-A critical point alone is Newton on the closed-form g_pm'.  F is one
-Newton iteration on the level and both critical points together: each
-step moves every l once toward the current level and then the level by
-the gap's slope, which the envelope theorem takes from the bound partials
-at those l.  Everything here requires the wing slopes b*(1 -+ rho) to stay
-at or below 2; beyond that limit no smile is arbitrage free.
+Every solve here is a safeguarded Newton iteration on exact derivatives:
+on the closed-form g_pm' for a critical point alone, and for F on the
+level and both critical points together, each step moving every l once
+toward the level and the level by the envelope slope of the gap.  All of
+it requires the wing slopes b*(1 -+ rho) to stay at or below 2; beyond
+that limit no smile is arbitrage free.
 """
 
 from __future__ import annotations
@@ -110,19 +109,12 @@ def bound_partials(
 
 
 def _require_side(l: float, rho: float, side: str) -> None:
-    if rho == -1.0:
-        if side == "+":
-            raise DomainError("the right half-line is empty at rho = -1")
-        return
-    if rho == 1.0:
-        if side == "-":
-            raise DomainError("the left half-line is empty at rho = +1")
-        return
-    ls = l_star(rho)
-    if side == "-" and not l < ls:
-        raise DomainError(f"l = {l} is not left of the vertex {ls}")
-    if side == "+" and not l > ls:
-        raise DomainError(f"l = {l} is not right of the vertex {ls}")
+    name = "left" if side == "-" else "right"
+    if abs(rho) == 1.0:
+        if (side == "+") == (rho == -1.0):
+            raise DomainError(f"the {name} half-line is empty at rho = {rho:+g}")
+    elif not (l < l_star(rho) if side == "-" else l > l_star(rho)):
+        raise DomainError(f"l = {l} is not {name} of the vertex {l_star(rho)}")
 
 
 def g_pm(b: float, rho: float, l: float, side: str) -> float:
@@ -145,14 +137,10 @@ def _g_pm_slope(b: float, rho: float, l: float, side: str) -> tuple[float, float
     dr = l / r
     base = rho * r + l
     d_base = rho * dr + 1.0
-    if side == "-":
-        c = 0.5 + b * rho / 4.0
-        factor = r * c + b * l / 4.0
-        d_factor = dr * c + b / 4.0
-    else:
-        c = 0.5 - b * rho / 4.0
-        factor = r * c - b * l / 4.0
-        d_factor = dr * c - b / 4.0
+    w = b / 4.0 if side == "-" else -b / 4.0
+    c = 0.5 + w * rho
+    factor = r * c + w * l
+    d_factor = dr * c + w
     value = base * base * factor - (rho * l + r)
     slope = base * (2.0 * d_base * factor + base * d_factor) - (rho + dr)
     return value, slope
@@ -169,31 +157,22 @@ def _anchor(b: float, rho: float, side: str) -> tuple[bool, float]:
     """
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
-    if side == "-":
-        if rho >= 1.0:
-            raise DomainError("the left half-line is empty at rho = +1")
-        slope = b * (1.0 - rho)
-    elif side == "+":
-        if rho <= -1.0:
-            raise DomainError("the right half-line is empty at rho = -1")
-        slope = b * (1.0 + rho)
-    else:
+    if side not in ("-", "+"):
         raise DomainError(f"side must be '-' or '+', got {side!r}")
+    # s*rho is rho's component toward the side
+    s = -1.0 if side == "-" else 1.0
+    if s * rho <= -1.0:
+        name = "left" if side == "-" else "right"
+        raise DomainError(f"the {name} half-line is empty at rho = {rho:+g}")
+    slope = b * (1.0 + s * rho)
     if slope >= 2.0 - SLOPE_EQ_TOL:
         raise NoFiniteOptimum(
-            f"wing slope b*(1 {'-' if side == '-' else '+'} rho) = {slope} is at "
+            f"wing slope b*(1 {side} rho) = {slope} is at "
             "its limit; the one-sided optimum is attained only at infinity"
         )
-    one_m_r2 = 1.0 - rho * rho
-    if side == "-":
-        if rho > 0.0 and b * one_m_r2 <= 2.0 * rho:
-            return True, l_star(rho)
-        m = -b / math.sqrt((2.0 - b * (1.0 - rho)) * (2.0 + b * (1.0 + rho)))
-    else:
-        if rho < 0.0 and b * one_m_r2 <= -2.0 * rho:
-            return True, l_star(rho)
-        m = b / math.sqrt((2.0 - b * (1.0 + rho)) * (2.0 + b * (1.0 - rho)))
-    return False, m
+    if s * rho < 0.0 and b * (1.0 - rho * rho) <= -2.0 * s * rho:
+        return True, l_star(rho)
+    return False, s * b / math.sqrt((2.0 - slope) * (2.0 + b * (1.0 - s * rho)))
 
 
 def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
@@ -216,22 +195,34 @@ def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
 
 def _critical_point(
     b: float, rho: float, side: str, anchor: float, level: float,
-    start: float | None = None,
+    start: float = math.nan,
 ) -> float:
     """The root of g_pm(l) = level, bracketed by walking away from the
     side's anchor (_anchor), by Newton on the closed-form g_pm' from
-    ``start`` (by default the secant point of the bracket)."""
+    ``start`` (where it is not finite, the bracket's secant point)."""
+    bracket, secant = _bracket_secant(b, rho, side, anchor, level)
+    start = start if math.isfinite(start) else secant
+    return newton_root(lambda l: _residual(b, rho, side, level, l), bracket, start)
+
+
+def _bracket_secant(
+    b: float, rho: float, side: str, anchor: float, level: float,
+    shape: tuple[int, float] = (1, 0.0),
+) -> tuple[Bracket, float]:
+    """The bracket of g_pm(l) = level walked out from the side's anchor,
+    and the secant point of its ends in the units of _residual's shape
+    (nan where they do not tell the two ends apart)."""
     bracket = expand_bracket(
         lambda l: g_pm(b, rho, l, side) - level, anchor, -1 if side == "-" else 1
     )
-    if start is None:
-        # the secant point of the evaluated points under and over the level
-        (l_u, f_u), (l_o, f_o) = (bracket.lo, bracket.f_lo), (bracket.hi, bracket.f_hi)
-        if f_u > 0.0:
-            (l_u, f_u), (l_o, f_o) = (l_o, f_o), (l_u, f_u)
-        g_u, g_o = f_u + level, f_o + level
-        start = l_u + (level - g_u) * (l_o - l_u) / (g_o - g_u)
-    return newton_root(lambda l: _residual(b, rho, side, level, l), bracket, start)
+    (l_u, f_u), (l_o, f_o) = (bracket.lo, bracket.f_lo), (bracket.hi, bracket.f_hi)
+    if f_u > 0.0:
+        (l_u, f_u), (l_o, f_o) = (l_o, f_o), (l_u, f_u)
+    power, base = shape
+    r_u, r_o, r = (_root(g - base, power) for g in (f_u + level, f_o + level, level))
+    if r_o == r_u:
+        return bracket, math.nan
+    return bracket, l_u + (r - r_u) * (l_o - l_u) / (r_o - r_u)
 
 
 def _residual(
@@ -264,9 +255,9 @@ def _root(x: float, power: int) -> float:
     return math.copysign(abs(x) ** (1.0 / power), x)
 
 
-def _vertex_start(b: float, rho: float, side: str, level: float) -> float | None:
+def _vertex_start(b: float, rho: float, side: str, level: float) -> float:
     """Newton's start for the root of g_pm(l) = level on a side where g_pm
-    runs monotone into the vertex, or None where the cubic below is flat.
+    runs monotone into the vertex, or nan where the cubic below is flat.
 
     Near l_star, g_pm(l) + sqrt(1-rho^2) ~ c*(l - l_star)^3, with
     c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the side's factor' at
@@ -276,7 +267,7 @@ def _vertex_start(b: float, rho: float, side: str, level: float) -> float | None
     wing = b * one_m_r2 / 4.0
     cubic = abs(one_m_r2 * one_m_r2 * ((wing if side == "-" else -wing) - rho / 2.0))
     if cubic == 0.0:
-        return None
+        return math.nan
     offset = ((level + math.sqrt(one_m_r2)) / cubic) ** (1.0 / 3.0)
     return l_star(rho) + (offset if side == "+" else -offset)
 
@@ -316,23 +307,18 @@ def interval_with_optimizers(
     bounds; an optimizer is nan where its bound is -+alpha/2 or infinite."""
     require_finite(alpha=alpha)
     slope_left, slope_right = _wing_slopes(b, rho)
-    l_m = l_p = math.nan
-    if rho == -1.0:
+    floor = -b * math.sqrt(1.0 - rho * rho)
+    if abs(rho) < 1.0 and alpha <= floor:
+        raise FukasawaViolated(
+            f"alpha = {alpha} is at or below the floor {floor}; "
+            "the smile minimum is not positive"
+        )
+    lower, upper, l_m, l_p = -math.inf, math.inf, math.nan, math.nan
+    if rho != 1.0:
         lower, l_m = _bound(alpha, b, rho, "-", slope_left)
-        interval = MuInterval(lower, math.inf)
-    elif rho == 1.0:
+    if rho != -1.0:
         upper, l_p = _bound(alpha, b, rho, "+", slope_right)
-        interval = MuInterval(-math.inf, upper)
-    else:
-        floor = -b * math.sqrt(1.0 - rho * rho)
-        if alpha <= floor:
-            raise FukasawaViolated(
-                f"alpha = {alpha} is at or below the floor {floor}; "
-                "the smile minimum is not positive"
-            )
-        lower, l_m = _bound(alpha, b, rho, "-", slope_left)
-        upper, l_p = _bound(alpha, b, rho, "+", slope_right)
-        interval = MuInterval(lower, upper)
+    interval = MuInterval(lower, upper)
     if not interval.lower < interval.upper:
         raise FukasawaViolated(
             f"empty shift interval ({interval.lower}, {interval.upper}): "
@@ -345,9 +331,8 @@ def _bound(
     alpha: float, b: float, rho: float, side: str, slope: float
 ) -> tuple[float, float]:
     """sup L_minus (side '-') or inf L_plus (side '+'), and its optimizer."""
-    sign = -1.0 if side == "-" else 1.0
     if slope >= 2.0 - SLOPE_EQ_TOL:
-        return sign * alpha / 2.0, math.nan
+        return (-alpha if side == "-" else alpha) / 2.0, math.nan
     l = l_pm_of_alpha(alpha, b, rho, side)
     return _bound_at(l, alpha, b, rho, side)[0], l
 
@@ -387,25 +372,28 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
 
     F solves three equations in (level, l_minus, l_plus), with the level
     alpha/b: g_pm(l_pm) = level on each side, and D = 0 for the gap
-    D = L_plus(l_plus) - L_minus(l_minus).  In the level, D and its slope
-    b*D'(alpha) = b*(2/N'(l_plus) - 2/N'(l_minus) - 1) stay of order one
-    however small b is.  The first level, the floor plus _LEVEL_EDGE, is
-    solved exactly; if the gap is already open there, F is the floor
-    -b*sqrt(1-rho^2) itself.  Since D' > 1, the gap is positive a level
-    distance 1.25*|D|/b further on, which certifies the level bracket.
+    D = L_plus(l_plus) - L_minus(l_minus), whose level slope
+    b*D'(alpha) = b*(2/N'(l_plus) - 2/N'(l_minus) - 1) stays of order one
+    however small b is.  L_minus(l) <= sup L_minus and L_plus(l) >=
+    inf L_plus at every l of their half-lines, so a negative gap certifies
+    a level below F wherever it is evaluated.  The level bracket starts at
+    the floor plus _LEVEL_EDGE, certified by the gap at each side's start
+    point there (_vertex_start, _bracket_secant) with no critical point
+    solved.  Only where that gap is not negative, or cannot be formed, is
+    this first level solved exactly; if the gap is open there too, F is the
+    floor -b*sqrt(1-rho^2).  The bracket ends at level 0: with alpha >= 0
+    the unshifted mu = 0 is admissible (Martini & Mingone,
+    arXiv:2005.03340), so F < 0.
 
-    From there one safeguarded Newton iteration runs on the level.  At each
-    level it takes one Newton step of each l toward it, on the p-th root of
-    g_pm - g_pm(anchor) (_residual), and evaluates the gap at those l.
+    In it one safeguarded Newton iteration runs on the level.  At each
+    level each l takes one Newton step toward it, on the p-th root of
+    g_pm - g_pm(anchor) (_residual), and the gap is evaluated at those l:
     L_pm has zero l-derivative at a critical point, so that gap is off by
-    the square of the l error, and the envelope slope steps the level.
-    L_minus(l) <= sup L_minus and L_plus(l) >= inf L_plus at every l of
-    their half-lines, so a negative gap certifies the bracket's lower end
-    wherever it is evaluated.  A gap that is not negative counts only at
-    converged critical points: the l are stepped on at that level while
-    their steps at least halve, and a side whose steps do not is solved
-    exactly.  So is a side whose step would fall back past its critical
-    point at the first level, or leave the floats.
+    the square of the l error, and the envelope slope steps the level.  A
+    gap that is not negative counts only at converged critical points: the
+    l step on at that level while their steps at least halve, and a side
+    whose steps do not is solved exactly, as is one whose step would fall
+    back past its first-level point or leave the floats.
     """
     slope_left, slope_right = _wing_slopes(b, rho)
     if abs(rho) == 1.0:
@@ -423,14 +411,11 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
         side: (3, -depth) if monotone else (2, g_pm(b, rho, anchor, side))
         for side, (monotone, anchor) in anchors.items()
     }
-    first = {
-        side: _critical_point(
-            b, rho, side, anchor, level_lo,
-            _vertex_start(b, rho, side, level_lo) if monotone else None,
-        )
+    points = {
+        side: _vertex_start(b, rho, side, level_lo) if monotone
+        else _bracket_secant(b, rho, side, anchor, level_lo, shapes[side])[1]
         for side, (monotone, anchor) in anchors.items()
     }
-    points = dict(first)
 
     def step_sides(level: float, which) -> dict[str, float]:
         """One Newton step toward level of the l on each side in ``which``;
@@ -474,14 +459,28 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
             value, slope = gap(level)
         return value, slope
 
-    gap_lo, slope_lo = gap(level_lo)
-    if gap_lo > 0.0:
-        # Open near the floor already; the threshold collapses onto it.
-        return -b * depth, math.nan, math.nan
+    gap_lo = math.nan
+    # a start point counts only where N' has its side's sign (never at nan)
+    if all(n_funcs(0.0, b, rho, l)[1] * (1.0 if side == "+" else -1.0) > 0.0
+           for side, l in points.items()):
+        gap_lo, slope_lo = gap(level_lo)
+    if not gap_lo < 0.0:
+        # the start points certify nothing: solve the first level exactly
+        points = {
+            side: _critical_point(
+                b, rho, side, anchor, level_lo, points[side] if monotone else math.nan
+            )
+            for side, (monotone, anchor) in anchors.items()
+        }
+        gap_lo, slope_lo = gap(level_lo)
+        if gap_lo > 0.0:
+            # Open near the floor already; the threshold collapses onto it.
+            return -b * depth, math.nan, math.nan
+    first = dict(points)
     level = level_lo
     if gap_lo < 0.0:
-        level_hi = level_lo + 1.25 * abs(gap_lo) / b + _LEVEL_EDGE
-        # D' > 1 gives D(level_hi) > gap_lo + 1.25*|gap_lo|, a certified bound
-        bracket = Bracket(level_lo, level_hi, gap_lo, 0.25 * abs(gap_lo))
+        # only the sign of the gap at level 0 counts, and it is positive
+        bracket = Bracket(level_lo, 0.0, gap_lo, 1.0)
         level = newton_root(joint, bracket, level_lo - gap_lo / slope_lo)
     return b * level, points.get("-", math.nan), points.get("+", math.nan)
+

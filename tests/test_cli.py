@@ -31,6 +31,12 @@ VOGT_FLAGS = [
 ]
 
 
+#: (b, rho) with 1 - |rho| of 5.4e-11, where F is well above the positivity
+#: floor although the float gap at the first level's critical points reads
+#: open.
+NEAR_RHO_ONE = ["--b=0.4568528468207588", "--rho=-0.9999999999464029"]
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -99,6 +105,15 @@ class TestCheckCommand:
         rc, out, _ = run(capsys, [
             "check", f"--a={floor + 5e-10!r}", "--b", "1e-7", "--rho", "0.73",
             "--m", "0", "--sigma", "1",
+        ])
+        assert rc == 3
+        assert out.startswith("Failure2:")
+
+    def test_near_rho_one_alpha_below_threshold_exits_three(self, capsys):
+        # alpha = a/sigma = -4.41e-6 lies between the positivity floor
+        # -4.73e-6 and F = -4.10e-6, so the threshold fails, not the interval
+        rc, out, _ = run(capsys, ["check"] + NEAR_RHO_ONE + [
+            "--a=-1.3239491867991372e-06", "--m=0", "--sigma=0.3",
         ])
         assert rc == 3
         assert out.startswith("Failure2:")
@@ -188,6 +203,14 @@ class TestValueCommands:
         assert rc == 0
         assert out.startswith("F(0.5, -0.3) = ")
         assert float(out.split("=")[-1]) == fukasawa_threshold(0.5, -0.3)
+
+    def test_threshold_near_rho_one_is_off_the_floor(self, capsys):
+        rc, out, _ = run(capsys, ["threshold"] + NEAR_RHO_ONE)
+        assert rc == 0
+        b, rho = 0.4568528468207588, -0.9999999999464029
+        value = float(out.split("=")[-1])
+        assert value == fukasawa_threshold(b, rho)
+        assert value > -b * math.sqrt(1.0 - rho * rho)
 
     def test_threshold_rejects_excess_slope(self, capsys):
         rc, _, err = run(capsys, ["threshold", "--b", "2.5", "--rho", "0"])

@@ -11,8 +11,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from butterfree import fukasawa
-from butterfree.domain import _threshold_partials
-from butterfree.errors import DomainError, FukasawaViolated, NoFiniteOptimum
+from butterfree.domain import (
+    BoxCoords,
+    Status,
+    _threshold_partials,
+    box_to_params,
+    check_no_arbitrage,
+)
+from butterfree.errors import ButterfreeError, DomainError, FukasawaViolated, NoFiniteOptimum
 from butterfree.fukasawa import (
     _LEVEL_EDGE,
     L_minus,
@@ -452,9 +458,13 @@ class TestThreshold:
 
 
 #: (b, rho) at which the threshold's gap is already open at the first level
-#: of its search: a tiny b, and 1 - |rho| of 5.4e-11.
+#: of its search, floor + _LEVEL_EDGE: a tiny b.
 FLOOR_TINY_B = (1.373349053970226e-08, 0.0007057328590045486)
-FLOOR_NEAR_RHO_ONE = (0.4568528468207588, -0.9999999999464029)
+#: (b, rho) with 1 - |rho| of 5.4e-11, where the float gap at the critical
+#: points of the first level reads +1.49e5 but 50 digits give -9.66e4: F is
+#: above the floor there, although an exact float solve of that level says
+#: otherwise.
+NEAR_RHO_ONE = (0.4568528468207588, -0.9999999999464029)
 
 
 def gap_50_digits(b: float, rho: float, level) -> mpmath.mpf:
@@ -493,24 +503,30 @@ def gap_50_digits(b: float, rho: float, level) -> mpmath.mpf:
         return bound("+") - bound("-")
 
 
+def threshold_50_digits(b: float, rho: float) -> mpmath.mpf:
+    """F(b, rho) in 50 digits: the secant iteration on gap_50_digits in the
+    level, from the float threshold's level and 1e-9 above it."""
+    with mpmath.workdps(50):
+        x0 = mpmath.mpf(fukasawa_threshold(b, rho) / b)
+        x1 = x0 + mpmath.mpf(1e-9)
+        g0, g1 = gap_50_digits(b, rho, x0), gap_50_digits(b, rho, x1)
+        while abs(x1 - x0) > mpmath.mpf(10) ** -35:
+            x0, g0, x1 = x1, g1, x1 - g1 * (x1 - x0) / (g1 - g0)
+            g1 = gap_50_digits(b, rho, x1)
+        return x1 * b
+
+
 class TestThresholdAtTheFloor:
     """Where the gap is already open at the first level of the search,
     floor + _LEVEL_EDGE, F is the positivity floor -b*sqrt(1-rho^2)."""
 
-    @pytest.mark.parametrize("b, rho", [FLOOR_TINY_B, FLOOR_NEAR_RHO_ONE],
-                             ids=["tiny-b", "near-rho-one"])
+    @pytest.mark.parametrize("b, rho", [FLOOR_TINY_B], ids=["tiny-b"])
     def test_threshold_is_the_floor(self, b, rho):
         f, l_minus, l_plus = threshold_with_optimizers(b, rho)
         assert f == -b * math.sqrt(1.0 - rho * rho)
         assert math.isnan(l_minus) and math.isnan(l_plus)
 
-    @pytest.mark.parametrize("b, rho", [
-        FLOOR_TINY_B,
-        pytest.param(*FLOOR_NEAR_RHO_ONE, marks=pytest.mark.xfail(strict=True, reason=(
-            "the float gap near the vertex has no digits left: in 50 digits "
-            "the gap is -9.66e4 here and F is -4.096e-6, not the floor -4.730e-6"
-        ))),
-    ], ids=["tiny-b", "near-rho-one"])
+    @pytest.mark.parametrize("b, rho", [FLOOR_TINY_B], ids=["tiny-b"])
     def test_gap_is_open_at_the_first_level(self, b, rho):
         with mpmath.workdps(50):
             level = -mpmath.sqrt(1 - mpmath.mpf(rho) ** 2) + _LEVEL_EDGE
@@ -520,34 +536,94 @@ class TestThresholdAtTheFloor:
         def quotient(f, x, h):
             return (f(x + h) - f(x - h)) / ((x + h) - (x - h))
 
-        # near |rho| = 1 a step of 1e-14 in rho already leaves the floor
-        # branch, so only the b column is checked there
-        for (b, rho), along_rho in ((FLOOR_TINY_B, True), (FLOOR_NEAR_RHO_ONE, False)):
-            f_b, f_rho = _threshold_partials(
-                b, rho, fukasawa_threshold(b, rho), math.nan, math.nan
-            )
-            assert f_b == pytest.approx(
-                quotient(lambda x: fukasawa_threshold(x, rho), b, 1e-6 * b), rel=1e-9
-            )
-            if along_rho:
-                assert f_rho == pytest.approx(
-                    quotient(lambda x: fukasawa_threshold(b, x), rho, 1e-6), rel=1e-6
-                )
+        b, rho = FLOOR_TINY_B
+        f_b, f_rho = _threshold_partials(
+            b, rho, fukasawa_threshold(b, rho), math.nan, math.nan
+        )
+        assert f_b == pytest.approx(
+            quotient(lambda x: fukasawa_threshold(x, rho), b, 1e-6 * b), rel=1e-9
+        )
+        assert f_rho == pytest.approx(
+            quotient(lambda x: fukasawa_threshold(b, x), rho, 1e-6), rel=1e-6
+        )
+        # off the floor branch near |rho| = 1, against the quotient of the
+        # 50-digit F; the float F is good to about 2.3e-6 relative there
+        # (ROADMAP item 8), and F_b inherits that
+        b, rho = NEAR_RHO_ONE
+        f_b, _ = _threshold_partials(b, rho, *threshold_with_optimizers(b, rho))
+        with mpmath.workdps(50):
+            want = quotient(lambda x: threshold_50_digits(x, rho), b, 1e-8 * b)
+        assert f_b == pytest.approx(float(want), rel=1e-5)
+
+
+def near_rho_one_cases(
+    seed: int, n: int, gaps: tuple[float, float]
+) -> list[tuple[float, float]]:
+    """n seeded (b, rho) with 1 - |rho| log-uniform over ``gaps`` and b
+    drawn as in threshold_cases."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(n):
+        sign = float(rng.choice((-1.0, 1.0)))
+        rho = sign * (1.0 - 10.0 ** float(rng.uniform(*np.log10(gaps))))
+        cases.append((draw_b(rng, i, rho), rho))
+    return cases
+
+
+class TestThresholdNearRhoOne:
+    """Near |rho| = 1 the float gap at exactly solved critical points can
+    read open at the first level where the true gap is closed; the gap at
+    the unsolved start points certifies the bracket instead."""
+
+    def test_threshold_is_above_the_floor(self):
+        b, rho = NEAR_RHO_ONE
+        f, l_minus, l_plus = threshold_with_optimizers(b, rho)
+        assert f > -b * math.sqrt(1.0 - rho * rho)
+        assert math.isfinite(l_minus) and math.isfinite(l_plus)
+        assert gap_50_digits(b, rho, f / b - 1e-10) < 0
+        assert gap_50_digits(b, rho, f / b + 1e-10) > 0
+
+    def test_gap_is_closed_at_the_first_level(self):
+        b, rho = NEAR_RHO_ONE
+        with mpmath.workdps(50):
+            level = -mpmath.sqrt(1 - mpmath.mpf(rho) ** 2) + _LEVEL_EDGE
+            assert gap_50_digits(b, rho, level) < 0
+
+    @pytest.mark.parametrize("u", [1e-7, 5e-7])
+    def test_box_point_certifies_free(self, u):
+        b, rho = NEAR_RHO_ONE
+        box = BoxCoords(rho, b * (1.0 + abs(rho)) / 2.0, u, 0.0, 0.1)
+        assert check_no_arbitrage(box_to_params(box)).status is Status.FREE
+
+    def test_no_draw_raises_down_to_4e_11(self):
+        for b, rho in near_rho_one_cases(47, 2000, (4e-11, 1e-4)):
+            f = fukasawa_threshold(b, rho)
+            assert -b * math.sqrt(1.0 - rho * rho) <= f < 0.0, (b, rho)
+
+    def test_closer_draws_raise_only_typed_errors(self):
+        for b, rho in near_rho_one_cases(53, 40, (1e-16, 4e-11)):
+            try:
+                fukasawa_threshold(b, rho)
+            except ButterfreeError:
+                pass
+
+
+def draw_b(rng: np.random.Generator, i: int, rho: float) -> float:
+    """Every fourth b puts the steeper wing slope within 1e-6..1e-2 of 2,
+    the rest are log-uniform from 1e-8 up to that limit."""
+    if i % 4 == 0:
+        return (2.0 - 10.0 ** rng.uniform(-6.0, -2.0)) / (1.0 + abs(rho))
+    return math.exp(rng.uniform(math.log(1e-8), math.log(2.0 / (1.0 + abs(rho)))))
 
 
 def threshold_cases(seed: int, n: int, rho_gap: float) -> list[tuple[float, float]]:
-    """n seeded (b, rho) with 1 - |rho| >= rho_gap: every fourth b puts the
-    steeper wing slope within 1e-6..1e-2 of 2, the rest are log-uniform
-    from 1e-8 up to that limit.  Both turning and monotone sides occur."""
+    """n seeded (b, rho) with 1 - |rho| >= rho_gap and b from draw_b.  Both
+    turning and monotone sides occur."""
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(n):
         rho = float(rng.uniform(-1.0 + rho_gap, 1.0 - rho_gap))
-        if i % 4 == 0:
-            b = (2.0 - 10.0 ** rng.uniform(-6.0, -2.0)) / (1.0 + abs(rho))
-        else:
-            b = math.exp(rng.uniform(math.log(1e-8), math.log(2.0 / (1.0 + abs(rho)))))
-        cases.append((b, rho))
+        cases.append((draw_b(rng, i, rho), rho))
     return cases
 
 
@@ -567,9 +643,10 @@ class TestJointThresholdSolve:
         )
         for b, rho in cases:
             fukasawa_threshold(b, rho)
-        # the nested solve, with each level's critical points solved to
-        # full precision, took 63 per threshold here
-        assert len(calls) / len(cases) <= 40.0
+        # 63 per threshold here for the nested solve, with each level's
+        # critical points solved to full precision; 33 for the joint solve
+        # from an exactly solved first level; 17.6 from the start points
+        assert len(calls) / len(cases) <= 22.0
 
     def test_gap_changes_sign_at_the_threshold_in_50_digits(self):
         for b, rho in threshold_cases(37, 40, 1e-4):
