@@ -40,7 +40,7 @@ from .errors import (
     NumericFailure,
 )
 from .numerics import dogbox, require_int, require_real
-from .svi import SviParams, svi, svi_raw
+from .svi import SviParams, omega, svi, svi_raw, svi_raw_jacobian
 
 #: Margin keeping box samples off the open boundaries of the rectangle.
 _EDGE = 1e-6
@@ -230,20 +230,8 @@ class _Objective:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         self.njev += 1
         p = self.point(x)
-        d_res = _svi_jacobian(self.k, self.weights, *p.raw[1:])
+        d_res = svi_raw_jacobian(self.k, self.weights, *p.raw[1:])
         return d_res @ self.pipeline.partials(p)
-
-
-def _svi_jacobian(
-    k: np.ndarray, weights: np.ndarray, b: float, rho: float, m: float, sigma: float
-) -> np.ndarray:
-    """d(weights * w(k))/d(a, b, rho, m, sigma) of the raw SVI smile."""
-    dk = k - m
-    root = np.sqrt(dk * dk + sigma * sigma)
-    return np.column_stack([
-        np.ones_like(dk), rho * dk + root, b * dk,
-        -b * (rho + dk / root), b * sigma / root,
-    ]) * weights[:, None]
 
 
 class _StallWatch:
@@ -294,7 +282,7 @@ class _StallWatch:
 def _floored(a: float, b: float, rho: float, m: float, sigma: float) -> SviParams:
     """The smile with b >= 1e-9 and a lifted just above -b*sigma*sqrt(1-rho^2)."""
     b = max(b, 1e-9)
-    a = max(a, -b * sigma * math.sqrt(1.0 - rho * rho) + 1e-12)
+    a = max(a, -b * sigma * math.sqrt(omega(rho)) + 1e-12)
     return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
 
 
@@ -351,7 +339,7 @@ def _natural_polish(
         return (svi_raw(k, *x) - w_mid) * weights
 
     def jacobian(x: np.ndarray) -> np.ndarray:
-        return _svi_jacobian(k, weights, *x[1:])
+        return svi_raw_jacobian(k, weights, *x[1:])
 
     x = dogbox(residuals, jacobian, x0, lo, hi, 1e-14, 400).x
     return _floored(*(float(c) for c in x))

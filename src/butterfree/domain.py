@@ -43,7 +43,7 @@ from .fukasawa import (
     threshold_with_optimizers,
 )
 from .numerics import Bracket, expand_bracket, newton_root, require_finite
-from .svi import SviParams, n_funcs, normalize
+from .svi import SviParams, n_funcs, normalize, omega, shape, smile_terms
 
 #: Grid size per reciprocal side used to locate the tail supremum.
 _PROFILE_GRID = 64
@@ -155,23 +155,18 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     - rho^2*(l^2+1)^(3/2) - 2*rho*l^3, positive at both the vertex and the
     origin and negative in the tails, with exactly one root on each side
     (the matching tail vanishes at |rho| = 1 and the root moves to
-    infinity).  With r = sqrt(l^2+1), q is evaluated as
-    2*alpha/b + 3r - (1-|rho|)^2 r^3 - 2|rho| T, T = r^3 + sgn(rho) l^3.
-    Where rho*l < 0 the root moves out like (1-|rho|)^(-1/2), and there,
-    with s = r + |l|, T is taken as (r^2 + r|l| + l^2)/s and q as
-    2*alpha/b + (1 + |l|/s)/s + 2(1-|rho|) T - (1-|rho|)^2 r^3, both exact
-    since r^2 - l^2 = 1 gives 3r - 2T = (1 + |l|/s)/s.  So neither the
-    cancellation inside T nor that of 3r against 2|rho| T costs digits.
-    The slope T' = 3l(r + sgn(rho) l) is taken there as 3l/s for the same
-    reason.  Each root is a Newton solve started from the secant point of
-    the bracket walked out from the vertex or the origin.
+    infinity).  With r = sqrt(l^2+1), q = 2*alpha/b + 2(rho*l + r) -
+    r*(rho*r + l)^2, read from svi.shape's terms, whose far-side form
+    keeps the far root's digits as |rho| -> 1.  Each root is a Newton
+    solve started from the secant point of the bracket walked out from the
+    vertex or the origin.
     """
     require_finite(alpha=alpha, b=b, rho=rho)
     if b <= 0.0:
         raise DomainError(f"b must be positive, got {b}")
     if abs(rho) > 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho}")
-    min_n = alpha + b * math.sqrt(1.0 - rho * rho)
+    min_n = alpha + b * math.sqrt(omega(rho))
     # At |rho| = 1 the infimum is reached only in the wing limit, so the
     # smile stays positive at every finite l as long as alpha >= 0.
     if (abs(rho) < 1.0 and min_n <= 0.0) or (abs(rho) == 1.0 and alpha < 0.0):
@@ -180,30 +175,15 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
             f"alpha + b*sqrt(1-rho^2) = {min_n}"
         )
     level = 2.0 * alpha / b
-    abs_rho = abs(rho)
-    sign = math.copysign(1.0, rho)
-    gap = 1.0 - abs_rho
-    tail = gap * gap
 
     def q_slope(l: float) -> tuple[float, float]:
-        r = math.sqrt(l * l + 1.0)
-        if rho * l < 0.0:
-            abs_l = abs(l)
-            s = r + abs_l
-            t = (r * r + r * abs_l + l * l) / s
-            value = level + (1.0 + abs_l / s) / s + 2.0 * gap * t - tail * r * r * r
-            dt = 3.0 * l / s
-        else:
-            t = r * r * r + sign * l * l * l
-            value = level + 3.0 * r - tail * r * r * r - 2.0 * abs_rho * t
-            dt = 3.0 * l * (r + sign * l)
-        return value, 3.0 * l / r - 3.0 * tail * r * l - 2.0 * abs_rho * dt
-
-    def q(l: float) -> float:
-        return q_slope(l)[0]
+        # base = rho*r + l, and base' = (rho*l + r)/r
+        p, s, r = shape(rho, l)
+        base = s * r
+        return level + 2.0 * p - r * base * base, 2.0 * s - base * (l / r * base + 2.0 * p)
 
     def root(anchor: float, direction: int) -> float:
-        br = expand_bracket(q, anchor, direction)
+        br = expand_bracket(lambda l: q_slope(l)[0], anchor, direction)
         secant = br.lo - br.f_lo * (br.hi - br.lo) / (br.f_hi - br.f_lo)
         return newton_root(q_slope, br, secant)
 
@@ -296,13 +276,12 @@ def _profile_partials(
     -G2/(2*G1) at the argmax, which _side_max places to roundoff.
     """
     l = 1.0 / h
-    r = math.sqrt(l * l + 1.0)
     value, (n0, n1, _, _), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
     out = []
     # (dN, dN', dN'', d(l + mu)) along each direction
     for dn0, dn1, dn2, d_num in (
         (1.0, 0.0, 0.0, 0.0),
-        (rho * l + r, rho + l / r, 1.0 / (r * r * r), 0.0),
+        (*n_funcs(0.0, 1.0, rho, l)[:3], 0.0),
         (b * l, b, 0.0, 0.0),
         (0.0, 0.0, 0.0, 1.0),
     ):
@@ -327,8 +306,8 @@ def _profile_slope(
     value, (n0, n1, n2, n3), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
     if value == math.inf:
         return 0.0, 0.0
-    r = math.sqrt(l * l + 1.0)
-    n4 = 3.0 * b * (4.0 * l * l - 1.0) / r**7
+    r = math.hypot(l, 1.0)
+    n4 = 3.0 * b * (4.0 * (l / r) ** 2 - 1.0 / (r * r)) / (r * r * r * r * r)
     d_shift = (1.0 - 2.0 * n1 * shift) / (2.0 * n0)
     dd_shift = -(2.0 * n1 * d_shift + n2 * shift) / n0
     # each slope factor is 1 - N'*(shift + c) with c = +-1/4
@@ -350,10 +329,8 @@ def _grid_values(
     alpha: float, b: float, rho: float, mu: float, xs: np.ndarray
 ) -> np.ndarray:
     l = 1.0 / xs
-    r = np.sqrt(l * l + 1.0)
-    n0 = alpha + b * (rho * l + r)
-    n1 = b * (rho + l / r)
-    n2 = b / (r * r * r)
+    # a tail lies on one side of l = 0, so smile_terms picks its form once
+    n0, n1, n2 = smile_terms(alpha, b, rho, l)
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = (l + mu) / (2.0 * n0)
         g1 = (1.0 - n1 * (shift + 0.25)) * (1.0 - n1 * (shift - 0.25))
@@ -724,7 +701,7 @@ def _threshold_partials(
     positivity floor, fukasawa_threshold returns the floor
     -b*sqrt(1-rho^2) itself.
     """
-    root = math.sqrt(1.0 - rho * rho)
+    root = math.sqrt(omega(rho))
     if threshold == -b * root:
         return -root, b * rho / root
     la, lb, lr = bound_partials(l_minus, threshold, b, rho, "-")
@@ -742,7 +719,7 @@ def box_to_params(box: BoxCoords) -> SviParams:
     (alpha*sigma, mu*sigma) moves alpha and mu by ulps, and where v is 0
     (or below the move that causes in sigma_star) the re-certified
     sigma_star can exceed sigma by ulps (Failure4); calibrate's sigma
-    nudge covers that until ROADMAP item 2 mends the chart.
+    nudge covers that until ROADMAP item 3 mends the chart.
     """
     x = (box.rho, box.b_prime, box.u, box.q, box.v)
     return SviParams(*BoxChart().point(x).raw)

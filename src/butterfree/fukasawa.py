@@ -39,7 +39,7 @@ from .errors import (
     NumericFailure,
 )
 from .numerics import _X_TOL, Bracket, expand_bracket, newton_root, require_finite
-from .svi import n_funcs
+from .svi import omega, shape
 
 #: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
 #: boundary regime, where the one-sided optimum moves to infinity, and a
@@ -71,7 +71,7 @@ def l_star(rho: float) -> float:
     """Vertex of the normalized smile, the unique zero of N'."""
     if abs(rho) >= 1.0:
         raise DomainError(f"l_star requires |rho| < 1, got rho={rho}")
-    return -rho / math.sqrt(1.0 - rho * rho)
+    return -rho / math.sqrt(omega(rho))
 
 
 def L_minus(l: float, alpha: float, b: float, rho: float) -> float:
@@ -100,12 +100,10 @@ def bound_partials(
     """
     if side not in ("-", "+"):
         raise DomainError(f"side must be '-' or '+', got {side!r}")
-    n0, n1, _, _ = n_funcs(alpha, b, rho, l)
-    factor = _inverse_slope(n1, l) + (0.25 if side == "-" else -0.25)
-    d_alpha = 2.0 * factor
-    d_b = 2.0 * (rho * l + math.sqrt(l * l + 1.0)) * factor - 2.0 * n0 / (b * n1)
-    d_rho = 2.0 * b * l * factor - 2.0 * n0 * b / (n1 * n1)
-    return d_alpha, d_b, d_rho
+    p, s, _ = shape(rho, l)
+    factor = _inverse_slope(b * s, l) + (0.25 if side == "-" else -0.25)
+    ratio = 2.0 * (alpha + b * p) / (b * s)
+    return 2.0 * factor, 2.0 * p * factor - ratio / b, 2.0 * b * l * factor - ratio / s
 
 
 def _require_side(l: float, rho: float, side: str) -> None:
@@ -132,17 +130,16 @@ def g_pm(b: float, rho: float, l: float, side: str) -> float:
 
 
 def _g_pm_slope(b: float, rho: float, l: float, side: str) -> tuple[float, float]:
-    """g_pm(l) and its l-derivative."""
-    r = math.sqrt(l * l + 1.0)
-    dr = l / r
-    base = rho * r + l
-    d_base = rho * dr + 1.0
+    """g_pm(l) = base^2*(r/2 + w*base) - (rho*l + r) and its l-derivative,
+    with w = +-b/4 on side -+ and base = rho*r + l = (rho + l/r)*r."""
+    p, s, r = shape(rho, l)
+    base = s * r
+    d_base = p / r
     w = b / 4.0 if side == "-" else -b / 4.0
-    c = 0.5 + w * rho
-    factor = r * c + w * l
-    d_factor = dr * c + w
-    value = base * base * factor - (rho * l + r)
-    slope = base * (2.0 * d_base * factor + base * d_factor) - (rho + dr)
+    factor = 0.5 * r + w * base
+    d_factor = 0.5 * l / r + w * d_base
+    value = base * base * factor - p
+    slope = base * (2.0 * d_base * factor + base * d_factor) - s
     return value, slope
 
 
@@ -170,7 +167,7 @@ def _anchor(b: float, rho: float, side: str) -> tuple[bool, float]:
             f"wing slope b*(1 {side} rho) = {slope} is at "
             "its limit; the one-sided optimum is attained only at infinity"
         )
-    if s * rho < 0.0 and b * (1.0 - rho * rho) <= -2.0 * s * rho:
+    if s * rho < 0.0 and b * omega(rho) <= -2.0 * s * rho:
         return True, l_star(rho)
     return False, s * b / math.sqrt((2.0 - slope) * (2.0 + b * (1.0 - s * rho)))
 
@@ -185,7 +182,7 @@ def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
     for alpha below the admissible floor -b*sqrt(1-rho^2).
     """
     monotone, anchor = _anchor(b, rho, side)
-    floor = -b * math.sqrt(1.0 - rho * rho)
+    floor = -b * math.sqrt(omega(rho))
     if alpha < floor or (monotone and alpha <= floor):
         raise DomainError(
             f"alpha = {alpha} is below the admissible floor {floor} for this smile"
@@ -263,7 +260,7 @@ def _vertex_start(b: float, rho: float, side: str, level: float) -> float:
     c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the side's factor' at
     l_star; the start is the root of that cubic.
     """
-    one_m_r2 = 1.0 - rho * rho
+    one_m_r2 = omega(rho)
     wing = b * one_m_r2 / 4.0
     cubic = abs(one_m_r2 * one_m_r2 * ((wing if side == "-" else -wing) - rho / 2.0))
     if cubic == 0.0:
@@ -307,7 +304,7 @@ def interval_with_optimizers(
     bounds; an optimizer is nan where its bound is -+alpha/2 or infinite."""
     require_finite(alpha=alpha)
     slope_left, slope_right = _wing_slopes(b, rho)
-    floor = -b * math.sqrt(1.0 - rho * rho)
+    floor = -b * math.sqrt(omega(rho))
     if abs(rho) < 1.0 and alpha <= floor:
         raise FukasawaViolated(
             f"alpha = {alpha} is at or below the floor {floor}; "
@@ -341,9 +338,9 @@ def _bound_at(
     l: float, alpha: float, b: float, rho: float, side: str
 ) -> tuple[float, float]:
     """L_minus or L_plus at l, and its alpha-derivative."""
-    n0, n1, _, _ = n_funcs(alpha, b, rho, l)
-    factor = _inverse_slope(n1, l) + (0.25 if side == "-" else -0.25)
-    return 2.0 * n0 * factor - l, 2.0 * factor
+    p, s, _ = shape(rho, l)
+    factor = _inverse_slope(b * s, l) + (0.25 if side == "-" else -0.25)
+    return 2.0 * (alpha + b * p) * factor - l, 2.0 * factor
 
 
 def _inverse_slope(n1: float, l: float) -> float:
@@ -404,7 +401,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     ]
     if not sides:
         return 0.0, math.nan, math.nan
-    depth = math.sqrt(1.0 - rho * rho)
+    depth = math.sqrt(omega(rho))
     level_lo = _LEVEL_EDGE - depth
     anchors = {side: _anchor(b, rho, side) for side in sides}
     shapes = {
@@ -461,7 +458,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
 
     gap_lo = math.nan
     # a start point counts only where N' has its side's sign (never at nan)
-    if all(n_funcs(0.0, b, rho, l)[1] * (1.0 if side == "+" else -1.0) > 0.0
+    if all(shape(rho, l)[1] * (1.0 if side == "+" else -1.0) > 0.0
            for side, l in points.items()):
         gap_lo, slope_lo = gap(level_lo)
     if not gap_lo < 0.0:

@@ -55,7 +55,7 @@ class SviParams:
             raise InvalidParams(f"rho must lie in [-1, 1], got {self.rho}")
         if self.sigma < 0.0:
             raise InvalidParams(f"sigma must be non-negative, got {self.sigma}")
-        min_w = self.a + self.b * self.sigma * math.sqrt(1.0 - self.rho * self.rho)
+        min_w = self.a + self.b * self.sigma * math.sqrt(omega(self.rho))
         if min_w < 0.0:
             raise InvalidParams(
                 f"minimum total variance a + b*sigma*sqrt(1-rho^2) = {min_w} "
@@ -83,7 +83,7 @@ class NormalizedParams:
             raise InvalidParams(f"rho must lie in [-1, 1], got {self.rho}")
         if self.sigma <= 0.0:
             raise DegenerateSigma(f"sigma must be positive, got {self.sigma}")
-        min_n = self.alpha + self.b * math.sqrt(1.0 - self.rho * self.rho)
+        min_n = self.alpha + self.b * math.sqrt(omega(self.rho))
         if min_n < 0.0:
             raise InvalidParams(
                 f"minimum normalized variance alpha + b*sqrt(1-rho^2) = {min_n} "
@@ -96,10 +96,24 @@ def svi_raw(k, a, b, rho, m, sigma):
 
     The calibrator's polish searches a box that admits non-smiles, so it
     evaluates through here.  sigma is squared as sigma*sigma: sigma**2
-    differs from it in the last bit for some floats.
+    differs from it in the last bit for some floats.  It and
+    svi_raw_jacobian keep the plain rho*dk + root, which loses digits where
+    rho*dk < 0 as |rho| -> 1: rho is boxed to 1 - 1e-6 there, only quote
+    strikes are evaluated, the waterfall re-certifies every fit, and shape's
+    far form, selected per element, costs each call half its time again.
     """
     dk = k - m
     return a + b * (rho * dk + np.sqrt(dk * dk + sigma * sigma))
+
+
+def svi_raw_jacobian(k, weights, b, rho, m, sigma) -> np.ndarray:
+    """d(weights * w(k))/d(a, b, rho, m, sigma) of svi_raw, in its plain form."""
+    dk = k - m
+    root = np.sqrt(dk * dk + sigma * sigma)
+    return np.column_stack([
+        np.ones_like(dk), rho * dk + root, b * dk,
+        -b * (rho + dk / root), b * sigma / root,
+    ]) * weights[:, None]
 
 
 def svi(params: SviParams, k):
@@ -108,20 +122,6 @@ def svi(params: SviParams, k):
         np.asarray(k, dtype=float), params.a, params.b, params.rho, params.m, params.sigma
     )
     return w if w.ndim else float(w)
-
-
-def svi_d1(params: SviParams, k):
-    """First derivative w'(k)."""
-    x = np.asarray(k, dtype=float) - params.m
-    d = params.b * (params.rho + x / np.sqrt(x * x + params.sigma**2))
-    return d if d.ndim else float(d)
-
-
-def svi_d2(params: SviParams, k):
-    """Second derivative w''(k); strictly positive whenever b > 0 and sigma > 0."""
-    x = np.asarray(k, dtype=float) - params.m
-    d = params.b * params.sigma**2 / (x * x + params.sigma**2) ** 1.5
-    return d if d.ndim else float(d)
 
 
 def normalize(params: SviParams) -> NormalizedParams:
@@ -137,18 +137,53 @@ def normalize(params: SviParams) -> NormalizedParams:
     )
 
 
+def omega(rho: float) -> float:
+    """1 - rho^2, formed as (1 - |rho|)(1 + |rho|): 1 - |rho| is exact, so
+    this keeps its digits as |rho| -> 1, where 1 - rho*rho does not."""
+    s = abs(rho)
+    return (1.0 - s) * (1.0 + s)
+
+
+def shape(rho: float, l: float) -> tuple[float, float, float]:
+    """(rho*l + r, rho + l/r, r), r = sqrt(l^2 + 1): N and N' at l with
+    alpha and b taken out.  Where rho*l < 0 both cancel as |rho| -> 1, so
+    they are taken as rho*l + r = (1 + om*l^2)/(r - rho*l) and rho + l/r =
+    (rho^2 - om*l^2)/((rho*r - l)*r), om = omega(rho), in l/r and 1/r so
+    that nothing overflows out to the largest float."""
+    r = math.hypot(l, 1.0)
+    if rho * l < 0.0:
+        om, u, v = omega(rho), l / r, 1.0 / r
+        return (
+            (om * r + rho * rho * v) / (1.0 - rho * u),
+            (rho * rho * v * v - om * u * u) / (rho - u),
+            r,
+        )
+    return rho * l + r, rho + l / r, r
+
+
 def n_funcs(alpha: float, b: float, rho: float, l: float) -> tuple[float, float, float, float]:
     """Normalized smile N and its first three derivatives at l.
 
     N'' > 0 everywhere for b > 0 and N''' has the sign of -l, so the
     curvature peaks at l = 0.
     """
-    r = math.sqrt(l * l + 1.0)
-    n0 = alpha + b * (rho * l + r)
-    n1 = b * (rho + l / r)
-    n2 = b / r**3
-    n3 = -3.0 * b * l / r**5
-    return n0, n1, n2, n3
+    p, s, r = shape(rho, l)
+    return alpha + b * p, b * s, b / (r * r * r), -3.0 * b * (l / r) / (r * r * r * r)
+
+
+def smile_terms(a: float, b: float, rho: float, x: np.ndarray, scale: float = 1.0):
+    """(w, w', w'') at x = k - m for w = a + b*(rho*x + R), R = sqrt(x^2 +
+    scale^2), in shape's forms (N, N', N'' at l for scale 1).  x[0]'s side
+    picks the form for all of x, which must lie on it (0 counts as near)."""
+    r = np.hypot(x, scale)
+    u, v = x / r, scale / r
+    if x.size and rho * x[0] < 0.0:
+        om = omega(rho)
+        p = (om * r + rho * rho * scale * v) / (1.0 - rho * u)
+        s = (rho * rho * v * v - om * u * u) / (rho - u)
+    else:
+        p, s = rho * x + r, rho + u
+    return a + b * p, b * s, b * v * v / r
 
 
 def durrleman_g(params: SviParams, k):
@@ -157,12 +192,15 @@ def durrleman_g(params: SviParams, k):
     Requires w(k) > 0 at every requested point.  Accepts scalars or arrays.
     For the flat smile b = 0, a > 0 this is identically 1.
     """
-    w = np.asarray(svi(params, k), dtype=float)
+    x = np.asarray(k, dtype=float) - params.m
+    terms = np.empty((3,) + x.shape)
+    far = params.rho * x < 0.0
+    for side in (far, ~far):
+        terms[:, side] = smile_terms(params.a, params.b, params.rho, x[side], params.sigma)
+    w, w1, w2 = terms
     if np.any(w <= 0.0):
         raise NonPositiveVariance("total variance must be positive where g is evaluated")
     kk = np.asarray(k, dtype=float)
-    w1 = svi_d1(params, k)
-    w2 = svi_d2(params, k)
     g = (1.0 - kk * w1 / (2.0 * w)) ** 2 - (w1 * w1 / 4.0) * (1.0 / w + 0.25) + w2 / 2.0
     return g if g.ndim else float(g)
 

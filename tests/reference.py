@@ -5,13 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
+
 from butterfree.errors import (
     DomainError,
     MaxIterations,
     NonPositiveVariance,
     PriceOutOfRange,
 )
-from butterfree.fukasawa import g_pm
+from butterfree.fukasawa import _anchor, fukasawa_threshold, g_pm
 from butterfree.svi import NormalizedParams, SviParams, n_funcs
 
 
@@ -64,6 +66,63 @@ def g_split(norm: NormalizedParams, l: float) -> GSplit:
     g1m = 1.0 - n1 * (shift - 0.25)
     g2 = n2 - n1 * n1 / (2.0 * n0)
     return GSplit(g1_plus=g1p, g1_minus=g1m, g1=g1p * g1m, g2=g2)
+
+
+def bounds_50_digits(b: float, rho: float, level) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(sup L_minus, inf L_plus) at alpha = b*level, in 50 digits: the
+    interval of shifts mu that keeps both slope factors positive.
+
+    Each bound's optimizer is the root of g_pm(l) = level on the far side
+    of the side's anchor (the vertex where g_pm runs monotone into it),
+    bisected in 50 digits in a bracket walked out from the anchor.
+    """
+    with mpmath.workdps(50):
+        b_, r_, level = mpmath.mpf(b), mpmath.mpf(rho), mpmath.mpf(level)
+        vertex = -r_ / mpmath.sqrt(1 - r_ * r_)
+
+        def g(l, c):
+            r = mpmath.sqrt(l * l + 1)
+            base = r_ * r + l
+            return base * base * (r * (mpmath.mpf(0.5) + c * r_) + c * l) - (r_ * l + r)
+
+        def bound(side):
+            # c = +-b/4 and the sign of the slope-factor term, by side
+            sign = -1 if side == "-" else 1
+            c = -sign * b_ / 4
+            monotone, anchor = _anchor(b, rho, side)
+            lo = vertex if monotone else mpmath.mpf(anchor)
+            hi = lo + sign
+            while g(hi, c) < level:
+                lo, hi = hi, hi + 2 * (hi - lo)
+            for _ in range(250):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if g(mid, c) < level else (lo, mid)
+            r = mpmath.sqrt(lo * lo + 1)
+            n0 = b_ * (level + r_ * lo + r)
+            n1 = b_ * (r_ + lo / r)
+            return 2 * n0 * (1 / n1 - sign * mpmath.mpf(0.25)) - lo
+
+        return bound("-"), bound("+")
+
+
+def gap_50_digits(b: float, rho: float, level) -> mpmath.mpf:
+    """inf L_plus - sup L_minus at alpha = b*level, in 50 digits."""
+    with mpmath.workdps(50):
+        lower, upper = bounds_50_digits(b, rho, level)
+        return upper - lower
+
+
+def threshold_50_digits(b: float, rho: float) -> mpmath.mpf:
+    """F(b, rho) in 50 digits: the secant iteration on gap_50_digits in the
+    level, from the float threshold's level and 1e-9 above it."""
+    with mpmath.workdps(50):
+        x0 = mpmath.mpf(fukasawa_threshold(b, rho) / b)
+        x1 = x0 + mpmath.mpf(1e-9)
+        g0, g1 = gap_50_digits(b, rho, x0), gap_50_digits(b, rho, x1)
+        while abs(x1 - x0) > mpmath.mpf(10) ** -35:
+            x0, g0, x1 = x1, g1, x1 - g1 * (x1 - x0) / (g1 - g0)
+            g1 = gap_50_digits(b, rho, x1)
+        return x1 * b
 
 
 # Scalar Black-Scholes pricing and the one-quote implied-vol loop, with the

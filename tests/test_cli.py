@@ -8,6 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
+from reference import threshold_50_digits
 
 from butterfree.black_scholes import call_price
 from butterfree.calibration import MarketSlice
@@ -287,19 +288,33 @@ def row2_slice_with(**changes) -> dict:
     return doc
 
 
-#: (b, rho) where N' rounds to 0 at a critical point of the threshold solve.
+#: (b, rho) where N' rounds to 0 at a critical point of the threshold solve
+#: unless 1 - rho^2 and the far side of the vertex keep their digits.
 FLAT_VERTEX = ["--b", "5.169873948587552e-09", "--rho", "-0.9999999999999987"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["threshold"] + FLAT_VERTEX,
-    ["check", "--a", "0.01"] + FLAT_VERTEX + ["--m", "0", "--sigma", "0.1"],
+@pytest.mark.parametrize("argv, first", [
+    (["threshold"] + FLAT_VERTEX, "F("),
+    (["check", "--a", "0.01"] + FLAT_VERTEX + ["--m", "0", "--sigma", "0.1"], "Free:"),
 ], ids=["threshold", "check"])
-def test_unresolved_vertex_exits_70(capsys, argv):
-    rc, _, err = run(capsys, argv)
-    assert rc == 70
-    assert err.startswith("numeric failure:")
-    assert "Traceback" not in err
+def test_near_flat_vertex_resolves(capsys, argv, first):
+    rc, out, err = run(capsys, argv)
+    assert rc == 0, err
+    assert out.startswith(first)
+    if argv[0] == "threshold":
+        want = threshold_50_digits(float(FLAT_VERTEX[1]), float(FLAT_VERTEX[3]))
+        assert abs(float(out.split(" = ")[1]) - want) <= 1e-10 * abs(want)
+
+
+def test_far_side_arbitrage_near_rho_one_exits_3(capsys):
+    # g = -5.8e-24 at k = -5.45e8 in 80 digits: alpha sits below F, which
+    # reads right only where the far side of the vertex keeps its digits
+    rc, out, _ = run(capsys, [
+        "check", "--a=-0.0029283740432637317", "--b=0.010642252928217839",
+        "--rho=0.9999999994952393", "--m=17052.602070284778", "--sigma=10000.0",
+    ])
+    assert rc == 3
+    assert out.startswith("Failure2:")
 
 
 class TestBadInputFiles:
@@ -714,6 +729,17 @@ class TestPlotData:
         for l, g2 in (rows[0], rows[2]):
             n0, n1, n2, _ = n_funcs(-1.0, 1.0, 0.0, l)
             assert g2 == n2 - n1 * n1 / (2.0 * n0)
+
+    def test_g2_far_out_on_a_wing(self, capsys):
+        # r^5 is past the largest float beyond |l| = 1.4e61; G2 tends to -1/(2l)
+        rc, out, err = run(capsys, [
+            "plot-data", "--which", "g2", "--alpha", "0", "--b", "1", "--rho", "0",
+            "--from=1e62", "--to=1e63", "--grid", "2", "--out", "-",
+        ])
+        assert rc == 0, err
+        _, rows = parse_plot(out)
+        for l, g2 in rows:
+            assert g2 == pytest.approx(-0.5 / l, rel=1e-15)
 
     def test_gpm_matches_library(self, capsys):
         rc, out, _ = run(capsys, [

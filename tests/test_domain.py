@@ -188,6 +188,14 @@ class TestSigmaStarProfile:
         v = sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 1.0 / z.l1)
         assert abs(v) < 1e-10
 
+    @pytest.mark.parametrize("h", [1e-200, -1e-200])
+    def test_decays_like_h_far_out(self, h):
+        # at l = 1/h, past where l*l and r^5 overflow, the deficit keeps
+        # falling like |h|, at the rate it has at l = +-1e62
+        near = sigma_star_profile(0.1, 0.5, -0.3, 0.05, math.copysign(1e-62, h))
+        far = sigma_star_profile(0.1, 0.5, -0.3, 0.05, h)
+        assert far / abs(h) == pytest.approx(near / 1e-62, rel=1e-12)
+
     def test_symmetric_smile_has_even_profile(self):
         # rho = 0, mu = 0: both tails carry the same deficit
         for h in (0.1, 0.25, 0.4):

@@ -18,7 +18,13 @@ from butterfree.domain import (
     box_to_params,
     check_no_arbitrage,
 )
-from butterfree.errors import ButterfreeError, DomainError, FukasawaViolated, NoFiniteOptimum
+from butterfree.errors import (
+    ButterfreeError,
+    DomainError,
+    FukasawaViolated,
+    NoFiniteOptimum,
+    NumericFailure,
+)
 from butterfree.fukasawa import (
     _LEVEL_EDGE,
     L_minus,
@@ -26,6 +32,7 @@ from butterfree.fukasawa import (
     MuInterval,
     _anchor,
     _g_pm_slope,
+    bound_partials,
     fukasawa_threshold,
     g_pm,
     l_pm_of_alpha,
@@ -33,9 +40,15 @@ from butterfree.fukasawa import (
     mu_interval,
     threshold_with_optimizers,
 )
-from butterfree.svi import NormalizedParams, n_funcs
+from butterfree.svi import NormalizedParams, SviParams, n_funcs
 from conftest import VOGT
-from reference import g_split, threshold_rho0_closed_form
+from reference import (
+    bounds_50_digits,
+    g_split,
+    gap_50_digits,
+    threshold_50_digits,
+    threshold_rho0_closed_form,
+)
 
 #: Vogt alpha/b/rho in normalized coordinates; the running example.
 V_ALPHA = VOGT.a / VOGT.sigma
@@ -467,55 +480,6 @@ FLOOR_TINY_B = (1.373349053970226e-08, 0.0007057328590045486)
 NEAR_RHO_ONE = (0.4568528468207588, -0.9999999999464029)
 
 
-def gap_50_digits(b: float, rho: float, level) -> mpmath.mpf:
-    """inf L_plus - sup L_minus at alpha = b*level, in 50 digits.
-
-    Each bound's optimizer is the root of g_pm(l) = level on the far side
-    of the side's anchor (the vertex where g_pm runs monotone into it),
-    bisected in 50 digits in a bracket walked out from the anchor.
-    """
-    with mpmath.workdps(50):
-        b_, r_, level = mpmath.mpf(b), mpmath.mpf(rho), mpmath.mpf(level)
-        vertex = -r_ / mpmath.sqrt(1 - r_ * r_)
-
-        def g(l, c):
-            r = mpmath.sqrt(l * l + 1)
-            base = r_ * r + l
-            return base * base * (r * (mpmath.mpf(0.5) + c * r_) + c * l) - (r_ * l + r)
-
-        def bound(side):
-            # c = +-b/4 and the sign of the slope-factor term, by side
-            sign = -1 if side == "-" else 1
-            c = -sign * b_ / 4
-            monotone, anchor = _anchor(b, rho, side)
-            lo = vertex if monotone else mpmath.mpf(anchor)
-            hi = lo + sign
-            while g(hi, c) < level:
-                lo, hi = hi, hi + 2 * (hi - lo)
-            for _ in range(250):
-                mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if g(mid, c) < level else (lo, mid)
-            r = mpmath.sqrt(lo * lo + 1)
-            n0 = b_ * (level + r_ * lo + r)
-            n1 = b_ * (r_ + lo / r)
-            return 2 * n0 * (1 / n1 - sign * mpmath.mpf(0.25)) - lo
-
-        return bound("+") - bound("-")
-
-
-def threshold_50_digits(b: float, rho: float) -> mpmath.mpf:
-    """F(b, rho) in 50 digits: the secant iteration on gap_50_digits in the
-    level, from the float threshold's level and 1e-9 above it."""
-    with mpmath.workdps(50):
-        x0 = mpmath.mpf(fukasawa_threshold(b, rho) / b)
-        x1 = x0 + mpmath.mpf(1e-9)
-        g0, g1 = gap_50_digits(b, rho, x0), gap_50_digits(b, rho, x1)
-        while abs(x1 - x0) > mpmath.mpf(10) ** -35:
-            x0, g0, x1 = x1, g1, x1 - g1 * (x1 - x0) / (g1 - g0)
-            g1 = gap_50_digits(b, rho, x1)
-        return x1 * b
-
-
 class TestThresholdAtTheFloor:
     """Where the gap is already open at the first level of the search,
     floor + _LEVEL_EDGE, F is the positivity floor -b*sqrt(1-rho^2)."""
@@ -599,6 +563,37 @@ class TestThresholdNearRhoOne:
         for b, rho in near_rho_one_cases(47, 2000, (4e-11, 1e-4)):
             f = fukasawa_threshold(b, rho)
             assert -b * math.sqrt(1.0 - rho * rho) <= f < 0.0, (b, rho)
+
+    def test_far_side_keeps_its_digits(self):
+        # rho*l + r and rho + l/r cancel on the far side of the vertex as
+        # |rho| -> 1; in shape's far-side form F holds 50 digits to 1e-10,
+        # and mu at the float interval's midpoint lies inside the 50-digit
+        # interval wherever the waterfall says Free, judged by each slope
+        # factor's bound rather than by their product G1
+        rng = np.random.default_rng(59)
+        free = 0
+        for b, rho in near_rho_one_cases(61, 40, (1e-16, 1e-4)):
+            f, f50 = fukasawa_threshold(b, rho), threshold_50_digits(b, rho)
+            assert abs(f - f50) <= 1e-10 * abs(f50), (b, rho)
+            alpha = float(f50 * (1 - 10.0 ** rng.uniform(-12.0, -1.0)))
+            try:
+                interval = mu_interval(alpha, b, rho)
+            except FukasawaViolated:
+                continue
+            mu = 0.5 * (interval.lower + interval.upper)
+            diag = check_no_arbitrage(SviParams(alpha * 1e6, b, rho, mu * 1e6, 1e6))
+            if diag.is_free:
+                free += 1
+                with mpmath.workdps(50):
+                    lower, upper = bounds_50_digits(b, rho, mpmath.mpf(diag.alpha) / b)
+                    assert lower < diag.mu < upper, (b, rho, alpha)
+        assert free >= 30
+
+    def test_bound_at_the_vertex_is_unresolved(self):
+        # N'(l_star(0.3)) rounds to exactly 0, and 1/N' has no value there
+        assert n_funcs(0.1, 1.0, 0.3, l_star(0.3))[1] == 0.0
+        with pytest.raises(NumericFailure):
+            bound_partials(l_star(0.3), 0.1, 1.0, 0.3, "-")
 
     def test_closer_draws_raise_only_typed_errors(self):
         for b, rho in near_rho_one_cases(53, 40, (1e-16, 4e-11)):

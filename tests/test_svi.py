@@ -18,9 +18,8 @@ from butterfree.svi import (
     durrleman_g,
     n_funcs,
     normalize,
+    smile_terms,
     svi,
-    svi_d1,
-    svi_d2,
 )
 from conftest import GATHERAL_JACQUIER, MODEL_ROWS, VOGT
 from reference import denormalize, g_split
@@ -85,7 +84,7 @@ class TestEvaluation:
         p = SviParams(a=0.04, b=0.0, rho=0.0, m=0.0, sigma=0.5)
         ks = np.linspace(-2.0, 2.0, 11)
         assert np.allclose(svi(p, ks), 0.04, atol=0.0)
-        assert np.allclose(svi_d1(p, ks), 0.0, atol=0.0)
+        assert np.allclose(smile_terms(p.a, p.b, p.rho, ks - p.m, p.sigma)[1], 0.0, atol=0.0)
 
     def test_array_and_scalar_agree(self):
         ks = np.array([-0.3, 0.0, 0.7])
@@ -115,13 +114,17 @@ class TestEvaluation:
         with mpmath.workdps(50):
             want1 = float(mpmath.diff(w, mpmath.mpf(k), 1))
             want2 = float(mpmath.diff(w, mpmath.mpf(k), 2))
-        assert svi_d1(params, k) == pytest.approx(want1, abs=1e-12, rel=1e-12)
-        assert svi_d2(params, k) == pytest.approx(want2, abs=1e-12, rel=1e-12)
+        x = np.array([k - params.m])
+        _, (w1,), (w2,) = smile_terms(params.a, params.b, params.rho, x, params.sigma)
+        assert w1 == pytest.approx(want1, abs=1e-12, rel=1e-12)
+        assert w2 == pytest.approx(want2, abs=1e-12, rel=1e-12)
 
     @given(params=valid_params())
     def test_second_derivative_positive(self, params):
         ks = np.linspace(-5.0, 5.0, 41)
-        assert np.all(svi_d2(params, ks) > 0.0)
+        # w'' has no far-side form, so one call covers both sides of m
+        w2 = smile_terms(params.a, params.b, params.rho, ks - params.m, params.sigma)[2]
+        assert np.all(w2 > 0.0)
 
 
 class TestNormalization:
@@ -178,6 +181,31 @@ class TestNFuncs:
         _, n1, _, _ = n_funcs(0.3, 1.2, rho, l_star)
         assert n1 == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("l", [1e62, -1e62, 1e200, -1e200, 1.7e308, -1.7e308])
+    @pytest.mark.parametrize("rho", [0.5, -0.5])
+    def test_far_out_on_both_sides(self, rho, l):
+        # no power of r is formed, so nothing overflows but N itself, and
+        # N' has its wing limit b*(rho +- 1) with the sign of l
+        n0, n1, n2, n3 = n_funcs(0.1, 1.0, rho, l)
+        assert n1 == pytest.approx(rho + math.copysign(1.0, l), rel=1e-15)
+        assert n0 > 0.0 and n2 >= 0.0 and math.isfinite(n3)
+
+    def test_far_side_keeps_its_digits_near_rho_one(self):
+        # where rho*l < 0, rho*l + r and rho + l/r are differences of terms
+        # of order one; their error must stay at the size of what is left
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            rho = float(rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-16.0, -1.0)))
+            l = float(-math.copysign(10.0 ** rng.uniform(-3.0, 10.0), rho))
+            n0, n1, _, _ = n_funcs(0.0, 1.0, rho, l)
+            with mpmath.workdps(50):
+                r_, l_ = mpmath.mpf(rho), mpmath.mpf(l)
+                r = mpmath.sqrt(l_ * l_ + 1)
+                om, u = 1 - r_ * r_, l_ / r
+                scale = (r_ * r_ / (r * r) + om * u * u) / (abs(r_) + abs(u))
+                assert abs(n0 - (r_ * l_ + r)) <= 1e-15 * (r_ * l_ + r), (rho, l)
+                assert abs(n1 - (r_ + u)) <= 1e-15 * scale, (rho, l)
+
     @given(l=st.floats(-20.0, 20.0))
     def test_third_derivative_sign(self, l):
         _, _, _, n3 = n_funcs(0.2, 1.0, 0.3, l)
@@ -208,6 +236,14 @@ class TestDurrlemanG:
         p = SviParams(a=-0.15, b=0.5, rho=0.0, m=0.0, sigma=0.3)
         with pytest.raises(NonPositiveVariance):
             durrleman_g(p, 0.0)
+
+    @pytest.mark.parametrize("k", [1e62, -1e62, 1e200, -1e200, -1.7e308])
+    def test_wing_limit_far_out(self, k):
+        # g -> 1/4 - w'^2/16 with w' -> b*(rho +- 1); at k = 1.7e308 the near
+        # side's w = 1.5*k is itself past the largest float
+        p = SviParams(a=0.1, b=1.0, rho=0.5, m=0.0, sigma=0.1)
+        slope = p.b * (p.rho + math.copysign(1.0, k))
+        assert durrleman_g(p, k) == pytest.approx(0.25 - slope * slope / 16.0, rel=1e-12)
 
     @given(params=valid_params())
     @settings(max_examples=60)
@@ -259,11 +295,10 @@ class TestGSplit:
         assert a == b
 
     def test_rejects_non_positive_smile(self):
-        # for rho = -1, alpha = 0 the smile decays to zero on the right
-        # wing; far enough out the root rounds to l and N cancels exactly
-        tight = NormalizedParams(alpha=0.0, b=1.0, rho=-1.0, mu=0.0, sigma=0.5)
+        # at alpha = -b*sqrt(1 - rho^2) the smile touches zero at its vertex
+        tight = NormalizedParams(alpha=-1.0, b=1.0, rho=0.0, mu=0.0, sigma=0.5)
         with pytest.raises(NonPositiveVariance):
-            g_split(tight, 1e9)
+            g_split(tight, 0.0)
 
 
 class TestDensity:
