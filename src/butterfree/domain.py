@@ -43,13 +43,9 @@ from .fukasawa import (
     threshold_with_optimizers,
 )
 from .numerics import Bracket, expand_bracket, newton_root, require_finite
-from .svi import SviParams, n_funcs, normalize, omega, shape, smile_terms
+from .svi import SviParams, n_funcs, normalize, omega, shape
 
-#: Grid size per reciprocal side used to locate the tail supremum.
-_PROFILE_GRID = 64
-#: Grid peaks per side refined to a root of the profile's derivative.
-_REFINE_CANDIDATES = 3
-#: Doublings of l allowed when a tail's peak lies beyond its grid.
+#: Doublings of l, out from a G2 root, allowed to bracket a tail's peak.
 _MAX_DOUBLINGS = 60
 #: Ceiling on the tail deficit.  G1 can round to zero when mu sits within a
 #: few ulp of an interval wall; capping keeps the calibrator's residuals
@@ -234,9 +230,10 @@ def sigma_star(alpha: float, b: float, rho: float, mu: float) -> float:
     slope factors already pass (types 1-3).
 
     Equals the supremum of -G2/(2*G1) over the two tails where G2 < 0,
-    located on a reciprocal grid whose best few peaks are refined to a root
-    of the deficit's l-derivative.  Raises FukasawaViolated when mu is not
-    strictly admissible, since G1 must be positive on both tails.
+    each tail's single peak placed by a root of the deficit's
+    l-derivative, bracketed by doubling l out from the tail's G2 root.
+    Raises FukasawaViolated when mu is not strictly admissible, since G1
+    must be positive on both tails.
     """
     interval = mu_interval(alpha, b, rho)
     if not interval.contains(mu):
@@ -251,14 +248,14 @@ def _sigma_star_trusted(
 ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
     """sigma_star, its argmax h (the dangerous log-strike is l = 1/h) and
     the (supremum, argmax h) of the tail deficit on each finite tail, left
-    tail first.  The tails end at the roots of G2, solved here; the caller
-    vouches that mu lies strictly inside its interval."""
+    tail first.  Each tail's walk starts from its root of G2, solved here;
+    the caller vouches that mu lies strictly inside its interval."""
     zeros = g2_zeros(alpha, b, rho)
     tails = []
     if math.isfinite(zeros.l1):
-        tails.append(_side_max(alpha, b, rho, mu, 1.0 / zeros.l1, 0.0))
+        tails.append(_side_max(alpha, b, rho, mu, zeros.l1))
     if math.isfinite(zeros.l2):
-        tails.append(_side_max(alpha, b, rho, mu, 0.0, 1.0 / zeros.l2))
+        tails.append(_side_max(alpha, b, rho, mu, zeros.l2))
     best, h_best = 0.0, math.nan
     for value, h in tails:
         if value > best:
@@ -273,7 +270,8 @@ def _profile_partials(
     argmax is h.
 
     By the envelope theorem these are the partials of the tail deficit
-    -G2/(2*G1) at the argmax, which _side_max places to roundoff.
+    -G2/(2*G1) at the argmax, a root of its l-derivative that _side_max
+    solves to roundoff.
     """
     l = 1.0 / h
     value, (n0, n1, _, _), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
@@ -300,8 +298,8 @@ def _profile_slope(
     """First and second l-derivatives of the tail deficit -G2/(2*G1) at l.
 
     Where G1 rounds to zero or below, the profile is capped at
-    _PROFILE_CAP, so both are 0 there: a root for the refinement, which
-    then reads the cap.
+    _PROFILE_CAP, so both are 0 there: a root for _side_max's walk and
+    Newton solve, which then read the cap.
     """
     value, (n0, n1, n2, n3), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
     if value == math.inf:
@@ -325,106 +323,45 @@ def _profile_slope(
     return d_value, dd_value
 
 
-def _grid_values(
-    alpha: float, b: float, rho: float, mu: float, xs: np.ndarray
-) -> np.ndarray:
-    l = 1.0 / xs
-    # a tail lies on one side of l = 0, so smile_terms picks its form once
-    n0, n1, n2 = smile_terms(alpha, b, rho, l)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = (l + mu) / (2.0 * n0)
-        g1 = (1.0 - n1 * (shift + 0.25)) * (1.0 - n1 * (shift - 0.25))
-        vals = -(n2 - n1 * n1 / (2.0 * n0)) / (2.0 * g1)
-    bad = (n0 <= 0.0) | (g1 <= 0.0) | ~np.isfinite(vals)
-    return np.where(bad, _PROFILE_CAP, np.minimum(vals, _PROFILE_CAP))
-
-
 def _side_max(
-    alpha: float, b: float, rho: float, mu: float, lo: float, hi: float
+    alpha: float, b: float, rho: float, mu: float, root: float
 ) -> tuple[float, float]:
-    """(supremum, argmax h) of the tail deficit over the reciprocal interval
-    (lo, hi): the best peaks of a grid, each moved to the root of the
-    profile's l-derivative beside it."""
-    step = (hi - lo) / _PROFILE_GRID
-    xs = lo + (np.arange(_PROFILE_GRID) + 0.5) * step
-    vals = _grid_values(alpha, b, rho, mu, xs)
-    i_top = int(np.argmax(vals))
-    best = (float(vals[i_top]), float(xs[i_top]))
-    if best[0] >= _PROFILE_CAP:
-        return best
-    padded = np.concatenate(([-np.inf], vals, [-np.inf]))
-    peaks = np.flatnonzero((vals >= padded[:-2]) & (vals >= padded[2:]))
-    for i in peaks[np.argsort(vals[peaks])[::-1][:_REFINE_CANDIDATES]]:
-        found = _peak(alpha, b, rho, mu, xs, int(i), lo, hi)
-        if found is not None and found[0] > best[0]:
-            best = found
-    return best
+    """(supremum, argmax h) of the tail deficit beyond the G2 root, toward
+    h = 0.
 
+    The deficit is 0 at the root and rises outward to a single peak.  Far
+    out it decays like 1/|l|, or on a wing at slope 2 keeps rising until
+    G1 loses its digits.  So l doubles from the root until the profile's
+    l-derivative turns, and one Newton solve inside that bracket places
+    the peak; if it never turns, the best value seen stands.
+    """
+    def slope(x: float) -> tuple[float, float]:
+        return _profile_slope(alpha, b, rho, mu, x)
 
-def _peak(
-    alpha: float, b: float, rho: float, mu: float, xs: np.ndarray, i: int,
-    lo: float, hi: float,
-) -> tuple[float, float] | None:
-    """(value, h) at the root of the profile's l-derivative between the
-    grid point xs[i] and its neighbour uphill, or None where the derivative
-    does not change sign between them.  Past the end of the grid the
-    neighbour is the end of the interval, unless that end is h = 0."""
-    l = 1.0 / float(xs[i])
-    slope = _profile_slope(alpha, b, rho, mu, l)[0]
-    if slope == 0.0:
+    l, (d, dd) = root, slope(root)
+    if d == 0.0:
         return _capped(alpha, b, rho, mu, l), 1.0 / l
-    # the profile rises along h where its l-derivative is negative
-    j = i + (1 if slope < 0.0 else -1)
-    if 0 <= j < len(xs):
-        l_next = 1.0 / float(xs[j])
-    elif (hi if j > i else lo) != 0.0:
-        l_next = 1.0 / (hi if j > i else lo)
-    else:
-        return _walk_out(alpha, b, rho, mu, l, slope)
-    slope_next = _profile_slope(alpha, b, rho, mu, l_next)[0]
-    if slope * slope_next > 0.0:
-        return None
-    l = _turn(alpha, b, rho, mu, l, slope, l_next, slope_next)
-    return _capped(alpha, b, rho, mu, l), 1.0 / l
-
-
-def _walk_out(
-    alpha: float, b: float, rho: float, mu: float, l: float, slope: float
-) -> tuple[float, float]:
-    """(value, h) of the best point beyond the grid point l, toward h = 0,
-    where the profile still rises.  It decays like 1/|l| far out, or keeps
-    rising on a wing at slope 2 until G1 loses its digits, so l doubles
-    until the l-derivative turns, and the best value seen stands if it
-    never does."""
-    best = (_capped(alpha, b, rho, mu, l), 1.0 / l)
     for _ in range(_MAX_DOUBLINGS):
         l_next = 2.0 * l
-        slope_next = _profile_slope(alpha, b, rho, mu, l_next)[0]
-        if slope * slope_next <= 0.0:
-            l = _turn(alpha, b, rho, mu, l, slope, l_next, slope_next)
-            return max(best, (_capped(alpha, b, rho, mu, l), 1.0 / l))
-        l, slope = l_next, slope_next
-        best = max(best, (_capped(alpha, b, rho, mu, l), 1.0 / l))
-    return best
-
-
-def _turn(
-    alpha: float, b: float, rho: float, mu: float,
-    l: float, slope: float, l_next: float, slope_next: float,
-) -> float:
-    """The root of the profile's l-derivative between l and l_next, where
-    it takes the non-zero value slope and the value slope_next of the
-    opposite sign or zero."""
-    if slope_next == 0.0:
-        return l_next
-    start = l - slope * (l_next - l) / (slope_next - slope)
-    if l < l_next:
-        bracket = Bracket(l, l_next, slope, slope_next)
+        d_next, dd_next = slope(l_next)
+        if d_next == 0.0:
+            l = l_next
+            break
+        if d * d_next < 0.0:
+            if l < l_next:
+                bracket = Bracket(l, l_next, d, d_next)
+            else:
+                bracket = Bracket(l_next, l, d_next, d)
+            # the walk holds the slope and curvature at l, so the first
+            # Newton step from there is free; a start outside the bracket
+            # (here also l itself) makes newton_root bisect instead
+            l = newton_root(slope, bracket, l - d / dd if dd != 0.0 else l)
+            break
+        l, d, dd = l_next, d_next, dd_next
     else:
-        bracket = Bracket(l_next, l, slope_next, slope)
-    return newton_root(
-        lambda x: _profile_slope(alpha, b, rho, mu, x), bracket, start
-    )
+        seen = (root * 2.0**k for k in range(_MAX_DOUBLINGS + 1))
+        return max((_capped(alpha, b, rho, mu, x), 1.0 / x) for x in seen)
+    return _capped(alpha, b, rho, mu, l), 1.0 / l
 
 
 def _capped(alpha: float, b: float, rho: float, mu: float, l: float) -> float:

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from .errors import (
     DomainError,
     FukasawaViolated,
+    NoBracketFound,
     NoFiniteOptimum,
     NumericFailure,
 )
@@ -311,10 +312,22 @@ def interval_with_optimizers(
             "the smile minimum is not positive"
         )
     lower, upper, l_m, l_p = -math.inf, math.inf, math.nan, math.nan
-    if rho != 1.0:
-        lower, l_m = _bound(alpha, b, rho, "-", slope_left)
-    if rho != -1.0:
-        upper, l_p = _bound(alpha, b, rho, "+", slope_right)
+    try:
+        if rho != 1.0:
+            lower, l_m = _bound(alpha, b, rho, "-", slope_left)
+        if rho != -1.0:
+            upper, l_p = _bound(alpha, b, rho, "+", slope_right)
+    except NoBracketFound:
+        # an optimizer's walk finds no sign change where the level sits
+        # within rounding of g_pm's minimum; below F that is an empty
+        # interval, not a numeric failure
+        threshold = fukasawa_threshold(b, rho)
+        if alpha <= threshold:
+            raise FukasawaViolated(
+                f"alpha = {alpha} does not exceed the threshold {threshold} "
+                f"for (b, rho) = ({b}, {rho})"
+            ) from None
+        raise
     interval = MuInterval(lower, upper)
     if not interval.lower < interval.upper:
         raise FukasawaViolated(

@@ -207,8 +207,8 @@ class TestCalibrate:
         # exact data from a box point with v = 0: the winner's image lands
         # a hair under its re-certified sigma_star, and one nudge of sigma
         # clears it
-        x = (0.1301205317094528, 0.4597623134693973, 0.03675856739020873,
-             0.03452897008287903, 0.0)
+        x = (-0.09804701224547985, 0.3993145912055063, 0.3300942573560835,
+             -0.5638410662339465, 0.0)
         k = np.linspace(-0.8, 0.8, 17)
         s = MarketSlice(k=k, w_mid=svi(SviParams(*BoxChart(5.0).point(x).raw), k))
         check = calibration_module.check_no_arbitrage

@@ -237,6 +237,14 @@ class TestValueCommands:
         assert rc == 64
         assert err.startswith("error:")
 
+    def test_empty_interval_within_rounding_of_the_floor_is_error(self, capsys):
+        rc, _, err = run(capsys, [
+            "interval", "--alpha=-1.0228837764812151e-11",
+            "--b=8.246624592017745e-07", "--rho=-0.9999999999230745",
+        ])
+        assert rc == 64
+        assert err.startswith("error:")
+
     def test_sigma_star_output_round_trips(self, capsys):
         rc, out, _ = run(capsys, [
             "sigma-star", "--alpha", "0.1", "--b", "0.5", "--rho", "-0.3",

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import butterfree.domain as domain_module
 from butterfree.domain import (
+    _PROFILE_CAP,
     _profile_slope,
     _sigma_star_trusted,
     ArbitrageDiagnostic,
@@ -31,13 +33,50 @@ from butterfree.errors import (
     NotInDomain,
 )
 from butterfree.fukasawa import interval_with_optimizers, l_star
-from butterfree.svi import NormalizedParams, SviParams, durrleman_g
+from butterfree.svi import NormalizedParams, SviParams, durrleman_g, smile_terms
 from conftest import MODEL_ROWS, VOGT
 from reference import denormalize, g_split
 
 #: Example with an off-center shift and both G2 zeros finite; its tail
 #: deficit profile has one interior peak per side with the left one global.
 FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU = 0.1, 0.5, -0.3, 0.1
+
+
+def _boundary_boxes(rng: np.random.Generator, regime: str, n: int):
+    """n criterion-5 box points (v = 0) with one coordinate pushed toward a
+    boundary: 1 - |rho| to 1e-12, 2 - wing slope to 1e-9, u to 1e-9 or
+    |q| to 0.999."""
+    for _ in range(n):
+        x = [rng.uniform(-0.95, 0.95), rng.uniform(0.05, 1.0), rng.uniform(1e-3, 3.0),
+             rng.uniform(-0.95, 0.95), 0.0]
+        sign = rng.choice((-1.0, 1.0))
+        if regime == "rho":
+            x[0] = sign * (1.0 - 10.0 ** rng.uniform(-12.0, -2.0))
+        elif regime == "slope":
+            x[1] = 1.0 - 0.5 * 10.0 ** rng.uniform(-9.0, -3.0)
+        elif regime == "u":
+            x[2] = 10.0 ** rng.uniform(-9.0, -3.0)
+        else:
+            x[3] = sign * rng.uniform(0.99, 0.999)
+        yield tuple(float(c) for c in x)
+
+
+def _brute_force_max(alpha: float, b: float, rho: float, mu: float) -> float:
+    """The tail deficit's maximum over 100k reciprocal points per finite
+    tail, with N, N', N'' in smile_terms' forms, which keep their digits
+    as |rho| -> 1."""
+    t = np.linspace(0.0, 1.0, 100_002)[1:-1]
+    z = g2_zeros(alpha, b, rho)
+    best = -math.inf
+    for root in (z.l1, z.l2):
+        if math.isfinite(root):
+            l = root / t
+            n0, n1, n2 = smile_terms(alpha, b, rho, l)
+            shift = (l + mu) / (2.0 * n0)
+            g1 = (1.0 - n1 * (shift + 0.25)) * (1.0 - n1 * (shift - 0.25))
+            with np.errstate(divide="ignore"):
+                best = max(best, float(np.max(-(n2 - n1 * n1 / (2.0 * n0)) / (2.0 * g1))))
+    return best
 
 
 def _grid_g(norm: NormalizedParams, n: int = 2001, span: float = 20.0) -> np.ndarray:
@@ -296,6 +335,78 @@ class TestSigmaStar:
                 float(np.max(deficit(alpha, b, rho, mu, t / z.l2))),
             )
             assert s >= brute * (1.0 - 1e-12), (alpha, b, rho, mu, s, brute)
+
+    @pytest.mark.parametrize("regime", ["rho", "slope", "u", "q"])
+    def test_boundary_regimes_never_below_brute_force(self, regime):
+        # box points pushed into one boundary regime each: 1 - |rho| down
+        # to 1e-12, a wing slope within 1e-9 of 2, u down to 1e-9 and q
+        # out to +-0.999, against the brute force's 100k points per tail
+        for x in _boundary_boxes(np.random.default_rng(6), regime, 25):
+            p = BoxChart().point(x)
+            brute = _brute_force_max(p.alpha, p.b, p.x[0], p.mu)
+            assert p.sigma_star >= brute * (1.0 - 1e-12), (x, p.sigma_star, brute)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 5: at u = 3.5e-9 G1 loses its digits, so the float "
+        "deficit is noise at 1e-6 of its value and the brute-force maximum "
+        "over 100k noisy points reads above sigma_star"
+    ))
+    def test_below_brute_force_where_g1_is_noise(self):
+        x = (-0.09727356920068653, 0.46563020711082115, 3.5441294803482658e-09,
+             0.8571397359303776, 0.0)
+        p = BoxChart().point(x)
+        brute = _brute_force_max(p.alpha, p.b, p.x[0], p.mu)
+        assert p.sigma_star >= brute * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("alpha, b, rho", [
+        (FIG_ALPHA, FIG_B, FIG_RHO), (-0.041 / 0.4153, 0.1331, 0.306), (0.05, 1.2, 0.5),
+    ])
+    def test_a_few_ulps_inside_a_wall(self, alpha, b, rho):
+        # G1 rounds to zero beside the wall's optimizer, so sigma_star is
+        # the cap there and Failure4 follows at any sigma; a little further
+        # in, the value is finite again
+        interval = interval_with_optimizers(alpha, b, rho)[0]
+        for wall, inward in ((interval.lower, 1.0), (interval.upper, -1.0)):
+            for ulps, capped in ((1, True), (4, True), (2**20, False)):
+                mu = wall + inward * ulps * math.ulp(wall)
+                s = sigma_star(alpha, b, rho, mu)
+                assert (s == _PROFILE_CAP) == capped, (wall, ulps, s)
+                params = SviParams(2.0 * alpha, b, rho, 2.0 * mu, 2.0)
+                assert check_no_arbitrage(params).status is Status.FAILURE4
+
+    def test_best_point_seen_stands_if_the_walk_never_turns(self, monkeypatch):
+        # the right tail's peak lies between 2 and 4 times its root, so a
+        # walk allowed one doubling ends still rising, at twice the root
+        monkeypatch.setattr(domain_module, "_MAX_DOUBLINGS", 1)
+        root = g2_zeros(FIG_ALPHA, FIG_B, FIG_RHO).l2
+        value, h = domain_module._side_max(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, root)
+        assert h == 1.0 / (2.0 * root)
+        assert value == sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, h)
+        monkeypatch.undo()
+        peak = _sigma_star_trusted(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)[2][1]
+        assert 0.0 < value < peak[0]
+
+    def test_profile_slope_calls_per_tail(self, monkeypatch):
+        # the walk from each G2 root and its one Newton solve, counted on
+        # 200 criterion-5 box points (two finite tails each)
+        calls = []
+        slope = domain_module._profile_slope
+
+        def counted(*args):
+            calls.append(args)
+            return slope(*args)
+
+        monkeypatch.setattr(domain_module, "_profile_slope", counted)
+        rng = np.random.default_rng(3)
+        per_tail = []
+        for _ in range(200):
+            x = (rng.uniform(-0.95, 0.95), rng.uniform(0.05, 1.0), rng.uniform(1e-3, 3.0),
+                 rng.uniform(-0.95, 0.95), rng.uniform(0.0, 2.0))
+            calls.clear()
+            box_to_params(BoxCoords(*x))
+            per_tail.append(len(calls) / 2)
+        assert sum(per_tail) / len(per_tail) <= 9.5
+        assert max(per_tail) <= 13
 
     def test_rejects_mu_outside_interval(self):
         with pytest.raises(FukasawaViolated):

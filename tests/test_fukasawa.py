@@ -332,6 +332,14 @@ class TestMuInterval:
         with pytest.raises(FukasawaViolated):
             mu_interval(-0.1267, V_B, V_RHO)
 
+    def test_empty_within_rounding_of_the_floor(self):
+        # alpha a hair above the floor and below F: the optimizer walk
+        # sees no sign change, and the refusal is still the typed one
+        alpha, b, rho = -1.0228837764812151e-11, 8.246624592017745e-07, -0.9999999999230745
+        assert alpha <= fukasawa_threshold(b, rho)
+        with pytest.raises(FukasawaViolated):
+            mu_interval(alpha, b, rho)
+
     def test_raises_at_floor(self):
         floor = -V_B * math.sqrt(1.0 - V_RHO * V_RHO)
         with pytest.raises(FukasawaViolated):
