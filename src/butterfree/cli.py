@@ -25,14 +25,10 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
-from .calibration import CalibrationConfig, CalibrationResult, MarketSlice, calibrate
 from .domain import check_no_arbitrage, sigma_star, sigma_star_profile
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, mu_interval
-from .market_data import build_vol_slice, infer_forward_discount, load_chain, year_fraction
-from .numerics import is_real, require_real
+from .numerics import is_real, require_finite, require_real
 from .svi import SviParams, durrleman_g, n_funcs, svi
 
 EXIT_OK = 0
@@ -109,6 +105,10 @@ def slice_to_dict(slice_: MarketSlice) -> dict:
 
 
 def slice_from_dict(doc: dict) -> MarketSlice:
+    import numpy as np
+
+    from .calibration import MarketSlice
+
     for key in ("k", "w_mid"):
         if key not in doc or doc[key] is None:
             raise InvalidInput(f"slice document is missing {key}")
@@ -145,6 +145,8 @@ def write_slice(path: str, slice_: MarketSlice) -> None:
 
 
 def config_from_dict(doc: dict) -> CalibrationConfig:
+    from .calibration import CalibrationConfig
+
     extra = set(doc) - {f.name for f in fields(CalibrationConfig)}
     if extra:
         raise InvalidInput(f"unknown config keys: {', '.join(sorted(extra))}")
@@ -223,6 +225,8 @@ def cmd_sigma_star(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from .calibration import CalibrationConfig, calibrate
+
     slice_ = read_slice(args.slice)
     doc = _read_json(args.config) if args.config else {}
     for field in fields(CalibrationConfig):
@@ -246,6 +250,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .market_data import build_vol_slice, infer_forward_discount, load_chain, year_fraction
+
     if args.t is not None:  # a bad flag fails the command, not each chain
         require_real("--t", args.t, 0.0, strict=True)
     chains, rejects = load_chain(args.csv)
@@ -282,11 +288,16 @@ def cmd_ingest(args) -> int:
 
 
 def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
+    import numpy as np
+
     n = args.grid
     if n < 1:
         raise InvalidInput(f"--grid must be at least 1, got {n}")
-    if args.lo >= args.hi and n > 1:
-        raise InvalidInput(f"--from must be below --to, got [{args.lo}, {args.hi}]")
+    require_finite(**{"--from": args.lo, "--to": args.hi})
+    if n > 1:
+        if args.lo >= args.hi:
+            raise InvalidInput(f"--from must be below --to, got [{args.lo}, {args.hi}]")
+        require_finite(**{"--to - --from": args.hi - args.lo})
     xs = np.linspace(args.lo, args.hi, n) if n > 1 else np.array([args.lo])
 
     which = args.which
@@ -301,6 +312,11 @@ def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
     if args.alpha is None or args.b is None or args.rho is None:
         raise InvalidInput(f"--which {which} needs --alpha, --b and --rho")
     alpha, b, rho = args.alpha, args.b, args.rho
+    require_finite(**{"--alpha": alpha, "--b": b, "--rho": rho})
+    if b <= 0.0:
+        raise InvalidInput(f"--b must be positive, got {b!r}")
+    if abs(rho) > 1.0:
+        raise InvalidInput(f"--rho must lie in [-1, 1], got {rho!r}")
 
     if which == "g2":
         rows = []
@@ -335,6 +351,7 @@ def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
     if which == "f-profile":
         if args.mu is None:
             raise InvalidInput("--which f-profile needs --mu")
+        require_finite(**{"--mu": args.mu})
         rows = []
         for x in xs:
             if x == 0.0:

@@ -29,8 +29,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateSigma, DomainError, FukasawaViolated, NotInDomain
 from .fukasawa import (
     SLOPE_EQ_TOL,
@@ -526,6 +524,8 @@ class BoxChart:
         At a kink, column j is the one-sided derivative toward increasing
         x_j.  Raises DomainError on the face b' = 1.
         """
+        import numpy as np
+
         rho, b_prime, u, q, _ = p.x
         b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
         if b * (1.0 + abs(rho)) >= 2.0 - SLOPE_EQ_TOL:

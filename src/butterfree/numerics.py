@@ -5,9 +5,11 @@ Roots are found by a local safeguarded Newton iteration on certified
 brackets.  Least squares is a port of scipy's dogbox trust region that
 always runs on the caller's exact Jacobian, never on finite differences,
 and asks an optional ``stop`` callback after every residual evaluation
-whether to end the run there; the package needs no scipy.  This module
-pins down brackets, tolerances and failure modes so the rest of the
-package gets deterministic behaviour and typed errors.
+whether to end the run there; the package needs no scipy.  numpy loads
+only for calibration, ingest and array evaluation: the least-squares
+functions import it themselves, and the root finders run without it.
+This module pins down brackets, tolerances and failure modes so the rest
+of the package gets deterministic behaviour and typed errors.
 """
 from __future__ import annotations
 
@@ -15,9 +17,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
-from numpy.linalg import lstsq, norm
 
 from .errors import (
     DomainError,
@@ -241,6 +240,9 @@ def dogbox(
     Returns an LsqResult.  Raises InfeasibleStart for x0 outside the bounds
     and NumericFailure for non-finite residuals at x0.
     """
+    import numpy as np
+
+    lstsq, norm = np.linalg.lstsq, np.linalg.norm
     x = np.array(x0, dtype=float)
     lb = np.asarray(lower, dtype=float)
     ub = np.asarray(upper, dtype=float)
@@ -352,6 +354,8 @@ def _dogleg_step(
     of the trust region |step| <= Delta with [lb - x, ub - x].  bound_hits
     is -1 or 1 where the step ends on a lower or upper bound of [lb, ub],
     and tr_hit says whether it ends on the trust region's edge."""
+    import numpy as np
+
     lb_centered = lb - x
     ub_centered = ub - x
     lb_total = np.maximum(lb_centered, -Delta)
@@ -385,6 +389,8 @@ def _to_bound(
 ) -> tuple[float, np.ndarray]:
     """(t, hits): the least t >= 0 at which x + t*s reaches a bound, and
     -1 or 1 for each coordinate that reaches its lower or upper bound."""
+    import numpy as np
+
     non_zero = np.nonzero(s)
     s_non_zero = s[non_zero]
     steps = np.empty_like(x)

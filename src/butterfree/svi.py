@@ -23,9 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .black_scholes import d1_d2
 from .errors import DegenerateSigma, InvalidParams, NonPositiveVariance
 
 
@@ -102,12 +99,16 @@ def svi_raw(k, a, b, rho, m, sigma):
     strikes are evaluated, the waterfall re-certifies every fit, and shape's
     far form, selected per element, costs each call half its time again.
     """
+    import numpy as np
+
     dk = k - m
     return a + b * (rho * dk + np.sqrt(dk * dk + sigma * sigma))
 
 
 def svi_raw_jacobian(k, weights, b, rho, m, sigma) -> np.ndarray:
     """d(weights * w(k))/d(a, b, rho, m, sigma) of svi_raw, in its plain form."""
+    import numpy as np
+
     dk = k - m
     root = np.sqrt(dk * dk + sigma * sigma)
     return np.column_stack([
@@ -118,6 +119,8 @@ def svi_raw_jacobian(k, weights, b, rho, m, sigma) -> np.ndarray:
 
 def svi(params: SviParams, k):
     """Total variance w(k).  Accepts scalars or numpy arrays."""
+    import numpy as np
+
     w = svi_raw(
         np.asarray(k, dtype=float), params.a, params.b, params.rho, params.m, params.sigma
     )
@@ -175,6 +178,8 @@ def smile_terms(a: float, b: float, rho: float, x: np.ndarray, scale: float = 1.
     """(w, w', w'') at x = k - m for w = a + b*(rho*x + R), R = sqrt(x^2 +
     scale^2), in shape's forms (N, N', N'' at l for scale 1).  x[0]'s side
     picks the form for all of x, which must lie on it (0 counts as near)."""
+    import numpy as np
+
     r = np.hypot(x, scale)
     u, v = x / r, scale / r
     if x.size and rho * x[0] < 0.0:
@@ -192,6 +197,8 @@ def durrleman_g(params: SviParams, k):
     Requires w(k) > 0 at every requested point.  Accepts scalars or arrays.
     For the flat smile b = 0, a > 0 this is identically 1.
     """
+    import numpy as np
+
     x = np.asarray(k, dtype=float) - params.m
     terms = np.empty((3,) + x.shape)
     far = params.rho * x < 0.0
@@ -212,6 +219,8 @@ def density(params: SviParams, k: float) -> float:
     most one over K in (0, inf); mass may escape to zero or infinity when
     the smile touches its arbitrage bounds.
     """
+    from .black_scholes import d1_d2
+
     w = svi(params, k)
     if w <= 0.0:
         raise NonPositiveVariance(f"total variance must be positive, got {w}")

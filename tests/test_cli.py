@@ -38,6 +38,9 @@ VOGT_FLAGS = [
 NEAR_RHO_ONE = ["--b=0.4568528468207588", "--rho=-0.9999999999464029"]
 
 
+UNIT_RANGE = ["--from", "-1", "--to", "1"]
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -824,6 +827,34 @@ class TestPlotData:
         ])
         assert rc == 64
         assert "--from must be below --to" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--which", "g", "--from", "nan", "--to", "1", *VOGT_FLAGS], "--from"),
+        (["--which", "smile", "--from", "-1", "--to", "inf", *VOGT_FLAGS], "--to"),
+        (["--which", "smile", "--from=-1e308", "--to=1e308", *VOGT_FLAGS], "--to - --from"),
+        ([*UNIT_RANGE, "--which", "g2", "--alpha", "nan", "--b", "0.5", "--rho", "-0.3"],
+         "--alpha"),
+        ([*UNIT_RANGE, "--which", "g2", "--alpha", "0.1", "--b", "0.5", "--rho", "7"],
+         "--rho"),
+        ([*UNIT_RANGE, "--which", "g2", "--alpha", "0.1", "--b", "0", "--rho", "-0.3"],
+         "--b"),
+        ([*UNIT_RANGE, "--which", "gpm", "--alpha", "0.1", "--b", "nan", "--rho", "-0.3"],
+         "--b"),
+        ([*UNIT_RANGE, "--which", "L", "--alpha", "0.1", "--b", "-0.5", "--rho", "-0.3"],
+         "--b"),
+        ([*UNIT_RANGE, "--which", "L", "--alpha", "0.1", "--b", "0.5", "--rho", "inf"],
+         "--rho"),
+        ([*UNIT_RANGE, "--which", "f-profile", "--alpha", "0.1", "--b", "0.5",
+          "--rho", "-0.3", "--mu", "nan"], "--mu"),
+    ], ids=[
+        "g-from-nan", "smile-to-inf", "width-overflows", "g2-alpha-nan", "g2-rho-7",
+        "g2-b-zero", "gpm-b-nan", "L-b-negative", "L-rho-inf", "f-profile-mu-nan",
+    ])
+    def test_unplottable_input_rejected(self, capsys, argv, flag):
+        rc, out, err = run(capsys, ["plot-data", *argv, "--grid", "3", "--out", "-"])
+        assert rc == 64
+        assert out == ""
+        assert err.startswith(f"error: {flag} must ")
 
     def test_normalized_plots_need_their_flags(self, capsys):
         rc, _, err = run(capsys, [
