@@ -4,6 +4,10 @@ Importing the package loads only the standard library: the waterfall, the
 box chart and the scalar solvers need no numpy.  The names below that live
 in ``calibration``, ``market_data`` and ``black_scholes``, and those
 modules and ``cli`` themselves, load on first access.
+
+``butterfree.svi`` is the function ``svi``, not its module, so ``import
+butterfree.svi as m`` binds the function.  Reach the module with ``from
+butterfree.svi import ...`` or ``importlib.import_module("butterfree.svi")``.
 """
 
 import importlib

@@ -225,7 +225,10 @@ class _Objective:
         return self.last
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
-        return (svi_raw(self.k, *self.point(x).raw) - self.w_mid) * self.weights
+        p = self.point(x)
+        if p.sigma_star == math.inf:  # no smile there; dogbox rejects the trial
+            return np.full(self.k.shape, math.inf)
+        return (svi_raw(self.k, *p.raw) - self.w_mid) * self.weights
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         self.njev += 1

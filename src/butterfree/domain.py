@@ -45,13 +45,6 @@ from .svi import SviParams, n_funcs, normalize, omega, shape
 
 #: Doublings of l, out from a G2 root, allowed to bracket a tail's peak.
 _MAX_DOUBLINGS = 60
-#: Ceiling on the tail deficit.  G1 can round to zero when mu sits within a
-#: few ulp of an interval wall; capping keeps the calibrator's residuals
-#: finite there instead of propagating an infinity.
-_PROFILE_CAP = 1e12
-
-#: Floor for the effective alpha margin once the cap clamp is applied.
-_U_FLOOR = 1e-9
 
 #: Relative gap below which the two tail maxima of sigma_star count as a
 #: tie, where sigma_star has a kink.
@@ -215,8 +208,8 @@ def sigma_star_profile(alpha: float, b: float, rho: float, mu: float, h: float) 
 
     Parametrized by the reciprocal h so each tail beyond a G2 root maps to a
     bounded interval; the profile vanishes toward h -> 0 and at the roots.
-    Returns inf where G1 rounds to zero or below, which happens only when mu
-    sits essentially on an interval wall.
+    Returns +inf, and so does sigma_star, where G1 rounds to zero or below:
+    only when mu sits within rounding of an interval wall.
     """
     if h == 0.0:
         raise DomainError("h must be non-zero")
@@ -230,8 +223,9 @@ def sigma_star(alpha: float, b: float, rho: float, mu: float) -> float:
     Equals the supremum of -G2/(2*G1) over the two tails where G2 < 0,
     each tail's single peak placed by a root of the deficit's
     l-derivative, bracketed by doubling l out from the tail's G2 root.
-    Raises FukasawaViolated when mu is not strictly admissible, since G1
-    must be positive on both tails.
+    It is +inf where G1 rounds to zero or below on a tail.  Raises
+    FukasawaViolated when mu is not strictly admissible, since G1 must be
+    positive on both tails.
     """
     interval = mu_interval(alpha, b, rho)
     if not interval.contains(mu):
@@ -295,9 +289,9 @@ def _profile_slope(
 ) -> tuple[float, float]:
     """First and second l-derivatives of the tail deficit -G2/(2*G1) at l.
 
-    Where G1 rounds to zero or below, the profile is capped at
-    _PROFILE_CAP, so both are 0 there: a root for _side_max's walk and
-    Newton solve, which then read the cap.
+    Where G1 rounds to zero or below, the deficit is +inf, and both are 0
+    there: a root for _side_max's walk and Newton solve, which then read a
+    supremum of +inf.
     """
     value, (n0, n1, n2, n3), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
     if value == math.inf:
@@ -331,14 +325,15 @@ def _side_max(
     out it decays like 1/|l|, or on a wing at slope 2 keeps rising until
     G1 loses its digits.  So l doubles from the root until the profile's
     l-derivative turns, and one Newton solve inside that bracket places
-    the peak; if it never turns, the best value seen stands.
+    the peak; if it never turns, the best value seen stands.  A deficit of
+    +inf on the way (G1 rounded to zero) is the supremum.
     """
     def slope(x: float) -> tuple[float, float]:
         return _profile_slope(alpha, b, rho, mu, x)
 
     l, (d, dd) = root, slope(root)
     if d == 0.0:
-        return _capped(alpha, b, rho, mu, l), 1.0 / l
+        return _deficit(alpha, b, rho, mu, l).value, 1.0 / l
     for _ in range(_MAX_DOUBLINGS):
         l_next = 2.0 * l
         d_next, dd_next = slope(l_next)
@@ -358,13 +353,8 @@ def _side_max(
         l, d, dd = l_next, d_next, dd_next
     else:
         seen = (root * 2.0**k for k in range(_MAX_DOUBLINGS + 1))
-        return max((_capped(alpha, b, rho, mu, x), 1.0 / x) for x in seen)
-    return _capped(alpha, b, rho, mu, l), 1.0 / l
-
-
-def _capped(alpha: float, b: float, rho: float, mu: float, l: float) -> float:
-    """The tail deficit at l, capped at _PROFILE_CAP."""
-    return min(_deficit(alpha, b, rho, mu, l).value, _PROFILE_CAP)
+        return max((_deficit(alpha, b, rho, mu, x).value, 1.0 / x) for x in seen)
+    return _deficit(alpha, b, rho, mu, l).value, 1.0 / l
 
 
 def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
@@ -480,20 +470,22 @@ class BoxChart:
     b = 2b'/(1+|rho|), alpha = F(b, rho) + u, mu sits at relative position
     q inside its interval and sigma = sigma_star + v.  An optional cap on
     alpha is enforced by clamping the margin u inside the mapping, which
-    keeps a solver's rectangle fixed while guaranteeing alpha <= alpha_cap
-    for every evaluated point; with the default infinite cap the chart is
-    box_to_params, Free in real arithmetic, not always in floats.
+    keeps a solver's rectangle fixed while keeping alpha <= alpha_cap, to
+    the rounding of F + (alpha_cap - F), at every evaluated point; with the
+    default infinite cap the chart is box_to_params, Free in real
+    arithmetic, not always in floats.
 
     Every chart quantity is a root or an optimum, so its partials come from
     the solved point alone: the threshold F(b, rho) by the implicit
     function theorem on the interval gap, the interval bounds and
     sigma_star by the envelope theorem at their optimizers l-, l+ and h*.
     Where the chart has a kink it is the max or min of two smooth branches:
-    |rho| at rho = 0, the clamps u_eff = min(u, max(alpha_cap - F, floor)),
-    the profile cap, and a tie between the two tail maxima.  There each
-    partial is the one-sided derivative toward increasing coordinates.  On
-    the face b' = 1, where the steeper wing slope is exactly 2, the chart
-    moves like sqrt(1 - b') and has no finite partials.
+    |rho| at rho = 0, the clamp u_eff = min(u, alpha_cap - F), and a tie
+    between the two tail maxima.  There each partial is the one-sided
+    derivative toward increasing coordinates.  On the face b' = 1, where
+    the steeper wing slope is exactly 2, the chart moves like sqrt(1 - b')
+    and has no finite partials.  Where G1 rounds to zero on a tail,
+    sigma_star and the image's sigma are +inf, which no smile has.
     """
 
     def __init__(self, alpha_cap: float = math.inf) -> None:
@@ -513,16 +505,16 @@ class BoxChart:
 
     def _clamp(self, threshold: float, u: float) -> tuple[float, float, float]:
         """(room, u_eff, alpha): the margin u clamped so alpha stays at or
-        below the cap, with room = alpha_cap - threshold."""
+        below the cap; room = alpha_cap - F > 0, as F <= 0 < alpha_cap."""
         room = self.alpha_cap - threshold
-        u_eff = min(u, max(room, _U_FLOOR))
+        u_eff = min(u, room)
         return room, u_eff, threshold + u_eff
 
     def partials(self, p: ChartPoint) -> np.ndarray:
         """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array.
 
         At a kink, column j is the one-sided derivative toward increasing
-        x_j.  Raises DomainError on the face b' = 1.
+        x_j.  Raises DomainError on the face b' = 1 and at sigma_star = +inf.
         """
         import numpy as np
 
@@ -533,6 +525,8 @@ class BoxChart:
                 f"b' = {b_prime} puts a wing slope at its limit 2, "
                 "where the chart has no finite partials"
             )
+        if p.sigma_star == math.inf:
+            raise DomainError("sigma_star is +inf here, so the chart has no image")
         eye = np.eye(5)
         # d|rho|/drho is +1 at rho = +-0, toward increasing rho; F, the
         # bounds and the tail maxima are smooth in rho there
@@ -544,11 +538,8 @@ class BoxChart:
         f_b, f_rho = _threshold_partials(b, rho, p.threshold, *p.threshold_optimizers)
         d_threshold = f_b * d_b + f_rho * d_rho
 
-        # u_eff = min(u, max(room, _U_FLOOR)) with room = alpha_cap - F
-        d_clamp = _kink_gradient(
-            np.maximum, p.room, -d_threshold, _U_FLOOR, np.zeros(5)
-        )
-        d_u_eff = _kink_gradient(np.minimum, u, eye[_U], max(p.room, _U_FLOOR), d_clamp)
+        # u_eff = min(u, room) with room = alpha_cap - F
+        d_u_eff = _kink_gradient(np.minimum, u, eye[_U], p.room, -d_threshold)
         d_alpha = d_threshold + d_u_eff
 
         d_bounds = []
@@ -559,9 +550,9 @@ class BoxChart:
         d_mu = 0.5 * (1.0 + q) * d_upper + 0.5 * (1.0 - q) * d_lower
         d_mu[_Q] += 0.5 * p.interval.width()
 
-        # sigma_star is the larger tail maximum, and constant on the cap
+        # sigma_star is the larger tail maximum, or 0 where neither rises
         d_sigma = eye[_V].copy()
-        if 0.0 < p.sigma_star < _PROFILE_CAP:
+        if p.sigma_star > 0.0:
             d_tails = []
             for value, h in p.tails:
                 if p.sigma_star - value <= _TIE_TOL * p.sigma_star:
@@ -656,7 +647,8 @@ def box_to_params(box: BoxCoords) -> SviParams:
     (alpha*sigma, mu*sigma) moves alpha and mu by ulps, and where v is 0
     (or below the move that causes in sigma_star) the re-certified
     sigma_star can exceed sigma by ulps (Failure4); calibrate's sigma
-    nudge covers that until ROADMAP item 3 mends the chart.
+    nudge covers that until ROADMAP item 3 mends the chart.  Raises
+    InvalidParams where G1 rounds to zero on a tail and sigma_star is +inf.
     """
     x = (box.rho, box.b_prime, box.u, box.q, box.v)
     return SviParams(*BoxChart().point(x).raw)

@@ -125,6 +125,23 @@ def threshold_50_digits(b: float, rho: float) -> mpmath.mpf:
         return x1 * b
 
 
+def g_50_digits(params: SviParams, k: float) -> mpmath.mpf:
+    """Durrleman's g(k) of the raw smile in 50 digits, the float parameters
+    and log-strike taken as exact:
+    g = (1 - k*w'/(2w))^2 - (w'^2/4)*(1/w + 1/4) + w''/2."""
+    with mpmath.workdps(50):
+        a, b, rho, m, sigma = (
+            mpmath.mpf(x) for x in (params.a, params.b, params.rho, params.m, params.sigma)
+        )
+        k_ = mpmath.mpf(k)
+        dk = k_ - m
+        r = mpmath.sqrt(dk * dk + sigma * sigma)
+        w = a + b * (rho * dk + r)
+        w1 = b * (rho + dk / r)
+        w2 = b * sigma * sigma / r**3
+        return +((1 - k_ * w1 / (2 * w)) ** 2 - w1 * w1 / 4 * (1 / w + 0.25) + w2 / 2)
+
+
 # Scalar Black-Scholes pricing and the one-quote implied-vol loop, with the
 # operation order that the batched black_scholes.implied_total_vols keeps
 # element by element; the batched inverter must match them bit for bit.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -550,6 +551,20 @@ class TestJacobian:
         for j in range(4):
             want = quotient(objective, x, j, 1e-5, central=True)
             assert column_error(jac[:, j], want) <= 1e-6
+
+    def test_infinite_floor_gives_infinite_residuals(self):
+        # at this corner of calibrate's box G1 rounds to zero on a tail, so
+        # the floor is +inf and the point has no smile: the residuals are
+        # +inf, which dogbox rejects like any non-finite trial, with no
+        # inf - inf on the way, and the chart has no partials there
+        objective = chart_objective()
+        x = np.array([0.06497735129832838, 0.999999, 1e-06, 0.999999, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            residuals = objective.residuals(x)
+        assert np.all(residuals == math.inf)
+        with pytest.raises(DomainError):
+            objective.pipeline.partials(objective.point(x))
 
     def test_wing_limit_kink(self):
         # b' = 1 puts the steeper wing slope exactly at 2, a face that

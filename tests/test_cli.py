@@ -8,7 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
-from reference import threshold_50_digits
+from reference import g_50_digits, threshold_50_digits
 
 from butterfree.black_scholes import call_price
 from butterfree.calibration import MarketSlice
@@ -326,6 +326,20 @@ def test_far_side_arbitrage_near_rho_one_exits_3(capsys):
     ])
     assert rc == 3
     assert out.startswith("Failure2:")
+
+
+def test_infinite_floor_beside_a_wall_exits_5(capsys):
+    # mu sits so close to its interval's upper wall that G1 rounds to zero
+    # on a tail: sigma_star is +inf, and no sigma, 2e12 included, is Free
+    rc, out, _ = run(capsys, [
+        "check", "--a=100000000000.0", "--b=1.2", "--rho=0.5",
+        "--m=1341680555989.1338", "--sigma=2000000000000.0",
+    ])
+    assert rc == 5
+    assert out.startswith("Failure4:") and "sigma_star = inf" in out
+    # and the smile does have arbitrage: g = -5.577e-14 there
+    params = SviParams(1e11, 1.2, 0.5, 1341680555989.1338, 2e12)
+    assert g_50_digits(params, 7674568169548.507) < -5e-14
 
 
 class TestBadInputFiles:

@@ -11,7 +11,6 @@ from scipy.optimize import brentq
 
 import butterfree.domain as domain_module
 from butterfree.domain import (
-    _PROFILE_CAP,
     _profile_slope,
     _sigma_star_trusted,
     ArbitrageDiagnostic,
@@ -27,6 +26,7 @@ from butterfree.domain import (
     sigma_star_profile,
 )
 from butterfree.errors import (
+    ButterfreeError,
     DegenerateSigma,
     DomainError,
     FukasawaViolated,
@@ -288,18 +288,19 @@ class TestSigmaStar:
             ) / (2 * step)
             assert curvature == pytest.approx(want, rel=1e-6, abs=1e-12)
 
-    def test_slope_vanishes_exactly_where_the_profile_is_capped(self):
+    def test_slope_vanishes_exactly_where_the_profile_is_infinite(self):
         # with mu on an interval wall G1 touches zero at the wall's
-        # optimizer, and its rounding decides the cap point by point
+        # optimizer, and its rounding decides point by point where the
+        # deficit is +inf
         interval, l_m, l_p = interval_with_optimizers(FIG_ALPHA, FIG_B, FIG_RHO)
-        capped = 0
+        infinite = 0
         for mu, l0 in ((interval.lower, l_m), (interval.upper, l_p)):
             for l in l0 * (1.0 + 1e-9 * np.arange(-200, 201)):
                 value = sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, mu, 1.0 / l)
                 slope = _profile_slope(FIG_ALPHA, FIG_B, FIG_RHO, mu, float(l))
                 assert (slope == (0.0, 0.0)) == math.isinf(value)
-                capped += math.isinf(value)
-        assert 0 < capped < 802
+                infinite += math.isinf(value)
+        assert 0 < infinite < 802
 
     def test_never_below_brute_force(self):
         # the supremum against the tail deficit on 100k reciprocal points
@@ -362,17 +363,20 @@ class TestSigmaStar:
         (FIG_ALPHA, FIG_B, FIG_RHO), (-0.041 / 0.4153, 0.1331, 0.306), (0.05, 1.2, 0.5),
     ])
     def test_a_few_ulps_inside_a_wall(self, alpha, b, rho):
-        # G1 rounds to zero beside the wall's optimizer, so sigma_star is
-        # the cap there and Failure4 follows at any sigma; a little further
-        # in, the value is finite again
+        # beside the wall's optimizer G1 is within a few ulps of zero or
+        # rounds to it, so sigma_star is above 1e12 or +inf there, and the
+        # smile is Failure4 at sigma = 2 and at 2e12; a little further in,
+        # the value is finite and below 1e12 again
         interval = interval_with_optimizers(alpha, b, rho)[0]
         for wall, inward in ((interval.lower, 1.0), (interval.upper, -1.0)):
-            for ulps, capped in ((1, True), (4, True), (2**20, False)):
+            for ulps in (1, 4, 2**20):
                 mu = wall + inward * ulps * math.ulp(wall)
                 s = sigma_star(alpha, b, rho, mu)
-                assert (s == _PROFILE_CAP) == capped, (wall, ulps, s)
-                params = SviParams(2.0 * alpha, b, rho, 2.0 * mu, 2.0)
-                assert check_no_arbitrage(params).status is Status.FAILURE4
+                assert (s > 1e12) == (ulps < 2**20), (wall, ulps, s)
+                for sigma in (2.0, 2e12) if s > 1e12 else (2.0,):
+                    params = SviParams(sigma * alpha, b, rho, sigma * mu, sigma)
+                    status = check_no_arbitrage(params).status
+                    assert status is Status.FAILURE4, (wall, ulps, sigma)
 
     def test_best_point_seen_stands_if_the_walk_never_turns(self, monkeypatch):
         # the right tail's peak lies between 2 and 4 times its root, so a
@@ -617,7 +621,7 @@ class TestBoxMap:
         pytest.param(3, 50, interior_box, id="interior"),
         pytest.param(7, 200, floor_box, id="v-zero", marks=pytest.mark.xfail(
             strict=True,
-            reason="ROADMAP item 2: at v = 0, rebuilding (a, m) = (alpha*sigma, "
+            reason="ROADMAP item 3: at v = 0, rebuilding (a, m) = (alpha*sigma, "
                    "mu*sigma) can leave sigma ulps under the re-certified sigma*")),
     ])
     def test_sampled_boxes_are_free(self, seed, count, draw):
@@ -636,6 +640,22 @@ class TestBoxMap:
         assert diag.is_free, diag.message
         assert diag.alpha - diag.threshold == pytest.approx(1e-10, rel=1e-6)
         box_to_params(BoxCoords(rho=0.73, b_prime=8.65e-8, u=1e-10, q=0.0, v=0.0))
+
+    def test_infinite_floor_has_no_image(self):
+        # q one ulp short of 1 puts mu where G1 rounds to zero on a tail, so
+        # the floor is +inf; read as 1e12, it gave a smile with g = -1.7e-14
+        # at k = 2.28e12 in 50 digits
+        x = (-0.3, 0.5, 0.2, 1.0 - 2.0**-53, 0.0)
+        assert BoxChart().point(x).sigma_star == math.inf
+        with pytest.raises(ButterfreeError):
+            box_to_params(BoxCoords(*x))
+
+    def test_alpha_cap_holds_where_the_room_is_tiny(self):
+        # room = alpha_cap - F is about 2.5e-12 here, and alpha lands on
+        # the cap, not above it
+        p = BoxChart(alpha_cap=1e-12).point((0.3, 1e-12, 1.0, 0.0, 0.1))
+        assert p.alpha <= 1e-12
+        assert check_no_arbitrage(SviParams(*p.raw)).is_free
 
     def test_inverse_rejects_non_free(self):
         with pytest.raises(NotInDomain):

@@ -194,3 +194,16 @@ def test_every_public_name_is_its_modules_object():
         assert getattr(butterfree, module) is sys.modules[f"butterfree.{module}"]
     with pytest.raises(AttributeError):
         butterfree.no_such_name
+
+
+def test_svi_module_is_reached_by_from_import_or_import_module():
+    # the package binds the public function svi over its submodule's name,
+    # so `import butterfree.svi as m` binds the function; `from
+    # butterfree.svi import ...` and importlib.import_module reach the module
+    import butterfree.svi as m
+    from butterfree.svi import svi_raw
+
+    module = importlib.import_module("butterfree.svi")
+    assert module is sys.modules["butterfree.svi"]
+    assert inspect.ismodule(module) and svi_raw is module.svi_raw
+    assert m is butterfree.svi is module.svi
