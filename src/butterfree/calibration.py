@@ -28,7 +28,6 @@ from .domain import (
     BoxChart,
     BoxCoords,
     ChartPoint,
-    Status,
     box_from_diagnostic,
     check_no_arbitrage,
 )
@@ -253,7 +252,7 @@ class _StallWatch:
     That is an extrapolation, not a guarantee: a start that idles on a
     plateau and then drops is kept only while its plateau is within
     _STALL_RATIO of ``best``.  On criterion 4, random start 3 idles at 18x
-    the informed start's cost, a margin of about 55x below the ratio,
+    the informed start's cost, about 55x below the ratio,
     before it drops to the best minimum (which start 6 reaches too, so the
     two tie to rounding for the win).  With ``best`` infinite the watch
     never stops a start.
@@ -370,7 +369,8 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     first evaluation or are not run are discarded, and NoConvergedStart is
     raised if none survive.  ``starts`` is ordered by index, with the
     quasi-explicit start last; each records its ``nfev``, its ``njev`` and
-    why it stopped.
+    why it stopped.  The winner is its chart point's image, Free in floats
+    (BoxChart.image); NumericFailure is raised should its check fail.
     """
     if config is None:
         config = CalibrationConfig()
@@ -458,34 +458,16 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     point = points[best.index]
     if point.x != best.x:
         point = pipeline.point(best.x)
-    a, b, rho, m, sigma = point.raw
-    params = SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
-    diagnostic = check_no_arbitrage(params)
-    # Rebuilding (a, m) from (alpha, mu) and back moves alpha = a/sigma by an
-    # ulp or two; when v sits on its zero bound that can land sigma just
-    # under the recertified floor.  Nudge sigma up by a growing hair until
-    # the certificate holds; one pass suffices in practice.
-    margin = 1e-12
-    while diagnostic.status is Status.FAILURE4 and margin <= 1e-8:
-        sigma_up = diagnostic.sigma_star * (1.0 + margin)
-        params = SviParams(
-            a=params.a / params.sigma * sigma_up,
-            b=b,
-            rho=rho,
-            m=params.m / params.sigma * sigma_up,
-            sigma=sigma_up,
-        )
-        diagnostic = check_no_arbitrage(params)
-        margin *= 100.0
+    diagnostic = check_no_arbitrage(pipeline.image(point))
     if not diagnostic.is_free:
         raise NumericFailure(
             f"calibrated smile failed the free-domain certificate: "
             f"{diagnostic.status.value}"
         )
     box = box_from_diagnostic(diagnostic)
-    rel = float(np.linalg.norm(svi(params, k) - w_mid) / np.linalg.norm(w_mid))
+    rel = float(np.linalg.norm(svi(diagnostic.params, k) - w_mid) / np.linalg.norm(w_mid))
     return CalibrationResult(
-        params=params,
+        params=diagnostic.params,
         box=box,
         cost=best.cost,
         rel_error_fro=rel,

@@ -16,10 +16,10 @@ in order:
 Surviving all four steps is equivalent to g >= 0 on the whole line.  The
 same four quantities give a bijection between the strictly free region and
 a simple box (rho, b', u, q, v), which is what the calibrator optimizes
-over: in real arithmetic every box point maps to an arbitrage-free smile
-(box_to_params says where floats fall short).  This module owns that
-chart: its forward map, its exact partials and the projection of a raw
-smile into the box.
+over: every box point's image (BoxChart.image, box_to_params) is a smile
+that this waterfall certifies Free, in floats, or a typed error where
+there is none.  This module owns that chart: its forward map, its image,
+its exact partials and the projection of a raw smile into the box.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateSigma, DomainError, FukasawaViolated, NotInDomain
+from .errors import DegenerateSigma, DomainError, FukasawaViolated, InvalidParams, NotInDomain
 from .fukasawa import (
     SLOPE_EQ_TOL,
     MuInterval,
@@ -470,10 +470,10 @@ class BoxChart:
     b = 2b'/(1+|rho|), alpha = F(b, rho) + u, mu sits at relative position
     q inside its interval and sigma = sigma_star + v.  An optional cap on
     alpha is enforced by clamping the margin u inside the mapping, which
-    keeps a solver's rectangle fixed while keeping alpha <= alpha_cap, to
-    the rounding of F + (alpha_cap - F), at every evaluated point; with the
-    default infinite cap the chart is box_to_params, Free in real
-    arithmetic, not always in floats.
+    keeps a solver's rectangle fixed while keeping alpha <= alpha_cap at
+    every evaluated point.  ``image`` turns a point into raw parameters
+    that the waterfall certifies Free; with the default infinite cap that
+    is box_to_params.
 
     Every chart quantity is a root or an optimum, so its partials come from
     the solved point alone: the threshold F(b, rho) by the implicit
@@ -485,7 +485,7 @@ class BoxChart:
     derivative toward increasing coordinates.  On the face b' = 1, where
     the steeper wing slope is exactly 2, the chart moves like sqrt(1 - b')
     and has no finite partials.  Where G1 rounds to zero on a tail,
-    sigma_star and the image's sigma are +inf, which no smile has.
+    sigma_star and the point's sigma are +inf, and it has no image.
     """
 
     def __init__(self, alpha_cap: float = math.inf) -> None:
@@ -503,12 +503,36 @@ class BoxChart:
             u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, floor + v,
         )
 
+    def image(self, p: ChartPoint) -> SviParams:
+        """p's raw parameters, which the waterfall, reading alpha = a/sigma
+        and mu = m/sigma, certifies Free.  Where (alpha*sigma, mu*sigma)
+        does not divide back to the pair whose floor is held, that pair is
+        checked and its floor solved as steps 2-4 do, and a sigma below it
+        rises to floor + v; sigma only rises, and each rebuilt pair, within
+        an ulp of p's, raises it once at most.  A pair that fails step 2 or 3
+        or has no finite floor raises InvalidParams (or mu_interval's error).
+        """
+        b, rho, v = p.b, p.x[_RHO], p.x[_V]
+        alpha, mu, interval, floor, sigma = p.alpha, p.mu, p.interval, p.sigma_star, p.sigma
+        while alpha > p.threshold and interval.contains(mu) and floor < math.inf:
+            sigma = floor + v if sigma < floor else sigma
+            a, m = p.alpha * sigma, p.mu * sigma
+            if (a / sigma, m / sigma) == (alpha, mu):
+                return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
+            if a / sigma != alpha:
+                interval = mu_interval(a / sigma, b, rho)
+            alpha, mu = a / sigma, m / sigma
+            if alpha > p.threshold and interval.contains(mu):
+                floor = _sigma_star_trusted(alpha, b, rho, mu)[0]
+        raise InvalidParams(f"box point {p.x} has no image: (alpha, mu) = ({alpha}, {mu}), "
+                            f"F = {p.threshold}, {interval}, sigma_star = {floor}")
+
     def _clamp(self, threshold: float, u: float) -> tuple[float, float, float]:
         """(room, u_eff, alpha): the margin u clamped so alpha stays at or
-        below the cap; room = alpha_cap - F > 0, as F <= 0 < alpha_cap."""
+        below the cap, exactly; room = alpha_cap - F > 0, as F <= 0 < alpha_cap."""
         room = self.alpha_cap - threshold
         u_eff = min(u, room)
-        return room, u_eff, threshold + u_eff
+        return room, u_eff, min(threshold + u_eff, self.alpha_cap)
 
     def partials(self, p: ChartPoint) -> np.ndarray:
         """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array.
@@ -639,19 +663,13 @@ def _threshold_partials(
 
 
 def box_to_params(box: BoxCoords) -> SviParams:
-    """Map box coordinates to raw smile parameters.
-
-    In real arithmetic every box point lands strictly inside steps 1-3 of
-    the waterfall and at or above the sigma_star floor, so the result is
-    free of butterfly arbitrage.  In floats, rebuilding (a, m) =
-    (alpha*sigma, mu*sigma) moves alpha and mu by ulps, and where v is 0
-    (or below the move that causes in sigma_star) the re-certified
-    sigma_star can exceed sigma by ulps (Failure4); calibrate's sigma
-    nudge covers that until ROADMAP item 3 mends the chart.  Raises
-    InvalidParams where G1 rounds to zero on a tail and sigma_star is +inf.
+    """Map box coordinates to raw smile parameters that the waterfall
+    certifies Free: the image of their point under the uncapped BoxChart.
+    Raises InvalidParams where the point has no image in floats, as where
+    G1 rounds to zero on a tail and sigma_star is +inf.
     """
-    x = (box.rho, box.b_prime, box.u, box.q, box.v)
-    return SviParams(*BoxChart().point(x).raw)
+    chart = BoxChart()
+    return chart.image(chart.point((box.rho, box.b_prime, box.u, box.q, box.v)))
 
 
 def params_to_box(params: SviParams) -> BoxCoords:

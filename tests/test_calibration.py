@@ -204,10 +204,10 @@ class TestCalibrate:
         assert calls == [result.params]
         assert result.box == params_to_box(result.params)
 
-    def test_sigma_nudge_certifies_a_winner_on_the_floor(self, monkeypatch):
-        # exact data from a box point with v = 0: the winner's image lands
-        # a hair under its re-certified sigma_star, and one nudge of sigma
-        # clears it
+    def test_winner_on_the_floor_certifies_in_one_run(self, monkeypatch):
+        # exact data from a box point with v = 0: the winner's point lands
+        # on its floor, where (alpha*sigma, mu*sigma) alone came back
+        # Failure4; its image is Free on the one waterfall run
         x = (-0.09804701224547985, 0.3993145912055063, 0.3300942573560835,
              -0.5638410662339465, 0.0)
         k = np.linspace(-0.8, 0.8, 17)
@@ -221,10 +221,9 @@ class TestCalibrate:
 
         monkeypatch.setattr(calibration_module, "check_no_arbitrage", counted)
         result = calibrate(s, CalibrationConfig(alpha_cap=5.0, n_starts=2, seed=0))
-        assert [d.status for d in verdicts] == [Status.FAILURE4, Status.FREE]
-        assert result.diagnostic is verdicts[-1]
-        sigma = verdicts[0].params.sigma
-        assert sigma < result.params.sigma <= sigma * (1.0 + 1e-8)
+        assert [d.status for d in verdicts] == [Status.FREE]
+        assert result.diagnostic is verdicts[0]
+        assert result.params is verdicts[0].params
         p = result.params
         l = np.geomspace(1e-6, 1e4, 2000)
         ks = p.sigma * np.concatenate([-l[::-1], l]) + p.m

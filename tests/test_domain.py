@@ -391,26 +391,38 @@ class TestSigmaStar:
         assert 0.0 < value < peak[0]
 
     def test_profile_slope_calls_per_tail(self, monkeypatch):
-        # the walk from each G2 root and its one Newton solve, counted on
-        # 200 criterion-5 box points (two finite tails each)
-        calls = []
+        # the walk from each G2 root and its one Newton solve, counted per
+        # sigma_star solve on 200 criterion-5 chart points (two finite
+        # tails each); the images of those points solve sigma_star again
+        # only where (a/sigma, m/sigma) misses the chart's (alpha, mu)
+        calls, solves = [], []
         slope = domain_module._profile_slope
+        solve = domain_module._sigma_star_trusted
 
-        def counted(*args):
+        def counted_slope(*args):
             calls.append(args)
             return slope(*args)
 
-        monkeypatch.setattr(domain_module, "_profile_slope", counted)
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(domain_module, "_profile_slope", counted_slope)
+        monkeypatch.setattr(domain_module, "_sigma_star_trusted", counted_solve)
         rng = np.random.default_rng(3)
-        per_tail = []
+        per_tail, per_image = [], []
         for _ in range(200):
             x = (rng.uniform(-0.95, 0.95), rng.uniform(0.05, 1.0), rng.uniform(1e-3, 3.0),
                  rng.uniform(-0.95, 0.95), rng.uniform(0.0, 2.0))
             calls.clear()
-            box_to_params(BoxCoords(*x))
+            BoxChart().point(x)
             per_tail.append(len(calls) / 2)
+            solves.clear()
+            box_to_params(BoxCoords(*x))
+            per_image.append(len(solves))
         assert sum(per_tail) / len(per_tail) <= 9.5
         assert max(per_tail) <= 13
+        assert sum(per_image) / len(per_image) <= 1.3
 
     def test_rejects_mu_outside_interval(self):
         with pytest.raises(FukasawaViolated):
@@ -578,8 +590,9 @@ def interior_box(rng: np.random.Generator) -> BoxCoords:
 
 
 def floor_box(rng: np.random.Generator) -> BoxCoords:
-    """A box point on the face v = 0; 6 of 200 drawn from seed 7 come back
-    Failure4."""
+    """A box point on the face v = 0, where a rebuilt (alpha, mu) can move
+    the floor above sigma: read from (alpha*sigma, mu*sigma) alone, 10 of
+    200 drawn from seed 7 come back Failure4."""
     return BoxCoords(
         rho=float(rng.uniform(-0.95, 0.95)),
         b_prime=float(rng.uniform(0.01, 0.99)),
@@ -619,10 +632,7 @@ class TestBoxMap:
 
     @pytest.mark.parametrize("seed, count, draw", [
         pytest.param(3, 50, interior_box, id="interior"),
-        pytest.param(7, 200, floor_box, id="v-zero", marks=pytest.mark.xfail(
-            strict=True,
-            reason="ROADMAP item 3: at v = 0, rebuilding (a, m) = (alpha*sigma, "
-                   "mu*sigma) can leave sigma ulps under the re-certified sigma*")),
+        pytest.param(7, 200, floor_box, id="v-zero"),
     ])
     def test_sampled_boxes_are_free(self, seed, count, draw):
         rng = np.random.default_rng(seed)
@@ -656,6 +666,45 @@ class TestBoxMap:
         p = BoxChart(alpha_cap=1e-12).point((0.3, 1e-12, 1.0, 0.0, 0.1))
         assert p.alpha <= 1e-12
         assert check_no_arbitrage(SviParams(*p.raw)).is_free
+
+    def test_alpha_cap_holds_exactly_where_it_binds(self):
+        # criterion-5 points with u from the cap up, so the clamp binds on
+        # most; F + (alpha_cap - F) rounds above the cap on 1.6% of them at
+        # alpha_cap = 1, 27% at 0.1 and 35% where the cap is tiny and b'
+        # reaches 1e-14, so |F| >> alpha_cap
+        rng = np.random.default_rng(5)
+        for cap, n in ((1.0, 1000), (0.1, 1000), (None, 500)):
+            for _ in range(n):
+                c = float(10.0 ** rng.uniform(-14.0, -6.0)) if cap is None else cap
+                b_prime = (float(10.0 ** rng.uniform(-14.0, 0.0)) if cap is None
+                           else float(rng.uniform(0.05, 1.0)))
+                x = (float(rng.uniform(-0.95, 0.95)), b_prime, float(rng.uniform(c, c + 3.0)),
+                     float(rng.uniform(-0.95, 0.95)), float(rng.uniform(0.0, 2.0)))
+                chart = BoxChart(c)
+                p = chart.point(x)
+                assert p.alpha <= c, (c, x, p.alpha)
+                assert check_no_arbitrage(chart.image(p)).is_free, (c, x)
+
+    def test_edge_boxes_certify_free_or_raise(self):
+        # criterion-5 ranges pushed to the box edges: u log-uniform down to
+        # 1e-9, b' down to 1e-6, |q| up to 0.999, and v = 0 on half the
+        # points, log-uniform down to 1e-12 on the rest; read from
+        # (alpha*sigma, mu*sigma) alone, about 4% re-certify as Failure4
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            box = BoxCoords(
+                rho=float(rng.uniform(-0.95, 0.95)),
+                b_prime=float(10.0 ** rng.uniform(-6.0, 0.0)),
+                u=float(10.0 ** rng.uniform(-9.0, math.log10(3.0))),
+                q=float(rng.uniform(-0.999, 0.999)),
+                v=0.0 if rng.uniform() < 0.5 else float(10.0 ** rng.uniform(-12.0, 0.0)),
+            )
+            try:
+                params = box_to_params(box)
+            except ButterfreeError:
+                continue
+            diag = check_no_arbitrage(params)
+            assert diag.is_free, (box, diag.message)
 
     def test_inverse_rejects_non_free(self):
         with pytest.raises(NotInDomain):
