@@ -2,12 +2,8 @@
 
 Importing the package loads only the standard library: the waterfall, the
 box chart and the scalar solvers need no numpy.  The names below that live
-in ``calibration``, ``market_data`` and ``black_scholes``, and those
-modules and ``cli`` themselves, load on first access.
-
-``butterfree.svi`` is the function ``svi``, not its module, so ``import
-butterfree.svi as m`` binds the function.  Reach the module with ``from
-butterfree.svi import ...`` or ``importlib.import_module("butterfree.svi")``.
+in ``arrays``, ``calibration``, ``market_data`` and ``black_scholes``, and
+those modules and ``cli`` themselves, load on first access.
 """
 
 import importlib
@@ -24,12 +20,13 @@ from .domain import (
 )
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import MuInterval, fukasawa_threshold, mu_interval
-from .svi import NormalizedParams, SviParams, density, durrleman_g, normalize, svi
+from .smile import NormalizedParams, SviParams, normalize
 
 __version__ = "0.1.0"
 
 #: Public name -> the submodule that defines it; a submodule maps to itself.
 _LAZY = {
+    **dict.fromkeys(("arrays", "density", "durrleman_g", "svi"), "arrays"),
     **dict.fromkeys(
         ("black_scholes", "call_price", "d1_d2", "implied_total_vol", "put_price",
          "vega_total"),

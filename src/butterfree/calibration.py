@@ -19,27 +19,38 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .arrays import svi, svi_raw, svi_raw_jacobian
 from .black_scholes import d1_d2, norm_pdf
 from .domain import (
+    _Q,
+    _RHO,
+    _U,
+    _V,
     ArbitrageDiagnostic,
     BoxChart,
     BoxCoords,
     ChartPoint,
+    _profile_partials,
+    _threshold_partials,
     box_from_diagnostic,
     check_no_arbitrage,
 )
 from .errors import (
     ButterfreeError,
+    DomainError,
+    InfeasibleStart,
     InsufficientData,
     InvalidInput,
     NoConvergedStart,
     NumericFailure,
 )
-from .numerics import dogbox, require_int, require_real
-from .svi import SviParams, omega, svi, svi_raw, svi_raw_jacobian
+from .fukasawa import SLOPE_EQ_TOL, bound_partials
+from .numerics import require_int, require_real
+from .smile import SviParams, omega
 
 #: Margin keeping box samples off the open boundaries of the rectangle.
 _EDGE = 1e-6
@@ -63,6 +74,10 @@ _FLOOR_ULPS = 16.0
 #: rule can stop it.
 _STALL_WINDOW = 50
 _STALL_RATIO = 1e3
+
+#: Relative gap below which the two tail maxima of sigma_star count as a
+#: tie, where sigma_star has a kink.
+_TIE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -202,10 +217,10 @@ class _Objective:
 
     The chart point of the last x asked for is kept (``last``) and reused
     while x stays equal, so the Jacobian at the point whose residuals the
-    solver has just evaluated adds only the partials, which are one-sided
-    at the chart's kinks.  A caller may hand it a chart point it already
-    holds, such as the projection of the informed start.  ``njev`` counts
-    the Jacobian calls since the caller last set it.
+    solver has just evaluated adds only the chart's partials.  A caller
+    may hand it a chart point it already holds, such as the projection of
+    the informed start.  ``njev`` counts the Jacobian calls since the
+    caller last set it.
     """
 
     def __init__(
@@ -233,7 +248,83 @@ class _Objective:
         self.njev += 1
         p = self.point(x)
         d_res = svi_raw_jacobian(self.k, self.weights, *p.raw[1:])
-        return d_res @ self.pipeline.partials(p)
+        return d_res @ self.partials(p)
+
+    def partials(self, p: ChartPoint) -> np.ndarray:
+        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array.
+
+        Every chart quantity is a root or an optimum, so its partials come
+        from the solved point alone: the threshold F(b, rho) by the implicit
+        function theorem on the interval gap, the interval bounds and
+        sigma_star by the envelope theorem at their optimizers l-, l+ and
+        h*.  Where the chart has a kink it is the max or min of two smooth
+        branches: |rho| at rho = 0, the clamp u_eff = min(u, alpha_cap - F),
+        and a tie between the two tail maxima; there column j is the
+        one-sided derivative toward increasing x_j.  On the face b' = 1,
+        where the steeper wing slope is exactly 2, the chart moves like
+        sqrt(1 - b') and has no finite partials.  Raises DomainError there
+        and at sigma_star = +inf.
+        """
+        rho, b_prime, u, q, _ = p.x
+        b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
+        if b * (1.0 + abs(rho)) >= 2.0 - SLOPE_EQ_TOL:
+            raise DomainError(
+                f"b' = {b_prime} puts a wing slope at its limit 2, "
+                "where the chart has no finite partials"
+            )
+        if p.sigma_star == math.inf:
+            raise DomainError("sigma_star is +inf here, so the chart has no image")
+        eye = np.eye(5)
+        # d|rho|/drho is +1 at rho = +-0, toward increasing rho; F, the
+        # bounds and the tail maxima are smooth in rho there
+        sign = -1.0 if rho < 0.0 else 1.0
+        d_rho = eye[_RHO]
+        d_b = np.array([
+            -sign * b / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)), 0.0, 0.0, 0.0,
+        ])
+        f_b, f_rho = _threshold_partials(b, rho, p.threshold, *p.threshold_optimizers)
+        d_threshold = f_b * d_b + f_rho * d_rho
+
+        # u_eff = min(u, room) with room = alpha_cap - F
+        d_u_eff = _kink_gradient(np.minimum, u, eye[_U], p.room, -d_threshold)
+        d_alpha = d_threshold + d_u_eff
+
+        d_bounds = []
+        for side, l in zip("-+", p.optimizers):
+            pa, pb, pr = bound_partials(l, alpha, b, rho, side)
+            d_bounds.append(pa * d_alpha + pb * d_b + pr * d_rho)
+        d_lower, d_upper = d_bounds
+        d_mu = 0.5 * (1.0 + q) * d_upper + 0.5 * (1.0 - q) * d_lower
+        d_mu[_Q] += 0.5 * p.interval.width()
+
+        # sigma_star is the larger tail maximum, or 0 where neither rises
+        d_sigma = eye[_V].copy()
+        if p.sigma_star > 0.0:
+            d_tails = []
+            for value, h in p.tails:
+                if p.sigma_star - value <= _TIE_TOL * p.sigma_star:
+                    sa, sb, sr, sm = _profile_partials(alpha, b, rho, mu, h)
+                    d_tails.append(sa * d_alpha + sb * d_b + sr * d_rho + sm * d_mu)
+            d_sigma += np.maximum.reduce(d_tails)
+        return np.vstack([
+            sigma * d_alpha + alpha * d_sigma,
+            d_b,
+            d_rho,
+            sigma * d_mu + mu * d_sigma,
+            d_sigma,
+        ])
+
+
+def _kink_gradient(
+    pick, f: float, d_f: np.ndarray, g: float, d_g: np.ndarray
+) -> np.ndarray:
+    """Gradient of pick(f, g), with pick np.maximum or np.minimum, toward
+    increasing coordinates: that of the branch pick selects, or on a tie
+    the elementwise pick of both, which is each one-sided derivative of a
+    max or min of smooth branches."""
+    if f == g:
+        return pick(d_f, d_g)
+    return d_f if pick(f, g) == f else d_g
 
 
 class _StallWatch:
@@ -352,7 +443,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
 
     Draws ``n_starts`` uniform box starts plus one deterministic
     quasi-explicit start, polishes each with one bounded least-squares
-    call (numerics.dogbox) on the (optionally vega-weighted) total-variance
+    call (dogbox) on the (optionally vega-weighted) total-variance
     residuals, and keeps the lowest cost.  The quasi-explicit start runs
     first, then the uniform ones in index order; once a start's cost is at
     or below the rounding floor 0.5*n*(16*eps*max|weights*w_mid|)^2 the
@@ -475,3 +566,211 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         starts=tuple(starts),
         wall_time=time.perf_counter() - t_begin,
     )
+
+
+class LsqResult(NamedTuple):
+    """Where a dogbox run ended: the point x, its cost 0.5*||r||^2, why it
+    ended ("converged" when a tolerance was met, "budget" when the
+    evaluation budget ran out, "stopped" when ``stop`` answered true), and
+    the residual and Jacobian evaluations made."""
+
+    x: np.ndarray
+    cost: float
+    converged: str
+    nfev: int
+    njev: int
+
+
+def dogbox(
+    residuals: Callable[[np.ndarray], np.ndarray],
+    jac: Callable[[np.ndarray], np.ndarray],
+    x0: Sequence[float],
+    lower: Sequence[float],
+    upper: Sequence[float],
+    tol: float,
+    max_evals: int,
+    stop: Callable[[float], bool] | None = None,
+) -> LsqResult:
+    """Bound-constrained nonlinear least squares by the rectangular
+    trust-region dogleg of Voglis & Lagaris (2004).
+
+    This is scipy's ``least_squares(method="dogbox")`` (scipy/optimize/
+    _lsq/dogbox.py, BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc.
+    and 2003-2024 SciPy Developers) for a dense exact Jacobian, the linear
+    loss and unit x_scale, with scipy's numpy operations in scipy's order,
+    so that every iterate matches scipy's bit for bit.  Each iteration
+    takes the Gauss-Newton step ``lstsq(J_free, -f, rcond=-1)`` over the
+    coordinates not held at a bound, or, when that leaves the rectangle
+    of the trust region and the bounds, the dogleg from the Cauchy step
+    toward it; clips the trial point into [lower, upper]; and, after a
+    step that lowers the cost, sets each coordinate the step took to a
+    bound exactly onto it and asks ``jac`` there.  Delta shrinks to a
+    quarter of the step on a poor or non-finite trial and doubles after a
+    good one that hit the trust region.  The run converges once the cost
+    falls by less than ``tol`` relative with a fair step ratio, the step
+    is under ``tol`` relative to x, or the free gradient is under ``tol``.
+
+    ``max_evals`` caps the trial points, counting the start.  Like
+    scipy's, the residuals and the Jacobian are kept for the last point
+    either was asked at, so a trial point equal to it spends budget
+    without a new evaluation.  After each residual evaluation, the
+    start's included, ``stop`` (if given) is called with that evaluation's
+    0.5*||r||^2; when it answers true the run ends there, at the last
+    accepted point.  Every residual evaluation stays inside [lower, upper].
+    Returns an LsqResult.  Raises InfeasibleStart for x0 outside the bounds
+    and NumericFailure for non-finite residuals at x0.
+    """
+    lstsq, norm = np.linalg.lstsq, np.linalg.norm
+    x = np.array(x0, dtype=float)
+    lb = np.asarray(lower, dtype=float)
+    ub = np.asarray(upper, dtype=float)
+    if np.any(x < lb) or np.any(x > ub):
+        raise InfeasibleStart(f"start point {x.tolist()} violates bounds")
+    f = residuals(x.copy())
+    cost = 0.5 * np.dot(f, f)
+    if stop is not None and stop(cost):
+        return LsqResult(x, float(cost), "stopped", 1, 0)
+    if not np.all(np.isfinite(f)):
+        raise NumericFailure(f"residuals are not finite at the start point {x.tolist()}")
+    J = jac(x.copy())
+    nfev = njev = spent = 1
+    # the point the residuals or the Jacobian were last asked at, and what
+    # is known there
+    at, f_at, J_at = x, f, J
+    g = J.T.dot(f)
+    Delta = norm(x, ord=np.inf)
+    if Delta == 0:
+        Delta = 1.0
+    on_bound = np.zeros_like(x, dtype=int)
+    on_bound[np.equal(x, lb)] = -1
+    on_bound[np.equal(x, ub)] = 1
+    step = np.empty_like(x)
+    converged = False
+    while True:
+        active = on_bound * g < 0
+        free = ~active
+        g_free = g[free]
+        g[active] = 0
+        if norm(g, ord=np.inf) < tol:
+            converged = True
+        if converged or spent == max_evals:
+            break
+        x_free, lb_free, ub_free = x[free], lb[free], ub[free]
+        J_free = J[:, free]
+        newton_step = lstsq(J_free, -f, rcond=-1)[0]
+        # the model along the anti-gradient: a*t^2 + b*t
+        v = J_free.dot(-g_free)
+        a = np.dot(v, v)
+        a *= 0.5
+        b = np.dot(g_free, -g_free)
+
+        actual_reduction = -1.0
+        while actual_reduction <= 0 and spent < max_evals:
+            step_free, on_bound_free, tr_hit = _dogleg_step(
+                x_free, newton_step, g_free, a, b, Delta, lb_free, ub_free)
+            step.fill(0.0)
+            step[free] = step_free
+            Js = J_free.dot(step_free)
+            predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step_free, g_free))
+            x_new = np.clip(x + step, lb, ub)
+            if not np.array_equal(x_new, at):
+                at, f_at, J_at = x_new, None, None
+            if f_at is None:
+                f_at = residuals(x_new.copy())
+                nfev += 1
+                if stop is not None and stop(0.5 * np.dot(f_at, f_at)):
+                    return LsqResult(x, float(cost), "stopped", nfev, njev)
+            f_new = f_at
+            spent += 1
+            step_h_norm = norm(step, ord=np.inf)
+            if not np.all(np.isfinite(f_new)):
+                Delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            if ratio < 0.25:
+                Delta = 0.25 * step_h_norm
+            elif ratio > 0.75 and tr_hit:
+                Delta *= 2.0
+            converged = (
+                actual_reduction < tol * cost and ratio > 0.25
+                or norm(step) < tol * (tol + norm(x))
+            )
+            if converged:
+                break
+
+        if actual_reduction > 0:
+            on_bound[free] = on_bound_free
+            x = x_new.copy()
+            mask = on_bound == -1
+            x[mask] = lb[mask]
+            mask = on_bound == 1
+            x[mask] = ub[mask]
+            f = f_new
+            cost = cost_new
+            if not np.array_equal(x, at):
+                at, f_at, J_at = x, None, None
+            if J_at is None:
+                J_at = jac(x.copy())
+                njev += 1
+            J = J_at
+            g = J.T.dot(f)
+    return LsqResult(x, float(cost), "converged" if converged else "budget", nfev, njev)
+
+
+def _dogleg_step(
+    x: np.ndarray, newton_step: np.ndarray, g: np.ndarray, a: float, b: float,
+    Delta: float, lb: np.ndarray, ub: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(step, bound_hits, tr_hit): the dogleg step inside the intersection
+    of the trust region |step| <= Delta with [lb - x, ub - x].  bound_hits
+    is -1 or 1 where the step ends on a lower or upper bound of [lb, ub],
+    and tr_hit says whether it ends on the trust region's edge."""
+    lb_centered = lb - x
+    ub_centered = ub - x
+    lb_total = np.maximum(lb_centered, -Delta)
+    ub_total = np.minimum(ub_centered, Delta)
+    bound_hits = np.zeros_like(x, dtype=int)
+    if np.all((newton_step >= lb_total) & (newton_step <= ub_total)):
+        return newton_step, bound_hits, False
+
+    to_bounds, _ = _to_bound(np.zeros_like(x), -g, lb_total, ub_total)
+    # the least of the model a*t^2 + b*t over [0, to_bounds]
+    t = [0, to_bounds]
+    if a != 0:
+        extremum = -0.5 * b / a
+        if 0 < extremum < to_bounds:
+            t.append(extremum)
+    t = np.asarray(t)
+    cauchy_step = -t[np.argmin(t * (a * t + b))] * g
+
+    step_diff = newton_step - cauchy_step
+    step_size, hits = _to_bound(cauchy_step, step_diff, lb_total, ub_total)
+    bound_hits[(hits < 0) & np.equal(lb_total, lb_centered)] = -1
+    bound_hits[(hits > 0) & np.equal(ub_total, ub_centered)] = 1
+    tr_hit = np.any(
+        (hits < 0) & np.equal(lb_total, -Delta) | (hits > 0) & np.equal(ub_total, Delta)
+    )
+    return cauchy_step + step_size * step_diff, bound_hits, tr_hit
+
+
+def _to_bound(
+    x: np.ndarray, s: np.ndarray, lb: np.ndarray, ub: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """(t, hits): the least t >= 0 at which x + t*s reaches a bound, and
+    -1 or 1 for each coordinate that reaches its lower or upper bound."""
+    non_zero = np.nonzero(s)
+    s_non_zero = s[non_zero]
+    steps = np.empty_like(x)
+    steps.fill(np.inf)
+    with np.errstate(over="ignore"):
+        steps[non_zero] = np.maximum((lb - x)[non_zero] / s_non_zero,
+                                     (ub - x)[non_zero] / s_non_zero)
+    min_step = np.min(steps)
+    return min_step, np.equal(steps, min_step) * np.sign(s).astype(int)

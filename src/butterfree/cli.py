@@ -29,7 +29,7 @@ from .domain import check_no_arbitrage, sigma_star, sigma_star_profile
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, mu_interval
 from .numerics import is_real, require_finite, require_real
-from .svi import SviParams, durrleman_g, n_funcs, svi
+from .smile import SviParams, n_funcs
 
 EXIT_OK = 0
 EXIT_INPUT = 64
@@ -289,6 +289,8 @@ def cmd_ingest(args) -> int:
 
 def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
     import numpy as np
+
+    from .arrays import durrleman_g, svi
 
     n = args.grid
     if n < 1:

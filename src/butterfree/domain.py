@@ -18,8 +18,8 @@ same four quantities give a bijection between the strictly free region and
 a simple box (rho, b', u, q, v), which is what the calibrator optimizes
 over: every box point's image (BoxChart.image, box_to_params) is a smile
 that this waterfall certifies Free, in floats, or a typed error where
-there is none.  This module owns that chart: its forward map, its image,
-its exact partials and the projection of a raw smile into the box.
+there is none.  This module owns that chart's forward map, its image and
+the projection of a raw smile into the box; calibration owns its partials.
 """
 
 from __future__ import annotations
@@ -41,14 +41,10 @@ from .fukasawa import (
     threshold_with_optimizers,
 )
 from .numerics import Bracket, expand_bracket, newton_root, require_finite
-from .svi import SviParams, n_funcs, normalize, omega, shape
+from .smile import SviParams, n_funcs, normalize, omega, shape
 
 #: Doublings of l, out from a G2 root, allowed to bracket a tail's peak.
 _MAX_DOUBLINGS = 60
-
-#: Relative gap below which the two tail maxima of sigma_star count as a
-#: tie, where sigma_star has a kink.
-_TIE_TOL = 1e-10
 
 #: Box coordinate indices, which are also the chart Jacobian's columns.
 _RHO, _BP, _U, _Q, _V = range(5)
@@ -143,7 +139,7 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     origin and negative in the tails, with exactly one root on each side
     (the matching tail vanishes at |rho| = 1 and the root moves to
     infinity).  With r = sqrt(l^2+1), q = 2*alpha/b + 2(rho*l + r) -
-    r*(rho*r + l)^2, read from svi.shape's terms, whose far-side form
+    r*(rho*r + l)^2, read from smile.shape's terms, whose far-side form
     keeps the far root's digits as |rho| -> 1.  Each root is a Newton
     solve started from the secant point of the bracket walked out from the
     vertex or the origin.
@@ -464,8 +460,8 @@ class ChartPoint(NamedTuple):
 
 
 class BoxChart:
-    """The box (rho, b', u, q, v) -> smile chart, its exact partials and
-    the projection of a raw smile into the box.
+    """The box (rho, b', u, q, v) -> smile chart and the projection of a
+    raw smile into the box.
 
     b = 2b'/(1+|rho|), alpha = F(b, rho) + u, mu sits at relative position
     q inside its interval and sigma = sigma_star + v.  An optional cap on
@@ -473,19 +469,9 @@ class BoxChart:
     keeps a solver's rectangle fixed while keeping alpha <= alpha_cap at
     every evaluated point.  ``image`` turns a point into raw parameters
     that the waterfall certifies Free; with the default infinite cap that
-    is box_to_params.
-
-    Every chart quantity is a root or an optimum, so its partials come from
-    the solved point alone: the threshold F(b, rho) by the implicit
-    function theorem on the interval gap, the interval bounds and
-    sigma_star by the envelope theorem at their optimizers l-, l+ and h*.
-    Where the chart has a kink it is the max or min of two smooth branches:
-    |rho| at rho = 0, the clamp u_eff = min(u, alpha_cap - F), and a tie
-    between the two tail maxima.  There each partial is the one-sided
-    derivative toward increasing coordinates.  On the face b' = 1, where
-    the steeper wing slope is exactly 2, the chart moves like sqrt(1 - b')
-    and has no finite partials.  Where G1 rounds to zero on a tail,
-    sigma_star and the point's sigma are +inf, and it has no image.
+    is box_to_params.  Its exact partials are calibration's
+    (_Objective.partials).  Where G1 rounds to zero on a tail, sigma_star
+    and the point's sigma are +inf, and it has no image.
     """
 
     def __init__(self, alpha_cap: float = math.inf) -> None:
@@ -534,63 +520,6 @@ class BoxChart:
         u_eff = min(u, room)
         return room, u_eff, min(threshold + u_eff, self.alpha_cap)
 
-    def partials(self, p: ChartPoint) -> np.ndarray:
-        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array.
-
-        At a kink, column j is the one-sided derivative toward increasing
-        x_j.  Raises DomainError on the face b' = 1 and at sigma_star = +inf.
-        """
-        import numpy as np
-
-        rho, b_prime, u, q, _ = p.x
-        b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
-        if b * (1.0 + abs(rho)) >= 2.0 - SLOPE_EQ_TOL:
-            raise DomainError(
-                f"b' = {b_prime} puts a wing slope at its limit 2, "
-                "where the chart has no finite partials"
-            )
-        if p.sigma_star == math.inf:
-            raise DomainError("sigma_star is +inf here, so the chart has no image")
-        eye = np.eye(5)
-        # d|rho|/drho is +1 at rho = +-0, toward increasing rho; F, the
-        # bounds and the tail maxima are smooth in rho there
-        sign = -1.0 if rho < 0.0 else 1.0
-        d_rho = eye[_RHO]
-        d_b = np.array([
-            -sign * b / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)), 0.0, 0.0, 0.0,
-        ])
-        f_b, f_rho = _threshold_partials(b, rho, p.threshold, *p.threshold_optimizers)
-        d_threshold = f_b * d_b + f_rho * d_rho
-
-        # u_eff = min(u, room) with room = alpha_cap - F
-        d_u_eff = _kink_gradient(np.minimum, u, eye[_U], p.room, -d_threshold)
-        d_alpha = d_threshold + d_u_eff
-
-        d_bounds = []
-        for side, l in zip("-+", p.optimizers):
-            pa, pb, pr = bound_partials(l, alpha, b, rho, side)
-            d_bounds.append(pa * d_alpha + pb * d_b + pr * d_rho)
-        d_lower, d_upper = d_bounds
-        d_mu = 0.5 * (1.0 + q) * d_upper + 0.5 * (1.0 - q) * d_lower
-        d_mu[_Q] += 0.5 * p.interval.width()
-
-        # sigma_star is the larger tail maximum, or 0 where neither rises
-        d_sigma = eye[_V].copy()
-        if p.sigma_star > 0.0:
-            d_tails = []
-            for value, h in p.tails:
-                if p.sigma_star - value <= _TIE_TOL * p.sigma_star:
-                    sa, sb, sr, sm = _profile_partials(alpha, b, rho, mu, h)
-                    d_tails.append(sa * d_alpha + sb * d_b + sr * d_rho + sm * d_mu)
-            d_sigma += np.maximum.reduce(d_tails)
-        return np.vstack([
-            sigma * d_alpha + alpha * d_sigma,
-            d_b,
-            d_rho,
-            sigma * d_mu + mu * d_sigma,
-            d_sigma,
-        ])
-
     def project(self, params: SviParams, lower, upper) -> ChartPoint:
         """The chart point of the box coordinates whose image is the closest
         expressible free smile; its ``x`` holds the coordinates.
@@ -628,18 +557,6 @@ def _shift_and_floor(
     mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
     floor, _, tails = _sigma_star_trusted(alpha, b, rho, mu)
     return mu, floor, tails
-
-
-def _kink_gradient(
-    pick, f: float, d_f: np.ndarray, g: float, d_g: np.ndarray
-) -> np.ndarray:
-    """Gradient of pick(f, g), with pick np.maximum or np.minimum, toward
-    increasing coordinates: that of the branch pick selects, or on a tie
-    the elementwise pick of both, which is each one-sided derivative of a
-    max or min of smooth branches."""
-    if f == g:
-        return pick(d_f, d_g)
-    return d_f if pick(f, g) == f else d_g
 
 
 def _threshold_partials(

@@ -40,7 +40,7 @@ from .errors import (
     NumericFailure,
 )
 from .numerics import _X_TOL, Bracket, expand_bracket, newton_root, require_finite
-from .svi import omega, shape
+from .smile import omega, shape
 
 #: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
 #: boundary regime, where the one-sided optimum moves to infinity, and a

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from butterfree.arrays import svi
 from butterfree.calibration import MarketSlice
-from butterfree.svi import SviParams, svi
+from butterfree.smile import SviParams
 
 MODEL_GRID = np.array(
     [

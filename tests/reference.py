@@ -14,7 +14,7 @@ from butterfree.errors import (
     PriceOutOfRange,
 )
 from butterfree.fukasawa import _anchor, fukasawa_threshold, g_pm
-from butterfree.svi import NormalizedParams, SviParams, n_funcs
+from butterfree.smile import NormalizedParams, SviParams, n_funcs
 
 
 def threshold_rho0_closed_form(b: float) -> float:

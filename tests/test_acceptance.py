@@ -20,6 +20,7 @@ from conftest import (
 )
 from reference import threshold_rho0_closed_form
 
+from butterfree.arrays import durrleman_g, svi
 from butterfree.black_scholes import call_price
 from butterfree.calibration import CalibrationConfig, calibrate
 from butterfree.domain import (
@@ -45,7 +46,7 @@ from butterfree.market_data import (
     load_chain,
     year_fraction,
 )
-from butterfree.svi import SviParams, durrleman_g, normalize, svi
+from butterfree.smile import SviParams, normalize
 
 
 def test_criterion_1_vogt_diagnostic_values():

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from butterfree.arrays import svi
 from butterfree.black_scholes import (
     ABOVE_CEILING,
     AT_INTRINSIC,
@@ -29,7 +30,7 @@ from butterfree.black_scholes import (
     vega_total,
 )
 from butterfree.errors import DomainError, MaxIterations, PriceOutOfRange
-from butterfree.svi import SviParams, svi
+from butterfree.smile import SviParams
 from reference import scalar_call, scalar_implied_total_vol, scalar_put
 
 

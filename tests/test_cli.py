@@ -10,6 +10,7 @@ import pytest
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
 from reference import g_50_digits, threshold_50_digits
 
+from butterfree.arrays import durrleman_g, svi
 from butterfree.black_scholes import call_price
 from butterfree.calibration import MarketSlice
 from butterfree.cli import (
@@ -24,7 +25,7 @@ from butterfree.domain import Status, sigma_star, sigma_star_profile
 from butterfree.errors import InvalidInput
 from butterfree.fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, l_star, mu_interval
 from butterfree.market_data import year_fraction
-from butterfree.svi import SviParams, durrleman_g, n_funcs, svi
+from butterfree.smile import SviParams, n_funcs
 
 VOGT_FLAGS = [
     "--a", "-0.041", "--b", "0.1331", "--rho", "0.3060",

@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 import butterfree.domain as domain_module
+from butterfree.arrays import durrleman_g, smile_terms
 from butterfree.domain import (
     _profile_slope,
     _sigma_star_trusted,
@@ -33,7 +34,7 @@ from butterfree.errors import (
     NotInDomain,
 )
 from butterfree.fukasawa import interval_with_optimizers, l_star
-from butterfree.svi import NormalizedParams, SviParams, durrleman_g, smile_terms
+from butterfree.smile import NormalizedParams, SviParams
 from conftest import MODEL_ROWS, VOGT
 from reference import denormalize, g_split
 

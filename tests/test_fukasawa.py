@@ -40,7 +40,7 @@ from butterfree.fukasawa import (
     mu_interval,
     threshold_with_optimizers,
 )
-from butterfree.svi import NormalizedParams, SviParams, n_funcs
+from butterfree.smile import NormalizedParams, SviParams, n_funcs
 from conftest import VOGT
 from reference import (
     bounds_50_digits,
@@ -519,8 +519,8 @@ class TestThresholdAtTheFloor:
             quotient(lambda x: fukasawa_threshold(b, x), rho, 1e-6), rel=1e-6
         )
         # off the floor branch near |rho| = 1, against the quotient of the
-        # 50-digit F; the float F is good to about 2.3e-6 relative there
-        # (ROADMAP item 8), and F_b inherits that
+        # 50-digit F; the float F matches 50 digits to about 3e-16
+        # relative there, and F_b matches this quotient about as closely
         b, rho = NEAR_RHO_ONE
         f_b, _ = _threshold_partials(b, rho, *threshold_with_optimizers(b, rho))
         with mpmath.workdps(50):

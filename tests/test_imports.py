@@ -3,13 +3,16 @@
 `import butterfree`, the waterfall, the box chart, the scalar solvers and
 the CLI's check, threshold, interval and sigma-star run on the standard
 library alone: a fresh interpreter holds no numpy module after any of
-them.  Calibration, chain ingest and plot-data load numpy, and nothing
-loads scipy.  Each public name resolves to the object its module defines,
-including the ones the package imports on first access.
+them, and the modules they run on import nothing that loads numpy, not
+even inside a function.  Calibration, chain ingest and plot-data load
+numpy, and nothing loads scipy.  Each public name resolves to the object
+its module defines, including the ones the package imports on first
+access, and no submodule shares a name with a public function.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import io
@@ -28,6 +31,11 @@ from butterfree import CalibrationConfig, calibrate, call_price, put_price
 from conftest import MODEL_ROWS, VOGT, model_slice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "butterfree"
+
+#: Modules that load no numpy, on import or in any function; ``cli``
+#: loads it inside its array commands, so it is not one of them.
+STDLIB_MODULES = ("smile", "domain", "numerics", "fukasawa")
 
 #: Half of sigma*(alpha, b, rho, mu) = (0.1, 0.5, -0.3, 0.1).
 HALF_SIGMA_STAR = 0.5 * 0.12355390516143426
@@ -196,14 +204,60 @@ def test_every_public_name_is_its_modules_object():
         butterfree.no_such_name
 
 
-def test_svi_module_is_reached_by_from_import_or_import_module():
-    # the package binds the public function svi over its submodule's name,
-    # so `import butterfree.svi as m` binds the function; `from
-    # butterfree.svi import ...` and importlib.import_module reach the module
-    import butterfree.svi as m
-    from butterfree.svi import svi_raw
+def test_submodules_import_as_modules_and_svi_is_the_function():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__init__":
+            namespace: dict = {}
+            exec(f"import butterfree.{path.stem} as m", namespace)
+            assert inspect.ismodule(namespace["m"]), path.stem
+            assert namespace["m"] is sys.modules[f"butterfree.{path.stem}"]
+    assert callable(butterfree.svi) and butterfree.svi is butterfree.arrays.svi
+    with pytest.raises(ModuleNotFoundError):
+        exec("import butterfree.svi as m", {})
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("butterfree.svi")
 
-    module = importlib.import_module("butterfree.svi")
-    assert module is sys.modules["butterfree.svi"]
-    assert inspect.ismodule(module) and svi_raw is module.svi_raw
-    assert m is butterfree.svi is module.svi
+
+def imports(path: Path) -> list[tuple[int, str, bool]]:
+    """(line, module, at top level) for each module an import statement in
+    the file names; butterfree's own relative imports come out absolute."""
+    tree = ast.parse(path.read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["butterfree" if node.level else None, node.module]))
+            names = [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        out += [(node.lineno, name, node in tree.body) for name in names]
+    return out
+
+
+def numpy_modules() -> set[str]:
+    """numpy and every butterfree module whose top-level imports load it."""
+    top = {
+        "butterfree" if path.stem == "__init__" else f"butterfree.{path.stem}":
+            {name if name.startswith("butterfree") else name.split(".")[0]
+             for _, name, at_top in imports(path) if at_top}
+        for path in PACKAGE.glob("*.py")
+    }
+    loading = {"numpy"}
+    while grown := {m for m, names in top.items() if names & loading} - loading:
+        loading |= grown
+    return loading
+
+
+def test_stdlib_modules_import_nothing_that_loads_numpy():
+    # at module level or inside a function: an array helper that needs
+    # numpy belongs in a module that imports it at the top
+    loading = numpy_modules()
+    assert {"butterfree.arrays", "butterfree.calibration"} <= loading
+    found = [
+        f"{module}.py:{line} imports {name}"
+        for module in STDLIB_MODULES
+        for line, name, _ in imports(PACKAGE / f"{module}.py")
+        if name in loading
+    ]
+    assert found == []

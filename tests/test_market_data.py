@@ -28,7 +28,7 @@ from butterfree.market_data import (
     load_chain,
     year_fraction,
 )
-from butterfree.svi import svi
+from butterfree.arrays import svi
 from conftest import MODEL_GRID, MODEL_ROWS, params_vector
 from reference import slice_one_quote_at_a_time
 

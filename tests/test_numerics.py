@@ -18,9 +18,9 @@ from butterfree.errors import (
     NoBracketFound,
     NoSignChange,
 )
+from butterfree.calibration import dogbox
 from butterfree.numerics import (
     Bracket,
-    dogbox,
     expand_bracket,
     newton_root,
     require_real,

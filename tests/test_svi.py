@@ -10,17 +10,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
+from butterfree.arrays import density, durrleman_g, smile_terms, svi
 from butterfree.errors import DegenerateSigma, InvalidParams, NonPositiveVariance
-from butterfree.svi import (
-    NormalizedParams,
-    SviParams,
-    density,
-    durrleman_g,
-    n_funcs,
-    normalize,
-    smile_terms,
-    svi,
-)
+from butterfree.smile import NormalizedParams, SviParams, n_funcs, normalize
 from conftest import GATHERAL_JACQUIER, MODEL_ROWS, VOGT
 from reference import denormalize, g_split
 
