@@ -33,14 +33,20 @@ THETA_MAX = 50.0
 
 _MAX_NEWTON_ITER = 200
 
+#: The smallest price inverted.  The solver stops within 1e-16 of a price,
+#: which below this is more than 1% of it.
+MIN_PRICE = 1e-14
+
 #: implied_total_vols' failure codes, in the order its checks run (0 is
 #: success); MAX_ITERATIONS raises MaxIterations, the rest PriceOutOfRange.
-NON_FINITE, AT_INTRINSIC, AT_UPPER, BELOW_FLOOR, ABOVE_CEILING, MAX_ITERATIONS = range(1, 7)
+(NON_FINITE, AT_INTRINSIC, AT_UPPER, BELOW_MIN_PRICE, BELOW_FLOOR, ABOVE_CEILING,
+ MAX_ITERATIONS) = range(1, 8)
 _MESSAGES = (
     None,
     "price must be finite, got {price}",
     "{kind} price {price} at or below intrinsic value {intrinsic}",
     "{kind} price {price} at or above upper bound {upper}",
+    f"{{kind}} price {{price}} below the smallest invertible price {MIN_PRICE}",
     f"{{kind}} price {{price}} below the price at total vol {THETA_MIN}",
     f"{{kind}} price {{price}} above the price at total vol {THETA_MAX}",
     f"implied total vol did not converge within {_MAX_NEWTON_ITER} iterations",
@@ -138,7 +144,8 @@ def implied_total_vols(k, price, is_call) -> tuple[np.ndarray, np.ndarray]:
     Every element runs Newton steps with the analytic vega, safeguarded by
     a maintained bisection bracket, so it cannot escape [THETA_MIN,
     THETA_MAX]; a result reproduces its price to better than 1e-12
-    absolutely.  Returns (theta, code): theta is NaN where the failure code
+    absolutely; a price below MIN_PRICE, which that would not resolve, is
+    refused.  Returns (theta, code): theta is NaN where the failure code
     is nonzero, and inversion_error turns a code into its exception.
     """
     k, price, is_call = (a.ravel() for a in np.broadcast_arrays(
@@ -146,8 +153,9 @@ def implied_total_vols(k, price, is_call) -> tuple[np.ndarray, np.ndarray]:
         np.asarray(is_call, dtype=bool)))
     theta = np.full(k.shape, math.nan)
     intrinsic, upper, ek = _bounds(k, is_call)
-    code = np.select([~np.isfinite(price), price <= intrinsic, price >= upper],
-                     [NON_FINITE, AT_INTRINSIC, AT_UPPER]).astype(np.int8)
+    code = np.select(
+        [~np.isfinite(price), price <= intrinsic, price >= upper, price < MIN_PRICE],
+        [NON_FINITE, AT_INTRINSIC, AT_UPPER, BELOW_MIN_PRICE]).astype(np.int8)
 
     idx = np.flatnonzero(code == 0)
     kk, pp, cc, ee = k[idx], price[idx], is_call[idx], ek[idx]

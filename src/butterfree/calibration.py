@@ -570,13 +570,14 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
 
 class LsqResult(NamedTuple):
     """Where a dogbox run ended: the point x, its cost 0.5*||r||^2, why it
-    ended ("converged" when a tolerance was met, "budget" when the
-    evaluation budget ran out, "stopped" when ``stop`` answered true), and
-    the residual and Jacobian evaluations made."""
+    ended (``stop``: "converged" when a tolerance was met, "budget" when
+    the evaluation budget ran out, "stopped" when dogbox's ``stop``
+    callback answered true), and the residual and Jacobian evaluations
+    made."""
 
     x: np.ndarray
     cost: float
-    converged: str
+    stop: str
     nfev: int
     njev: int
 
@@ -617,7 +618,8 @@ def dogbox(
     start's included, ``stop`` (if given) is called with that evaluation's
     0.5*||r||^2; when it answers true the run ends there, at the last
     accepted point.  Every residual evaluation stays inside [lower, upper].
-    Returns an LsqResult.  Raises InfeasibleStart for x0 outside the bounds
+    Returns an LsqResult, whose ``stop`` names which of these ended the
+    run.  Raises InfeasibleStart for x0 outside the bounds
     and NumericFailure for non-finite residuals at x0.
     """
     lstsq, norm = np.linalg.lstsq, np.linalg.norm

@@ -41,7 +41,7 @@ from .fukasawa import (
     threshold_with_optimizers,
 )
 from .numerics import Bracket, expand_bracket, newton_root, require_finite
-from .smile import SviParams, n_funcs, normalize, omega, shape
+from .smile import SviParams, n_funcs, omega, shape
 
 #: Doublings of l, out from a G2 root, allowed to bracket a tail's peak.
 _MAX_DOUBLINGS = 60
@@ -144,19 +144,7 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     solve started from the secant point of the bracket walked out from the
     vertex or the origin.
     """
-    require_finite(alpha=alpha, b=b, rho=rho)
-    if b <= 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if abs(rho) > 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
-    min_n = alpha + b * math.sqrt(omega(rho))
-    # At |rho| = 1 the infimum is reached only in the wing limit, so the
-    # smile stays positive at every finite l as long as alpha >= 0.
-    if (abs(rho) < 1.0 and min_n <= 0.0) or (abs(rho) == 1.0 and alpha < 0.0):
-        raise DomainError(
-            "g2_zeros requires a positive smile: "
-            f"alpha + b*sqrt(1-rho^2) = {min_n}"
-        )
+    _require_positive(alpha, b, rho)
     level = 2.0 * alpha / b
 
     def q_slope(l: float) -> tuple[float, float]:
@@ -174,6 +162,24 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     l1 = -math.inf if rho == 1.0 else root(min(anchor, 0.0), -1)
     l2 = math.inf if rho == -1.0 else root(max(anchor, 0.0), 1)
     return G2Zeros(l1, l2)
+
+
+def _require_positive(alpha: float, b: float, rho: float) -> None:
+    """Raise DomainError unless (alpha, b, rho) is a positive smile: finite,
+    b > 0, |rho| <= 1 and N > 0 at every finite l, since G2 and the tail
+    deficit divide by N."""
+    require_finite(alpha=alpha, b=b, rho=rho)
+    if b <= 0.0:
+        raise DomainError(f"b must be positive, got {b}")
+    if abs(rho) > 1.0:
+        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+    min_n = alpha + b * math.sqrt(omega(rho))
+    # At |rho| = 1 the infimum is reached only in the wing limit, so the
+    # smile stays positive at every finite l as long as alpha >= 0.
+    if (abs(rho) < 1.0 and min_n <= 0.0) or (abs(rho) == 1.0 and alpha < 0.0):
+        raise DomainError(
+            f"a positive smile is required: alpha + b*sqrt(1-rho^2) = {min_n}"
+        )
 
 
 class _Deficit(NamedTuple):
@@ -205,10 +211,13 @@ def sigma_star_profile(alpha: float, b: float, rho: float, mu: float, h: float) 
     Parametrized by the reciprocal h so each tail beyond a G2 root maps to a
     bounded interval; the profile vanishes toward h -> 0 and at the roots.
     Returns +inf, and so does sigma_star, where G1 rounds to zero or below:
-    only when mu sits within rounding of an interval wall.
+    only when mu sits within rounding of an interval wall.  Raises
+    DomainError for h = 0 and where the smile is not positive, as g2_zeros
+    does.
     """
     if h == 0.0:
         raise DomainError("h must be non-zero")
+    _require_positive(alpha, b, rho)
     return _deficit(alpha, b, rho, mu, 1.0 / h).value
 
 
@@ -356,80 +365,46 @@ def _side_max(
 def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     """Run the four-step waterfall and report the first failure, if any.
 
-    The parameters themselves must already be a valid smile (the SviParams
-    constructor enforces that); sigma = 0 is rejected here because the
-    normalized analysis needs a curvature scale.  b = 0 short-circuits to
-    Free: a flat smile is plain Black-Scholes.
+    Every valid smile (the SviParams constructor enforces that) gets a
+    verdict.  The steps read alpha = a/sigma and mu = m/sigma, the floats
+    normalize gives, so a minimum that rounds below zero there fails step
+    1 or 2.  sigma = 0 raises DegenerateSigma, as the normalized analysis
+    needs a curvature scale, and an a/sigma or m/sigma that overflows
+    InvalidParams.  b = 0 is Free: a flat smile is plain Black-Scholes.
     """
-    if params.sigma <= 0.0:
-        raise DegenerateSigma(f"sigma must be positive, got {params.sigma}")
-    slope_left = params.b * (1.0 - params.rho)
-    slope_right = params.b * (1.0 + params.rho)
-    if params.b == 0.0:
-        return ArbitrageDiagnostic(
-            Status.FREE, params, slope_left, slope_right,
-            message="b = 0: flat smile, trivially free",
-        )
-    norm = normalize(params)
-    alpha, b, rho, mu = norm.alpha, norm.b, norm.rho, norm.mu
+    b, rho, sigma = params.b, params.rho, params.sigma
+    if sigma <= 0.0:
+        raise DegenerateSigma(f"sigma must be positive, got {sigma}")
+    slope_left, slope_right = b * (1.0 - rho), b * (1.0 + rho)
+    alpha = mu = threshold = interval = s_star = None
 
+    def verdict(status: Status, message: str) -> ArbitrageDiagnostic:
+        return ArbitrageDiagnostic(
+            status, params, slope_left, slope_right, alpha=alpha, mu=mu, threshold=threshold,
+            interval=interval, sigma_star=s_star, message=message)
+
+    if b == 0.0:
+        return verdict(Status.FREE, "b = 0: flat smile, trivially free")
+    alpha, mu = params.a / sigma, params.m / sigma
+    if not (math.isfinite(alpha) and math.isfinite(mu)):
+        raise InvalidParams(f"a/sigma and m/sigma must be finite, got ({alpha}, {mu})")
     if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
-        return ArbitrageDiagnostic(
-            Status.FAILURE1, params, slope_left, slope_right, alpha=alpha, mu=mu,
-            message=(
-                f"wing slopes b*(1-rho) = {slope_left:.6g}, "
-                f"b*(1+rho) = {slope_right:.6g} exceed the limit 2"
-            ),
-        )
-
-    if abs(rho) == 1.0:
-        threshold = 0.0
-        if alpha < threshold:
-            return ArbitrageDiagnostic(
-                Status.FAILURE2, params, slope_left, slope_right,
-                alpha=alpha, mu=mu, threshold=threshold,
-                message=f"alpha = {alpha:.6g} below the threshold 0 at |rho| = 1",
-            )
-    else:
-        threshold = fukasawa_threshold(b, rho)
-        if alpha <= threshold:
-            return ArbitrageDiagnostic(
-                Status.FAILURE2, params, slope_left, slope_right,
-                alpha=alpha, mu=mu, threshold=threshold,
-                message=(
-                    f"alpha = {alpha:.6g} does not exceed the threshold "
-                    f"F(b, rho) = {threshold:.6g}"
-                ),
-            )
-
+        return verdict(Status.FAILURE1, f"wing slopes b*(1-rho) = {slope_left:.6g}, "
+                       f"b*(1+rho) = {slope_right:.6g} exceed the limit 2")
+    threshold = fukasawa_threshold(b, rho)
+    # at |rho| = 1, F = 0 and alpha = 0 still leaves the smile positive
+    if alpha < threshold or (alpha == threshold and abs(rho) < 1.0):
+        return verdict(Status.FAILURE2, f"alpha = {alpha:.6g} does not exceed the "
+                       f"threshold F(b, rho) = {threshold:.6g}")
     interval = mu_interval(alpha, b, rho)
     if not interval.contains(mu):
-        return ArbitrageDiagnostic(
-            Status.FAILURE3, params, slope_left, slope_right,
-            alpha=alpha, mu=mu, threshold=threshold, interval=interval,
-            message=(
-                f"mu = {mu:.6g} outside the open interval "
-                f"({interval.lower:.6g}, {interval.upper:.6g})"
-            ),
-        )
-
+        return verdict(Status.FAILURE3, f"mu = {mu:.6g} outside the open interval "
+                       f"({interval.lower:.6g}, {interval.upper:.6g})")
     s_star = _sigma_star_trusted(alpha, b, rho, mu)[0]
-    if params.sigma < s_star:
-        return ArbitrageDiagnostic(
-            Status.FAILURE4, params, slope_left, slope_right,
-            alpha=alpha, mu=mu, threshold=threshold, interval=interval,
-            sigma_star=s_star,
-            message=(
-                f"sigma = {params.sigma:.6g} below the minimal curvature scale "
-                f"sigma_star = {s_star:.6g}"
-            ),
-        )
-
-    return ArbitrageDiagnostic(
-        Status.FREE, params, slope_left, slope_right,
-        alpha=alpha, mu=mu, threshold=threshold, interval=interval,
-        sigma_star=s_star, message="no butterfly arbitrage",
-    )
+    if sigma < s_star:
+        return verdict(Status.FAILURE4, f"sigma = {sigma:.6g} below the minimal "
+                       f"curvature scale sigma_star = {s_star:.6g}")
+    return verdict(Status.FREE, "no butterfly arbitrage")
 
 
 class ChartPoint(NamedTuple):

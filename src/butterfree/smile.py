@@ -90,7 +90,9 @@ class NormalizedParams:
 
 
 def normalize(params: SviParams) -> NormalizedParams:
-    """Divide out sigma.  Degenerate smiles with sigma = 0 cannot be scaled."""
+    """Divide out sigma.  Degenerate smiles with sigma = 0 cannot be scaled.
+    NormalizedParams checks the minimum again after the division, so it can
+    reject a smile whose minimum is 0 to within rounding."""
     if params.sigma <= 0.0:
         raise DegenerateSigma(f"sigma must be positive, got {params.sigma}")
     return NormalizedParams(

@@ -205,6 +205,8 @@ def scalar_implied_total_vol(k: float, price: float, kind: str = "call") -> floa
         )
     if price >= upper:
         raise PriceOutOfRange(f"{kind} price {price} at or above upper bound {upper}")
+    if price < 1e-14:
+        raise PriceOutOfRange(f"{kind} price {price} below the smallest invertible price 1e-14")
 
     lo, hi = theta_min, theta_max
     f_lo = model(k, lo) - price

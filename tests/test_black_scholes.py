@@ -15,7 +15,9 @@ from butterfree.black_scholes import (
     AT_INTRINSIC,
     AT_UPPER,
     BELOW_FLOOR,
+    BELOW_MIN_PRICE,
     MAX_ITERATIONS,
+    MIN_PRICE,
     NON_FINITE,
     THETA_MAX,
     THETA_MIN,
@@ -194,6 +196,13 @@ class TestImpliedTotalVol:
         with pytest.raises(PriceOutOfRange):
             implied_total_vol(0.0, floor * 1e-2)
 
+    @pytest.mark.parametrize("k", [5.0, 30.0, 650.0])
+    def test_smallest_invertible_price_within_one_percent(self, k):
+        # the solver stops within 1e-16 of a price; below MIN_PRICE, at
+        # (5, 1e-20), that returned a vol whose 50-digit price is 4.4e-17
+        theta = implied_total_vol(k, MIN_PRICE)
+        assert call_reference(k, theta) == pytest.approx(MIN_PRICE, rel=1e-2)
+
     def test_price_above_ceiling_vol(self):
         almost_one = 0.5 * (call_price(0.0, THETA_MAX) + 1.0)
         with pytest.raises(PriceOutOfRange):
@@ -301,6 +310,12 @@ class TestBatchedInverter:
         (0.0, 1.0, "call", AT_UPPER, "call price 1.0 at or above upper bound 1.0"),
         (-0.2, 0.9, "put", AT_UPPER,
          "put price 0.9 at or above upper bound 0.8187307530779818"),
+        (5.0, 1e-20, "call", BELOW_MIN_PRICE,
+         "call price 1e-20 below the smallest invertible price 1e-14"),
+        (650.0, 1e-300, "call", BELOW_MIN_PRICE,
+         "call price 1e-300 below the smallest invertible price 1e-14"),
+        (-5.0, 1e-15, "put", BELOW_MIN_PRICE,
+         "put price 1e-15 below the smallest invertible price 1e-14"),
         (0.0, 1e-12, "call", BELOW_FLOOR, "call price 1e-12 below the price at total vol 1e-09"),
         (1300.0, 0.5, "call", ABOVE_CEILING, "call price 0.5 above the price at total vol 50.0"),
         (math.nan, 0.5, "call", MAX_ITERATIONS,

@@ -417,11 +417,11 @@ class TestStallRule:
 
         eps = calibration_module._EPS
         args = (residuals, jac, [-1.2, 1.0], [-2.0, -2.0], [0.5, 2.0], eps, 1000)
-        x, cost, converged, _, _ = dogbox(*args)
+        x, cost, stop, _, _ = dogbox(*args)
         watch = calibration_module._StallWatch(math.inf, 1000)
         result = dogbox(*args, stop=watch.stalled)
         assert x.tolist() == result.x.tolist()
-        assert cost == result.cost and converged == result.converged
+        assert cost == result.cost and stop == result.stop
         assert watch.nfev == result.nfev
         assert watch.best_cost == pytest.approx(result.cost, abs=1e-30)
 

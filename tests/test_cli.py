@@ -123,6 +123,17 @@ class TestCheckCommand:
         assert rc == 3
         assert out.startswith("Failure2:")
 
+    def test_zero_minimum_exits_three(self, capsys):
+        # a + b*sigma*sqrt(1-rho^2) is exactly 0, so SviParams accepts the
+        # smile, while a/sigma + b*sqrt(1-rho^2) rounds to -5.6e-17: alpha
+        # is below F, which is a verdict, not an invalid smile
+        rc, out, _ = run(capsys, [
+            "check", "--a=-0.02449457859586337", "--b=0.3900528483517383",
+            "--rho=-0.009038527557956866", "--m=0.1", "--sigma=0.06280066740377174",
+        ])
+        assert rc == 3
+        assert out.startswith("Failure2:")
+
     def test_sigma_below_floor_exits_five(self, capsys):
         sig = 0.5 * 0.12355390516143426
         rc, out, _ = run(capsys, [
@@ -813,6 +824,17 @@ class TestPlotData:
                 assert f == sigma_star_profile(0.1, 0.5, -0.3, 0.1, h)
                 assert f >= 0.0
         assert max(f for h, f in rows if h != 0.0) > 0.1
+
+    def test_f_profile_of_a_non_positive_smile_is_input_error(self, capsys):
+        # alpha + b = 0: N rounds to 0 near l = 0, where the deficit divides by it
+        rc, out, err = run(capsys, [
+            "plot-data", "--which", "f-profile", "--from", "1e8", "--to", "1e9",
+            "--grid", "2", "--alpha=-1", "--b", "1", "--rho", "0", "--mu", "0",
+            "--out", "-",
+        ])
+        assert rc == 64
+        assert out == ""
+        assert err.startswith("error: a positive smile is required")
 
     def test_single_point_grid(self, capsys):
         rc, out, _ = run(capsys, [

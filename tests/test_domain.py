@@ -31,10 +31,11 @@ from butterfree.errors import (
     DegenerateSigma,
     DomainError,
     FukasawaViolated,
+    InvalidParams,
     NotInDomain,
 )
 from butterfree.fukasawa import interval_with_optimizers, l_star
-from butterfree.smile import NormalizedParams, SviParams
+from butterfree.smile import NormalizedParams, SviParams, omega
 from conftest import MODEL_ROWS, VOGT
 from reference import denormalize, g_split
 
@@ -246,6 +247,13 @@ class TestSigmaStarProfile:
     def test_rejects_h_zero(self):
         with pytest.raises(DomainError):
             sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 0.0)
+
+    def test_rejects_a_non_positive_smile(self):
+        # alpha + b = 0: N rounds to 0 at l = 1e-8, which the deficit divides by
+        with pytest.raises(DomainError, match="positive smile"):
+            sigma_star_profile(-1.0, 1.0, 0.0, 0.0, 1e8)
+        with pytest.raises(DomainError, match="positive smile"):
+            sigma_star_profile(-0.1, 0.5, 1.0, 0.0, 1.0)
 
 
 class TestSigmaStar:
@@ -493,6 +501,39 @@ class TestCheckNoArbitrage:
     def test_degenerate_sigma_raises(self):
         with pytest.raises(DegenerateSigma):
             check_no_arbitrage(SviParams(a=0.1, b=0.5, rho=0.0, m=0.0, sigma=0.0))
+
+    def test_minimum_within_rounding_of_zero_gets_a_verdict(self):
+        # a within two ulps of the floor -b*sigma*sqrt(1-rho^2), so the
+        # smile's minimum is 0 to within rounding; where SviParams accepts
+        # it, alpha = a/sigma may still sit below -b*sqrt(1-rho^2) in floats,
+        # which is below F: Failure1 or Failure2, never an error.  At
+        # |rho| = 1 the floor is 0, alpha >= 0 and any verdict stands.
+        rng = np.random.default_rng(27)
+        seen = {status: 0 for status in Status}
+        below_floor = 0
+        for _ in range(2000):
+            rho = float(rng.choice([rng.uniform(-1.0, 1.0), -1.0, 1.0,
+                                    math.copysign(1.0 - 10.0 ** rng.uniform(-12.0, -2.0),
+                                                  rng.uniform(-1.0, 1.0))]))
+            b = rng.uniform(0.05, 2.6) / (1.0 + abs(rho))
+            sigma = 10.0 ** rng.uniform(-2.0, 1.0)
+            a = -b * sigma * math.sqrt(omega(rho))
+            for _ in range(int(rng.integers(0, 3))):
+                a = math.nextafter(a, math.inf)
+            p = SviParams(a=a, b=b, rho=rho, m=rng.uniform(-1.0, 1.0), sigma=sigma)
+            status = check_no_arbitrage(p).status
+            seen[status] += 1
+            alpha = a / sigma
+            below_floor += alpha + b * math.sqrt(omega(rho)) < 0.0
+            if abs(rho) < 1.0:
+                assert status in (Status.FAILURE1, Status.FAILURE2), p
+        assert below_floor > 20 and seen[Status.FAILURE1] > 100 and seen[Status.FAILURE2] > 100
+
+    def test_overflowing_normalized_params_raise(self):
+        with pytest.raises(InvalidParams):
+            check_no_arbitrage(SviParams(a=1e300, b=0.5, rho=0.0, m=0.0, sigma=1e-10))
+        with pytest.raises(InvalidParams):
+            check_no_arbitrage(SviParams(a=0.1, b=0.5, rho=0.0, m=-1e300, sigma=1e-10))
 
     def test_sigma_star_boundary_flip(self):
         s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)

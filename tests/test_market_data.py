@@ -354,7 +354,7 @@ class TestBuildVolSlice:
     def test_strikes_on_one_log_moneyness_keep_the_first(self):
         # 400 / 50 and 399.99999999999994 / 50 have one log in floats
         fd = ForwardDiscount(forward=50.0, discount=1.0, residual_rmse=0.0)
-        quotes = tuple(OptionQuote(strike, "e", "call", 1e-13, 1e-13)
+        quotes = tuple(OptionQuote(strike, "e", "call", 1e-11, 1e-11)
                        for strike in (400.0, 399.99999999999994))
         assert math.log(quotes[0].strike / 50.0) == math.log(quotes[1].strike / 50.0)
         slice_, skipped = build_vol_slice(OptionChain("e", quotes), fd, t=0.5)

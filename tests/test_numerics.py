@@ -321,7 +321,7 @@ class TestDogboxMatchesScipy:
             got = dogbox(residuals, jac, x0, lower, upper, tol, budget)
             assert got.x.tobytes() == want.x.tobytes(), trial
             assert got.cost == want.cost, trial
-            assert got.converged == ("converged" if want.status > 0 else "budget"), trial
+            assert got.stop == ("converged" if want.status > 0 else "budget"), trial
             assert (got.nfev, got.njev) == (calls["f"], calls["j"]), trial
             seen["budget"] += want.status == 0
             seen["start on a bound"] += bool(np.any((x0 == lower) | (x0 == upper)))
@@ -364,7 +364,7 @@ class TestDogboxMatchesScipy:
         result = dogbox(rosenbrock, rosenbrock_jacobian, [-1.2, 1.0], [-2.0, -2.0],
                         [2.0, 2.0], EPS, 1000, stop)
         assert len(asked) == result.nfev == n
-        assert result.converged == "stopped"
+        assert result.stop == "stopped"
         # the run ends at its last accepted point, never above the start
         assert result.cost <= asked[0]
 
