@@ -20,7 +20,7 @@ from .domain import (
 )
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import MuInterval, fukasawa_threshold, mu_interval
-from .smile import NormalizedParams, SviParams, normalize
+from .smile import SviParams
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "InvalidInput",
     "MarketSlice",
     "MuInterval",
-    "NormalizedParams",
     "NumericFailure",
     "OptionChain",
     "OptionQuote",
@@ -87,7 +86,6 @@ __all__ = [
     "infer_forward_discount",
     "load_chain",
     "mu_interval",
-    "normalize",
     "params_to_box",
     "put_price",
     "sigma_star",

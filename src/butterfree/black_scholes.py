@@ -33,8 +33,10 @@ THETA_MAX = 50.0
 
 _MAX_NEWTON_ITER = 200
 
-#: The smallest price inverted.  The solver stops within 1e-16 of a price,
-#: which below this is more than 1% of it.
+#: The smallest price inverted.  The solver stops within min(1e-16, 1e-6 *
+#: price) of a price; the float call and put are differences of two larger
+#: terms, so far below this they cannot resolve even 1e-6 of the price and
+#: the solve runs out of steps.
 MIN_PRICE = 1e-14
 
 #: implied_total_vols' failure codes, in the order its checks run (0 is
@@ -144,9 +146,10 @@ def implied_total_vols(k, price, is_call) -> tuple[np.ndarray, np.ndarray]:
     Every element runs Newton steps with the analytic vega, safeguarded by
     a maintained bisection bracket, so it cannot escape [THETA_MIN,
     THETA_MAX]; a result reproduces its price to better than 1e-12
-    absolutely; a price below MIN_PRICE, which that would not resolve, is
-    refused.  Returns (theta, code): theta is NaN where the failure code
-    is nonzero, and inversion_error turns a code into its exception.
+    absolutely, and one below 1e-10 to about 1e-6 of itself, as the stop
+    is min(1e-16, 1e-6 * price); a price below MIN_PRICE is refused.
+    Returns (theta, code): theta is NaN where the failure code is nonzero,
+    and inversion_error turns a code into its exception.
     """
     k, price, is_call = (a.ravel() for a in np.broadcast_arrays(
         np.asarray(k, dtype=float), np.asarray(price, dtype=float),
@@ -172,7 +175,7 @@ def implied_total_vols(k, price, is_call) -> tuple[np.ndarray, np.ndarray]:
         if not idx.size:
             break
         diff = _prices(kk, th, cc, ee) - pp
-        hit = np.abs(diff) <= 1e-16
+        hit = np.abs(diff) <= np.minimum(1e-16, 1e-6 * pp)
         over = diff > 0.0
         hi, lo = np.where(over, th, hi), np.where(over, lo, th)
         mid = 0.5 * (lo + hi)

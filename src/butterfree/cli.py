@@ -22,6 +22,7 @@ import argparse
 import datetime as dt
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 
@@ -264,6 +265,10 @@ def cmd_ingest(args) -> int:
         raise InvalidInput("ingest needs --valuation (or an explicit --t)")
     written = 0
     for chain in chains:
+        if chain.expiry in (".", "..") or any(c in chain.expiry for c in ("/", os.sep, "\0")):
+            # the expiry names the slice file, so it must stay in --out-dir
+            print(f"{chain.expiry}: skipped (expiry is not a plain file name)")
+            continue
         try:
             fd = infer_forward_discount(chain)
             t = args.t if args.t is not None else year_fraction(chain.expiry, str(args.valuation))

@@ -366,8 +366,8 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     """Run the four-step waterfall and report the first failure, if any.
 
     Every valid smile (the SviParams constructor enforces that) gets a
-    verdict.  The steps read alpha = a/sigma and mu = m/sigma, the floats
-    normalize gives, so a minimum that rounds below zero there fails step
+    verdict.  The steps read alpha = a/sigma and mu = m/sigma, reported
+    in the diagnostic, so a minimum that rounds below zero there fails step
     1 or 2.  sigma = 0 raises DegenerateSigma, as the normalized analysis
     needs a curvature scale, and an a/sigma or m/sigma that overflows
     InvalidParams.  b = 0 is Free: a flat smile is plain Black-Scholes.

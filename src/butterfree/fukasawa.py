@@ -205,10 +205,10 @@ def _critical_point(
 
 def _bracket_secant(
     b: float, rho: float, side: str, anchor: float, level: float,
-    shape: tuple[int, float] = (1, 0.0),
+    root_form: tuple[int, float] = (1, 0.0),
 ) -> tuple[Bracket, float]:
     """The bracket of g_pm(l) = level walked out from the side's anchor,
-    and the secant point of its ends in the units of _residual's shape
+    and the secant point of its ends in the units of _residual's root_form
     (nan where they do not tell the two ends apart)."""
     bracket = expand_bracket(
         lambda l: g_pm(b, rho, l, side) - level, anchor, -1 if side == "-" else 1
@@ -216,7 +216,7 @@ def _bracket_secant(
     (l_u, f_u), (l_o, f_o) = (bracket.lo, bracket.f_lo), (bracket.hi, bracket.f_hi)
     if f_u > 0.0:
         (l_u, f_u), (l_o, f_o) = (l_o, f_o), (l_u, f_u)
-    power, base = shape
+    power, base = root_form
     r_u, r_o, r = (_root(g - base, power) for g in (f_u + level, f_o + level, level))
     if r_o == r_u:
         return bracket, math.nan
@@ -225,11 +225,11 @@ def _bracket_secant(
 
 def _residual(
     b: float, rho: float, side: str, level: float, l: float,
-    shape: tuple[int, float] | None = None,
+    root_form: tuple[int, float] | None = None,
 ) -> tuple[float, float]:
-    """g_pm(l) - level and its l-derivative, or with shape = (p, g_pm(anchor))
-    the difference of the p-th roots of g_pm(l) - g_pm(anchor) and
-    level - g_pm(anchor).
+    """g_pm(l) - level and its l-derivative, or with root_form = (p,
+    g_pm(anchor)) the difference of the p-th roots of g_pm(l) -
+    g_pm(anchor) and level - g_pm(anchor).
 
     Away from the side's anchor, g_pm - g_pm(anchor) grows like
     |l - anchor|^p: p = 3 where g_pm runs monotone into the vertex, at
@@ -239,9 +239,9 @@ def _residual(
     g_pm(l) - level.
     """
     g, slope = _g_pm_slope(b, rho, l, side)
-    if shape is None:
+    if root_form is None:
         return g - level, slope
-    power, base = shape
+    power, base = root_form
     root = _root(g - base, power)
     d_root = slope / (power * abs(root) ** (power - 1)) if root else 0.0
     return root - _root(level - base, power), d_root
@@ -417,13 +417,13 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     depth = math.sqrt(omega(rho))
     level_lo = _LEVEL_EDGE - depth
     anchors = {side: _anchor(b, rho, side) for side in sides}
-    shapes = {
+    root_forms = {
         side: (3, -depth) if monotone else (2, g_pm(b, rho, anchor, side))
         for side, (monotone, anchor) in anchors.items()
     }
     points = {
         side: _vertex_start(b, rho, side, level_lo) if monotone
-        else _bracket_secant(b, rho, side, anchor, level_lo, shapes[side])[1]
+        else _bracket_secant(b, rho, side, anchor, level_lo, root_forms[side])[1]
         for side, (monotone, anchor) in anchors.items()
     }
 
@@ -434,7 +434,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
         moved = {}
         for side in which:
             l = points[side]
-            value, slope = _residual(b, rho, side, level, l, shapes[side])
+            value, slope = _residual(b, rho, side, level, l, root_forms[side])
             l_next = l - value / slope if slope else math.nan
             outward = l_next < first[side] if side == "-" else l_next > first[side]
             if outward and math.isfinite(l_next):

@@ -153,6 +153,8 @@ def _take_spot(text: str | None, expiry: str, spots: dict[str, float]) -> str | 
         spot = float(text)
     except ValueError:
         return "non-numeric spot"
+    if not 0.0 < spot < math.inf:
+        return f"spot must be finite and positive, got {spot}"
     prior = spots.get(expiry)
     if prior is not None and abs(prior - spot) > 1e-9 * max(1.0, abs(prior)):
         return f"spot {spot} conflicts with {prior}"

@@ -7,7 +7,8 @@ Raw parameters (a, b, rho, m, sigma) define
 Dividing out sigma gives the normalized smile N(l) = alpha + b*(rho*l +
 sqrt(l^2 + 1)) in the reduced log-strike l = k/sigma - mu, with
 alpha = a/sigma and mu = m/sigma.  All of the no-arbitrage analysis in the
-sibling modules runs on (alpha, b, rho, mu, sigma).
+sibling modules runs on (alpha, b, rho, mu, sigma); ``check_no_arbitrage``
+forms alpha and mu itself and reports them in its diagnostic.
 
 The butterfly diagnostic is the classic density multiplier
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSigma, InvalidParams
+from .errors import InvalidParams
 
 
 @dataclass(frozen=True)
@@ -59,49 +60,6 @@ class SviParams:
                 f"minimum total variance a + b*sigma*sqrt(1-rho^2) = {min_w} "
                 "is negative"
             )
-
-
-@dataclass(frozen=True)
-class NormalizedParams:
-    """Smile parameters with the curvature scale sigma divided out."""
-
-    alpha: float
-    b: float
-    rho: float
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        values = (self.alpha, self.b, self.rho, self.mu, self.sigma)
-        if not all(math.isfinite(v) for v in values):
-            raise InvalidParams(f"parameters must be finite, got {values}")
-        if self.b < 0.0:
-            raise InvalidParams(f"b must be non-negative, got {self.b}")
-        if abs(self.rho) > 1.0:
-            raise InvalidParams(f"rho must lie in [-1, 1], got {self.rho}")
-        if self.sigma <= 0.0:
-            raise DegenerateSigma(f"sigma must be positive, got {self.sigma}")
-        min_n = self.alpha + self.b * math.sqrt(omega(self.rho))
-        if min_n < 0.0:
-            raise InvalidParams(
-                f"minimum normalized variance alpha + b*sqrt(1-rho^2) = {min_n} "
-                "is negative"
-            )
-
-
-def normalize(params: SviParams) -> NormalizedParams:
-    """Divide out sigma.  Degenerate smiles with sigma = 0 cannot be scaled.
-    NormalizedParams checks the minimum again after the division, so it can
-    reject a smile whose minimum is 0 to within rounding."""
-    if params.sigma <= 0.0:
-        raise DegenerateSigma(f"sigma must be positive, got {params.sigma}")
-    return NormalizedParams(
-        alpha=params.a / params.sigma,
-        b=params.b,
-        rho=params.rho,
-        mu=params.m / params.sigma,
-        sigma=params.sigma,
-    )
 
 
 def omega(rho: float) -> float:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import mpmath
 
@@ -14,7 +15,7 @@ from butterfree.errors import (
     PriceOutOfRange,
 )
 from butterfree.fukasawa import _anchor, fukasawa_threshold, g_pm
-from butterfree.smile import NormalizedParams, SviParams, n_funcs
+from butterfree.smile import SviParams, n_funcs
 
 
 def threshold_rho0_closed_form(b: float) -> float:
@@ -31,7 +32,23 @@ def threshold_rho0_closed_form(b: float) -> float:
     return b * g_pm(b, 0.0, l_hat, "-")
 
 
-def denormalize(norm: NormalizedParams) -> SviParams:
+class Normalized(NamedTuple):
+    """A smile with sigma divided out: alpha = a/sigma, mu = m/sigma.
+    Unvalidated, so a test can place it anywhere."""
+
+    alpha: float
+    b: float
+    rho: float
+    mu: float
+    sigma: float
+
+    @classmethod
+    def of(cls, params: SviParams) -> Normalized:
+        return cls(params.a / params.sigma, params.b, params.rho,
+                   params.m / params.sigma, params.sigma)
+
+
+def denormalize(norm: Normalized) -> SviParams:
     """Reattach sigma: (alpha, mu) scale back to (a, m)."""
     return SviParams(
         a=norm.alpha * norm.sigma,
@@ -52,7 +69,7 @@ class GSplit:
     g2: float
 
 
-def g_split(norm: NormalizedParams, l: float) -> GSplit:
+def g_split(norm: Normalized, l: float) -> GSplit:
     """Evaluate the split diagnostic at reduced log-strike l.
 
     Recombines to the raw diagnostic as
@@ -223,7 +240,7 @@ def scalar_implied_total_vol(k: float, price: float, kind: str = "call") -> floa
     theta = min(max(math.sqrt(2.0 * abs(k)) + 0.1, lo), hi)
     for _ in range(200):
         diff = model(k, theta) - price
-        if abs(diff) <= 1e-16:
+        if abs(diff) <= min(1e-16, 1e-6 * price):
             return theta
         if diff > 0.0:
             hi = theta

@@ -46,16 +46,16 @@ from butterfree.market_data import (
     load_chain,
     year_fraction,
 )
-from butterfree.smile import SviParams, normalize
+from butterfree.smile import SviParams
 
 
 def test_criterion_1_vogt_diagnostic_values():
     start = time.perf_counter()
-    norm = normalize(VOGT)
-    assert abs(norm.alpha - (-0.09872)) <= 1e-4
-    threshold = fukasawa_threshold(norm.b, norm.rho)
+    alpha = VOGT.a / VOGT.sigma
+    assert abs(alpha - (-0.09872)) <= 1e-4
+    threshold = fukasawa_threshold(VOGT.b, VOGT.rho)
     assert abs(threshold - (-0.12663)) <= 1e-4
-    interval = mu_interval(norm.alpha, norm.b, norm.rho)
+    interval = mu_interval(alpha, VOGT.b, VOGT.rho)
     assert abs(interval.lower - (-0.72407)) <= 1e-4
     assert abs(interval.upper - 0.82939) <= 1e-4
     diag = check_no_arbitrage(VOGT)
@@ -136,13 +136,13 @@ def test_criterion_5_box_parametrization_is_tight():
     # shrinking sigma below the floor must reintroduce arbitrage
     tried = failed = 0
     for params in samples[:300]:
-        norm = normalize(params)
-        floor, h_star = _sigma_star_trusted(norm.alpha, norm.b, norm.rho, norm.mu)[:2]
+        alpha, mu = params.a / params.sigma, params.m / params.sigma
+        floor, h_star = _sigma_star_trusted(alpha, params.b, params.rho, mu)[:2]
         if floor <= 1e-12:
             continue
         tried += 1
         sigma = 0.9 * floor
-        bad = SviParams(norm.alpha * sigma, norm.b, norm.rho, norm.mu * sigma, sigma)
+        bad = SviParams(alpha * sigma, params.b, params.rho, mu * sigma, sigma)
         ks = sigma * np.append(l_grid, 1.0 / h_star) + bad.m
         if np.min(durrleman_g(bad, ks)) >= 0.0:
             failed += 1

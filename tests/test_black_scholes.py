@@ -6,6 +6,7 @@ import math
 import re
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -118,6 +119,14 @@ def call_reference(k: float, theta: float) -> float:
         return float(mpmath.ncdf(d1) - mpmath.exp(k_) * mpmath.ncdf(d1 - theta_))
 
 
+def put_reference(k: float, theta: float) -> float:
+    """The normalized put price in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        k_, theta_ = mpmath.mpf(k), mpmath.mpf(theta)
+        d1 = -k_ / theta_ + theta_ / 2
+        return float(mpmath.exp(k_) * mpmath.ncdf(theta_ - d1) - mpmath.ncdf(-d1))
+
+
 class TestLogSpaceCall:
     """Past k = 700, where exp(k) nears overflow, the call's second term
     runs in log space."""
@@ -198,10 +207,23 @@ class TestImpliedTotalVol:
 
     @pytest.mark.parametrize("k", [5.0, 30.0, 650.0])
     def test_smallest_invertible_price_within_one_percent(self, k):
-        # the solver stops within 1e-16 of a price; below MIN_PRICE, at
-        # (5, 1e-20), that returned a vol whose 50-digit price is 4.4e-17
+        # prices below MIN_PRICE are refused: at (5, 1e-20) a 1e-16 stop
+        # returned a vol whose 50-digit price is 4.4e-17
         theta = implied_total_vol(k, MIN_PRICE)
-        assert call_reference(k, theta) == pytest.approx(MIN_PRICE, rel=1e-2)
+        assert call_reference(k, theta) == pytest.approx(MIN_PRICE, rel=1e-2, abs=0.0)
+
+    @pytest.mark.parametrize("kind, lo, hi", [("call", 0.5, 40.0), ("put", -20.0, -0.5)])
+    def test_tiny_prices_reproduce_to_a_millionth(self, kind, lo, hi):
+        # below 1e-10 the stop is 1e-6 of the price: 1e-16 absolute alone
+        # leaves a price near MIN_PRICE up to 1% off
+        rng = np.random.default_rng(60)
+        k = rng.uniform(lo, hi, 100)
+        price = np.exp(rng.uniform(math.log(MIN_PRICE), math.log(1e-10), 100))
+        theta, code = implied_total_vols(k, price, kind == "call")
+        assert not code.any()
+        reference = call_reference if kind == "call" else put_reference
+        for ki, pi, ti in zip(k.tolist(), price.tolist(), theta.tolist()):
+            assert reference(ki, ti) == pytest.approx(pi, rel=2e-6, abs=0.0)
 
     def test_price_above_ceiling_vol(self):
         almost_one = 0.5 * (call_price(0.0, THETA_MAX) + 1.0)

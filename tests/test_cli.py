@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from butterfree.errors import InvalidInput
 from butterfree.fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, l_star, mu_interval
 from butterfree.market_data import year_fraction
 from butterfree.smile import SviParams, n_funcs
+
+DATA = Path(__file__).parent / "data"
 
 VOGT_FLAGS = [
     "--a", "-0.041", "--b", "0.1331", "--rho", "0.3060",
@@ -656,6 +659,35 @@ class TestIngestCommand:
         assert message in err
         assert "skipped" not in out
         assert not (tmp_path / "2026-12-18.slice.json").exists()
+
+    def test_expiry_that_is_not_a_file_name_is_skipped(self, capsys, tmp_path):
+        # tests/data/ingest-edge.csv: one good expiry, one "../escaped" and
+        # one "2026/01/01" expiry with the same quotes, and a nan-spot row
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc, out, _ = run(capsys, [
+            "ingest", "--csv", str(DATA / "ingest-edge.csv"), "--t", "0.5",
+            "--out-dir", str(out_dir),
+        ])
+        assert rc == 0
+        assert sorted(tmp_path.rglob("*")) == [out_dir, out_dir / "2026-12-18.slice.json"]
+        assert len(read_slice(str(out_dir / "2026-12-18.slice.json"))) == 5
+        assert "../escaped: skipped (expiry is not a plain file name)" in out
+        assert "2026/01/01: skipped (expiry is not a plain file name)" in out
+        assert "rejected line 2: spot must be finite and positive, got nan" in out
+
+    @pytest.mark.parametrize("expiry", [".", "..", "a\0b"])
+    def test_dot_and_separator_expiries_are_skipped(self, capsys, tmp_path, expiry):
+        csv_path = tmp_path / "quotes.csv"
+        csv_path.write_text(parity_csv([expiry, "2026-12-18"]))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        rc, out, _ = run(capsys, [
+            "ingest", "--csv", str(csv_path), "--t", "0.5", "--out-dir", str(out_dir),
+        ])
+        assert rc == 0
+        assert f"{expiry}: skipped (expiry is not a plain file name)" in out
+        assert sorted(out_dir.iterdir()) == [out_dir / "2026-12-18.slice.json"]
 
     def test_expiry_not_after_valuation_is_skipped(self, capsys, tmp_path):
         csv_path = tmp_path / "quotes.csv"

@@ -35,9 +35,9 @@ from butterfree.errors import (
     NotInDomain,
 )
 from butterfree.fukasawa import interval_with_optimizers, l_star
-from butterfree.smile import NormalizedParams, SviParams, omega
+from butterfree.smile import SviParams, omega
 from conftest import MODEL_ROWS, VOGT
-from reference import denormalize, g_split
+from reference import Normalized, denormalize, g_split
 
 #: Example with an off-center shift and both G2 zeros finite; its tail
 #: deficit profile has one interior peak per side with the left one global.
@@ -81,7 +81,7 @@ def _brute_force_max(alpha: float, b: float, rho: float, mu: float) -> float:
     return best
 
 
-def _grid_g(norm: NormalizedParams, n: int = 2001, span: float = 20.0) -> np.ndarray:
+def _grid_g(norm: Normalized, n: int = 2001, span: float = 20.0) -> np.ndarray:
     """Diagnostic g on k = sigma*(l + mu), l in [-span, span]."""
     p = denormalize(norm)
     ls = np.linspace(-span, span, n)
@@ -121,7 +121,7 @@ class TestG2Zeros:
 
     def test_sign_pattern(self):
         z = g2_zeros(FIG_ALPHA, FIG_B, FIG_RHO)
-        norm = NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, 0.0, 1.0)
+        norm = Normalized(FIG_ALPHA, FIG_B, FIG_RHO, 0.0, 1.0)
         assert g_split(norm, z.l1 - 0.1).g2 < 0.0
         assert g_split(norm, 0.5 * (z.l1 + z.l2)).g2 > 0.0
         assert g_split(norm, z.l2 + 0.1).g2 < 0.0
@@ -140,7 +140,7 @@ class TestG2Zeros:
         for p in (free, bad):
             alpha, b = p.a / p.sigma, p.b
             z = g2_zeros(alpha, b, p.rho)
-            norm = NormalizedParams(alpha, b, p.rho, 0.0, 1.0)
+            norm = Normalized(alpha, b, p.rho, 0.0, 1.0)
             assert -1e6 < z.l1 < -1e3
             assert g_split(norm, 1.001 * z.l1).g2 < 0.0 < g_split(norm, 0.999 * z.l1).g2
         assert check_no_arbitrage(free).is_free
@@ -441,10 +441,10 @@ class TestSigmaStar:
         # at sigma just above the floor the diagnostic clears zero
         # everywhere; just below it dips negative near the argmax strike
         s, h = _sigma_star_trusted(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)[:2]
-        above = NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 + 1e-6))
+        above = Normalized(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 + 1e-6))
         assert np.min(_grid_g(above)) >= -1e-12
         below = denormalize(
-            NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 0.9 * s)
+            Normalized(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 0.9 * s)
         )
         k_worst = below.sigma * (1.0 / h + FIG_MU)
         assert durrleman_g(below, k_worst) < 0.0
@@ -480,7 +480,7 @@ class TestCheckNoArbitrage:
 
     def test_curvature_failure(self):
         s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
-        p = denormalize(NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 0.5 * s))
+        p = denormalize(Normalized(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 0.5 * s))
         diag = check_no_arbitrage(p)
         assert diag.status is Status.FAILURE4
         assert diag.exit_code == 5
@@ -538,10 +538,10 @@ class TestCheckNoArbitrage:
     def test_sigma_star_boundary_flip(self):
         s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
         above = denormalize(
-            NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 + 1e-8))
+            Normalized(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 + 1e-8))
         )
         below = denormalize(
-            NormalizedParams(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 - 1e-8))
+            Normalized(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, s * (1 - 1e-8))
         )
         assert check_no_arbitrage(above).is_free
         assert check_no_arbitrage(below).status is Status.FAILURE4
@@ -560,12 +560,7 @@ class TestCheckNoArbitrage:
 
     def test_free_verdict_means_non_negative_g(self):
         for p in MODEL_ROWS:
-            norm_g = _grid_g(
-                NormalizedParams(
-                    p.a / p.sigma, p.b, p.rho, p.m / p.sigma, p.sigma
-                )
-            )
-            assert np.min(norm_g) >= -1e-12
+            assert np.min(_grid_g(Normalized.of(p))) >= -1e-12
 
 
 class TestDifferentialOracle:

@@ -40,9 +40,10 @@ from butterfree.fukasawa import (
     mu_interval,
     threshold_with_optimizers,
 )
-from butterfree.smile import NormalizedParams, SviParams, n_funcs
+from butterfree.smile import SviParams, n_funcs
 from conftest import VOGT
 from reference import (
+    Normalized,
     bounds_50_digits,
     g_split,
     gap_50_digits,
@@ -364,7 +365,7 @@ class TestMuInterval:
         grid = np.linspace(-60.0, 60.0, 2001)
 
         def factor_mins(mu: float) -> tuple[float, float]:
-            norm = NormalizedParams(alpha=alpha, b=b, rho=rho, mu=mu, sigma=1.0)
+            norm = Normalized(alpha=alpha, b=b, rho=rho, mu=mu, sigma=1.0)
             splits = [g_split(norm, float(l)) for l in grid]
             return (
                 min(s.g1_plus for s in splits),

@@ -127,6 +127,19 @@ class TestLoadChain:
         assert [(c.expiry, len(c.quotes), c.spot) for c in chains] == [("2026-12-18", 1, None)]
         assert len(rejects) == 1
 
+    @pytest.mark.parametrize("spot", ["nan", "0", "-5", "inf"])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_spot_not_finite_positive_rejects_its_row(self, spot, first):
+        # the bad spot costs its own row, never the expiry's chain
+        rows = ["2026-12-18,90,call,1,2,100", "2026-12-18,100,call,1,2,"]
+        rows.insert(0 if first else 1, f"2026-12-18,110,call,1,2,{spot}")
+        text = "expiry,strike,kind,bid,ask,spot\n" + "\n".join(rows) + "\n"
+        chains, rejects = load_chain(io.StringIO(text))
+        assert [(c.expiry, [q.strike for q in c.quotes], c.spot) for c in chains] == [
+            ("2026-12-18", [90.0, 100.0], 100.0)]
+        assert [(r.line, r.reason) for r in rejects] == [
+            (2 if first else 3, f"spot must be finite and positive, got {float(spot)}")]
+
 
 def dictreader_raws(text: str) -> list[str]:
     """Each data row as a csv.DictReader sees it, joined back into text."""

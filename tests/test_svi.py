@@ -11,10 +11,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from butterfree.arrays import density, durrleman_g, smile_terms, svi
-from butterfree.errors import DegenerateSigma, InvalidParams, NonPositiveVariance
-from butterfree.smile import NormalizedParams, SviParams, n_funcs, normalize
+from butterfree.domain import check_no_arbitrage
+from butterfree.errors import InvalidParams, NonPositiveVariance
+from butterfree.smile import SviParams, n_funcs
 from conftest import GATHERAL_JACQUIER, MODEL_ROWS, VOGT
-from reference import denormalize, g_split
+from reference import Normalized, g_split
 
 
 def valid_params():
@@ -121,32 +122,17 @@ class TestEvaluation:
 
 class TestNormalization:
     def test_vogt_values(self):
-        norm = normalize(VOGT)
-        assert norm.alpha == pytest.approx(-0.09872381411028172, abs=1e-15)
-        assert norm.mu == pytest.approx(0.8634721887791957, abs=1e-15)
-        assert norm.alpha == pytest.approx(-0.09872, abs=1e-4)
-        assert norm.mu == pytest.approx(0.86347, abs=1e-4)
-
-    def test_degenerate_sigma(self):
-        p = SviParams(a=0.1, b=0.5, rho=0.0, m=0.0, sigma=0.0)
-        with pytest.raises(DegenerateSigma):
-            normalize(p)
-        with pytest.raises(DegenerateSigma):
-            NormalizedParams(alpha=0.1, b=0.5, rho=0.0, mu=0.0, sigma=0.0)
-
-    @given(params=valid_params())
-    def test_round_trip(self, params):
-        back = denormalize(normalize(params))
-        assert back.a == pytest.approx(params.a, abs=1e-15, rel=1e-13)
-        assert back.m == pytest.approx(params.m, abs=1e-15, rel=1e-13)
-        assert back.b == params.b
-        assert back.rho == params.rho
-        assert back.sigma == params.sigma
+        # the waterfall reports the normalized coordinates it reads
+        diag = check_no_arbitrage(VOGT)
+        assert diag.alpha == pytest.approx(-0.09872381411028172, abs=1e-15)
+        assert diag.mu == pytest.approx(0.8634721887791957, abs=1e-15)
+        assert diag.alpha == pytest.approx(-0.09872, abs=1e-4)
+        assert diag.mu == pytest.approx(0.86347, abs=1e-4)
 
     @given(params=valid_params(), k=st.floats(-3.0, 3.0))
     def test_scaling_identity(self, params, k):
         # sigma * N(k/sigma - mu) reproduces w(k)
-        norm = normalize(params)
+        norm = Normalized.of(params)
         l = k / norm.sigma - norm.mu
         n0, _, _, _ = n_funcs(norm.alpha, norm.b, norm.rho, l)
         assert norm.sigma * n0 == pytest.approx(svi(params, k), rel=1e-13, abs=1e-15)
@@ -240,7 +226,7 @@ class TestDurrlemanG:
     @given(params=valid_params())
     @settings(max_examples=60)
     def test_matches_split(self, params):
-        norm = normalize(params)
+        norm = Normalized.of(params)
         for l in (-3.0, -1.0, -0.2, 0.0, 0.4, 1.5, 4.0):
             k = params.sigma * (l + norm.mu)
             split = g_split(norm, l)
@@ -252,7 +238,7 @@ class TestDurrlemanG:
 
 class TestGSplit:
     def test_product_structure(self):
-        norm = normalize(MODEL_ROWS[0])
+        norm = Normalized.of(MODEL_ROWS[0])
         s = g_split(norm, 0.7)
         assert s.g1 == pytest.approx(s.g1_plus * s.g1_minus, abs=1e-16)
 
@@ -260,7 +246,7 @@ class TestGSplit:
         # N' = 0 at l* kills the -N'^2/(2N) term, leaving the curvature
         rho = -0.3
         l_star = -rho / math.sqrt(1.0 - rho * rho)
-        norm = NormalizedParams(alpha=0.2, b=0.9, rho=rho, mu=0.1, sigma=0.5)
+        norm = Normalized(alpha=0.2, b=0.9, rho=rho, mu=0.1, sigma=0.5)
         s = g_split(norm, l_star)
         _, _, n2, _ = n_funcs(0.2, 0.9, rho, l_star)
         assert s.g2 == pytest.approx(n2, abs=1e-15)
@@ -268,7 +254,7 @@ class TestGSplit:
 
     def test_g2_at_origin(self):
         alpha, b, rho = 0.4, 1.1, 0.35
-        norm = NormalizedParams(alpha=alpha, b=b, rho=rho, mu=0.0, sigma=1.0)
+        norm = Normalized(alpha=alpha, b=b, rho=rho, mu=0.0, sigma=1.0)
         s = g_split(norm, 0.0)
         want = b * (1.0 - b * rho * rho / (2.0 * (alpha + b)))
         assert s.g2 == pytest.approx(want, abs=1e-15)
@@ -276,19 +262,19 @@ class TestGSplit:
     def test_g1_factors_far_wings(self):
         # for b = 1, rho = 0 the shift tends to 1/2, so the factors
         # approach 3/4 and 1/4 and their product 3/16
-        norm = NormalizedParams(alpha=0.5, b=1.0, rho=0.0, mu=0.3, sigma=0.4)
+        norm = Normalized(alpha=0.5, b=1.0, rho=0.0, mu=0.3, sigma=0.4)
         for l in (1e6, -1e6):
             s = g_split(norm, l)
             assert s.g1 == pytest.approx(3.0 / 16.0, abs=1e-4)
 
     def test_g2_independent_of_mu(self):
-        a = g_split(NormalizedParams(0.3, 0.8, -0.2, 0.0, 0.5), 1.3).g2
-        b = g_split(NormalizedParams(0.3, 0.8, -0.2, 5.0, 0.5), 1.3).g2
+        a = g_split(Normalized(0.3, 0.8, -0.2, 0.0, 0.5), 1.3).g2
+        b = g_split(Normalized(0.3, 0.8, -0.2, 5.0, 0.5), 1.3).g2
         assert a == b
 
     def test_rejects_non_positive_smile(self):
         # at alpha = -b*sqrt(1 - rho^2) the smile touches zero at its vertex
-        tight = NormalizedParams(alpha=-1.0, b=1.0, rho=0.0, mu=0.0, sigma=0.5)
+        tight = Normalized(alpha=-1.0, b=1.0, rho=0.0, mu=0.0, sigma=0.5)
         with pytest.raises(NonPositiveVariance):
             g_split(tight, 0.0)
 
@@ -333,7 +319,7 @@ class TestG2SignStructure:
     def test_two_sign_changes(self):
         # G2 is negative far out on both wings and positive between its
         # two zeros whenever the smile is non-degenerate
-        norm = NormalizedParams(alpha=0.1, b=0.5, rho=-0.3, mu=0.0, sigma=0.5)
+        norm = Normalized(alpha=0.1, b=0.5, rho=-0.3, mu=0.0, sigma=0.5)
         ls = np.linspace(-100.0, 100.0, 40001)
         signs = np.sign([g_split(norm, float(l)).g2 for l in ls])
         changes = int(np.sum(signs[:-1] != signs[1:]))
