@@ -9,7 +9,7 @@ Exit codes are a stable contract:
 
   0   Free smile or command success
   2   Failure1 (wing slope above 2)
-  3   Failure2 (alpha at or below the threshold)
+  3   Failure2 (empty shift interval: alpha at or below F)
   4   Failure3 (mu outside its interval)
   5   Failure4 (sigma below sigma_star)
   64  invalid input (bad flags, malformed files, domain violations)

@@ -6,8 +6,8 @@ in order:
 
   1. wing slopes b*(1 -+ rho) <= 2, otherwise arbitrage regardless of the
      remaining parameters (failure type 1);
-  2. alpha > F(b, rho), the threshold that keeps a shift interval open
-     (type 2);
+  2. a non-empty interval of shifts mu keeping G1 > 0: the same test as
+     alpha > F(b, rho), where it closes, with no solve of F (type 2);
   3. mu strictly inside that interval, which makes G1 > 0 everywhere
      (type 3);
   4. sigma >= sigma_star(alpha, b, rho, mu), the smallest curvature scale
@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DegenerateSigma, DomainError, FukasawaViolated, InvalidParams, NotInDomain
@@ -74,7 +75,7 @@ class G2Zeros:
 
 @dataclass(frozen=True)
 class ArbitrageDiagnostic:
-    """Waterfall verdict plus every quantity computed on the way down."""
+    """Waterfall verdict, what it computed on the way down and F(b, rho)."""
 
     status: Status
     params: SviParams
@@ -82,10 +83,16 @@ class ArbitrageDiagnostic:
     slope_right: float
     alpha: float | None = None
     mu: float | None = None
-    threshold: float | None = None
     interval: MuInterval | None = None
     sigma_star: float | None = None
     message: str = ""
+
+    @cached_property
+    def threshold(self) -> float | None:
+        """F(b, rho), solved when first read; None for b = 0 and Failure1."""
+        if self.alpha is None or self.status is Status.FAILURE1:
+            return None
+        return fukasawa_threshold(self.params.b, self.params.rho)
 
     @property
     def is_free(self) -> bool:
@@ -368,19 +375,21 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     Every valid smile (the SviParams constructor enforces that) gets a
     verdict.  The steps read alpha = a/sigma and mu = m/sigma, reported
     in the diagnostic, so a minimum that rounds below zero there fails step
-    1 or 2.  sigma = 0 raises DegenerateSigma, as the normalized analysis
-    needs a curvature scale, and an a/sigma or m/sigma that overflows
-    InvalidParams.  b = 0 is Free: a flat smile is plain Black-Scholes.
+    1 or 2.  Step 2 fails exactly where mu_interval finds the interval at
+    alpha empty, with no solve of F.  sigma = 0 raises DegenerateSigma, as
+    the normalized analysis needs a curvature scale, and an a/sigma or
+    m/sigma that overflows InvalidParams.  b = 0 is Free: a flat smile is
+    plain Black-Scholes.
     """
     b, rho, sigma = params.b, params.rho, params.sigma
     if sigma <= 0.0:
         raise DegenerateSigma(f"sigma must be positive, got {sigma}")
     slope_left, slope_right = b * (1.0 - rho), b * (1.0 + rho)
-    alpha = mu = threshold = interval = s_star = None
+    alpha = mu = interval = s_star = None
 
     def verdict(status: Status, message: str) -> ArbitrageDiagnostic:
         return ArbitrageDiagnostic(
-            status, params, slope_left, slope_right, alpha=alpha, mu=mu, threshold=threshold,
+            status, params, slope_left, slope_right, alpha=alpha, mu=mu,
             interval=interval, sigma_star=s_star, message=message)
 
     if b == 0.0:
@@ -391,12 +400,11 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
         return verdict(Status.FAILURE1, f"wing slopes b*(1-rho) = {slope_left:.6g}, "
                        f"b*(1+rho) = {slope_right:.6g} exceed the limit 2")
-    threshold = fukasawa_threshold(b, rho)
-    # at |rho| = 1, F = 0 and alpha = 0 still leaves the smile positive
-    if alpha < threshold or (alpha == threshold and abs(rho) < 1.0):
-        return verdict(Status.FAILURE2, f"alpha = {alpha:.6g} does not exceed the "
-                       f"threshold F(b, rho) = {threshold:.6g}")
-    interval = mu_interval(alpha, b, rho)
+    try:
+        interval = mu_interval(alpha, b, rho)
+    except FukasawaViolated:
+        return verdict(Status.FAILURE2, f"the shift interval at alpha = {alpha:.6g} "
+                       "is empty: alpha is at or below F(b, rho)")
     if not interval.contains(mu):
         return verdict(Status.FAILURE3, f"mu = {mu:.6g} outside the open interval "
                        f"({interval.lower:.6g}, {interval.upper:.6g})")

@@ -293,7 +293,7 @@ def mu_interval(alpha: float, b: float, rho: float) -> MuInterval:
     The bounds are the one-sided optima of L_minus and L_plus.  When a wing
     slope sits at its limit 2 the corresponding bound collapses to -+alpha/2;
     at rho = -+1 the far side is unconstrained.  Raises FukasawaViolated when
-    the interval is empty, which happens exactly for alpha <= F(b, rho).
+    the interval is empty, exactly for alpha <= F, or unresolved at the floor.
     """
     return interval_with_optimizers(alpha, b, rho)[0]
 
@@ -306,10 +306,12 @@ def interval_with_optimizers(
     require_finite(alpha=alpha)
     slope_left, slope_right = _wing_slopes(b, rho)
     floor = -b * math.sqrt(omega(rho))
-    if abs(rho) < 1.0 and alpha <= floor:
+    # an optimizer a few ulps above the floor can land on the vertex, where N
+    # and N' have no digits; F is the floor or ~1e-11*b above it, never between
+    if abs(rho) < 1.0 and alpha <= floor + 8.0 * math.ulp(floor):
         raise FukasawaViolated(
-            f"alpha = {alpha} is at or below the floor {floor}; "
-            "the smile minimum is not positive"
+            f"alpha = {alpha} is within 8 ulps of the floor {floor}; "
+            "the smile minimum is not resolved"
         )
     lower, upper, l_m, l_p = -math.inf, math.inf, math.nan, math.nan
     try:

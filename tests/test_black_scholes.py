@@ -397,4 +397,4 @@ class TestWingLimit:
 def test_norm_cdf_known_values():
     assert norm_cdf(0.0) == pytest.approx(0.5, abs=1e-16)
     assert norm_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-15)
-    assert norm_cdf(-8.0) == pytest.approx(6.22096057427178e-16, rel=1e-12)
+    assert norm_cdf(-8.0) == pytest.approx(6.22096057427178e-16, rel=1e-12, abs=0.0)

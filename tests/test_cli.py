@@ -137,6 +137,19 @@ class TestCheckCommand:
         assert rc == 3
         assert out.startswith("Failure2:")
 
+    def test_alpha_within_rounding_above_threshold_exits_three(self, capsys):
+        # alpha = a/sigma sits one ulp above the float F, yet the float
+        # shift interval at alpha is empty: the interval decides step 2,
+        # which is a verdict, not an error
+        rc, out, _ = run(capsys, [
+            "check", "--a=-0.2532096532398265", "--b=0.6118455732881526",
+            "--rho=-0.7057166147385208", "--m=-0.2852695605762908",
+            "--sigma=0.6052682106794934",
+        ])
+        assert rc == 3
+        assert out.startswith("Failure2:")
+        assert "threshold=" in out
+
     def test_sigma_below_floor_exits_five(self, capsys):
         sig = 0.5 * 0.12355390516143426
         rc, out, _ = run(capsys, [

@@ -34,7 +34,7 @@ from butterfree.errors import (
     InvalidParams,
     NotInDomain,
 )
-from butterfree.fukasawa import interval_with_optimizers, l_star
+from butterfree.fukasawa import fukasawa_threshold, interval_with_optimizers, l_star, mu_interval
 from butterfree.smile import SviParams, omega
 from conftest import MODEL_ROWS, VOGT
 from reference import Normalized, denormalize, g_split
@@ -529,6 +529,88 @@ class TestCheckNoArbitrage:
                 assert status in (Status.FAILURE1, Status.FAILURE2), p
         assert below_floor > 20 and seen[Status.FAILURE1] > 100 and seen[Status.FAILURE2] > 100
 
+    def test_alpha_within_rounding_of_threshold_gets_a_verdict(self):
+        # alpha = F moved by a few ulps, with 1 - |rho| down to 1e-8 or a
+        # wing slope within 1e-9 of 2 on a share of the draws: the float
+        # interval at alpha may be empty with alpha above the float F.
+        # Every smile gets a verdict, and it is Failure2 exactly where
+        # mu_interval finds the interval empty
+        rng = np.random.default_rng(29)
+        empty_above_f = non_failure2 = 0
+        for _ in range(200):
+            u = rng.uniform()
+            if u < 0.15:
+                rho = rng.choice((-1.0, 1.0)) * (1.0 - 10.0 ** rng.uniform(-8.0, -2.0))
+                slope = rng.uniform(0.1, 1.99)
+            elif u < 0.3:
+                rho = rng.uniform(-0.9, 0.9)
+                slope = 2.0 - 10.0 ** rng.uniform(-9.0, -3.0)
+            else:
+                rho, slope = rng.uniform(-0.95, 0.95), rng.uniform(0.1, 1.99)
+            b = slope / (1.0 + abs(rho))
+            threshold = fukasawa_threshold(b, rho)
+            mu, sigma = rng.uniform(-1.3, 1.3), rng.choice((0.3, 50.0))
+            for ulps in (-2, -1, 0, 1, 2, 8, 64):
+                alpha = threshold
+                for _ in range(abs(ulps)):
+                    alpha = math.nextafter(alpha, math.copysign(math.inf, ulps))
+                p = SviParams(a=alpha * sigma, b=b, rho=rho, m=mu * sigma, sigma=sigma)
+                diag = check_no_arbitrage(p)
+                try:
+                    mu_interval(diag.alpha, b, rho)
+                    empty = False
+                except FukasawaViolated:
+                    empty = True
+                assert (diag.status is Status.FAILURE2) == empty, p
+                empty_above_f += empty and diag.alpha > threshold
+                non_failure2 += not empty
+        assert empty_above_f > 10 and non_failure2 > 200
+
+    def test_waterfall_solves_no_threshold(self, monkeypatch):
+        # F is solved when a diagnostic's threshold is first read, once
+        calls = []
+
+        def counted(b, rho):
+            calls.append((b, rho))
+            return fukasawa_threshold(b, rho)
+
+        monkeypatch.setattr(domain_module, "fukasawa_threshold", counted)
+        s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
+        smiles = {
+            Status.FAILURE2: SviParams(a=-0.4999, b=0.5, rho=0.0, m=0.0, sigma=1.0),
+            Status.FAILURE3: VOGT,
+            Status.FAILURE4: denormalize(Normalized(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, 0.5 * s)),
+            Status.FREE: MODEL_ROWS[0],
+        }
+        for status, p in smiles.items():
+            calls.clear()
+            diag = check_no_arbitrage(p)
+            assert diag.status is status
+            assert calls == []
+            assert diag.threshold == diag.threshold
+            assert calls == [(p.b, p.rho)]
+
+    def test_threshold_is_f_of_b_and_rho(self):
+        # screen's draw: alpha a log-uniform margin over the positivity floor
+        rng = np.random.default_rng(30)
+        seen = set()
+        for _ in range(300):
+            rho = rng.uniform(-0.95, 0.95)
+            b = rng.uniform(0.1, 2.25) / (1.0 + abs(rho))
+            alpha = -b * math.sqrt(omega(rho)) + 10.0 ** rng.uniform(-2.5, 0.2)
+            sigma = 10.0 ** rng.uniform(-1.3, 0.4)
+            p = SviParams(a=alpha * sigma, b=b, rho=rho, m=rng.uniform(-1.3, 1.3) * sigma,
+                          sigma=sigma)
+            diag = check_no_arbitrage(p)
+            seen.add(diag.status)
+            if diag.status is Status.FAILURE1:
+                assert diag.threshold is None
+            else:
+                assert repr(diag.threshold) == repr(fukasawa_threshold(b, rho))
+        assert seen == set(Status)
+        flat = SviParams(a=0.04, b=0.0, rho=0.0, m=0.0, sigma=0.3)
+        assert check_no_arbitrage(flat).threshold is None
+
     def test_overflowing_normalized_params_raise(self):
         with pytest.raises(InvalidParams):
             check_no_arbitrage(SviParams(a=1e300, b=0.5, rho=0.0, m=0.0, sigma=1e-10))
@@ -685,7 +767,7 @@ class TestBoxMap:
         p = box_to_params(box)
         diag = check_no_arbitrage(p)
         assert diag.is_free, diag.message
-        assert diag.alpha - diag.threshold == pytest.approx(1e-10, rel=1e-6)
+        assert diag.alpha - diag.threshold == pytest.approx(1e-10, rel=1e-6, abs=0.0)
         box_to_params(BoxCoords(rho=0.73, b_prime=8.65e-8, u=1e-10, q=0.0, v=0.0))
 
     def test_infinite_floor_has_no_image(self):

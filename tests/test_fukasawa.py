@@ -341,6 +341,20 @@ class TestMuInterval:
         with pytest.raises(FukasawaViolated):
             mu_interval(alpha, b, rho)
 
+    def test_empty_within_ulps_of_the_floor(self):
+        # one ulp above the floor, and 4.7e-4 below F, the left optimizer
+        # landed on the vertex, where N and N' have no digits, and the
+        # interval read (-0.647, 0.398); a smile there raised
+        # ZeroDivisionError in sigma_star had the waterfall gone on
+        b, rho = 0.21200253006670902, 0.40354910527549626
+        floor = -b * math.sqrt((1.0 - rho) * (1.0 + rho))
+        assert floor + 8.0 * math.ulp(floor) < fukasawa_threshold(b, rho)
+        for k in range(1, 9):
+            with pytest.raises(FukasawaViolated):
+                mu_interval(floor + k * math.ulp(floor), b, rho)
+        p = SviParams(-1.1085565746546397, b, rho, -0.28847351855742853, 5.714992504065111)
+        assert check_no_arbitrage(p).status is Status.FAILURE2
+
     def test_raises_at_floor(self):
         floor = -V_B * math.sqrt(1.0 - V_RHO * V_RHO)
         with pytest.raises(FukasawaViolated):
