@@ -611,11 +611,9 @@ def dogbox(
     falls by less than ``tol`` relative with a fair step ratio, the step
     is under ``tol`` relative to x, or the free gradient is under ``tol``.
 
-    ``max_evals`` caps the trial points, counting the start.  Like
-    scipy's, the residuals and the Jacobian are kept for the last point
-    either was asked at, so a trial point equal to it spends budget
-    without a new evaluation.  After each residual evaluation, the
-    start's included, ``stop`` (if given) is called with that evaluation's
+    ``max_evals`` caps the residual evaluations, one per trial point,
+    counting the start.  After each residual evaluation, the start's
+    included, ``stop`` (if given) is called with that evaluation's
     0.5*||r||^2; when it answers true the run ends there, at the last
     accepted point.  Every residual evaluation stays inside [lower, upper].
     Returns an LsqResult, whose ``stop`` names which of these ended the
@@ -635,10 +633,7 @@ def dogbox(
     if not np.all(np.isfinite(f)):
         raise NumericFailure(f"residuals are not finite at the start point {x.tolist()}")
     J = jac(x.copy())
-    nfev = njev = spent = 1
-    # the point the residuals or the Jacobian were last asked at, and what
-    # is known there
-    at, f_at, J_at = x, f, J
+    nfev = njev = 1
     g = J.T.dot(f)
     Delta = norm(x, ord=np.inf)
     if Delta == 0:
@@ -655,7 +650,7 @@ def dogbox(
         g[active] = 0
         if norm(g, ord=np.inf) < tol:
             converged = True
-        if converged or spent == max_evals:
+        if converged or nfev == max_evals:
             break
         x_free, lb_free, ub_free = x[free], lb[free], ub[free]
         J_free = J[:, free]
@@ -667,7 +662,7 @@ def dogbox(
         b = np.dot(g_free, -g_free)
 
         actual_reduction = -1.0
-        while actual_reduction <= 0 and spent < max_evals:
+        while actual_reduction <= 0 and nfev < max_evals:
             step_free, on_bound_free, tr_hit = _dogleg_step(
                 x_free, newton_step, g_free, a, b, Delta, lb_free, ub_free)
             step.fill(0.0)
@@ -675,15 +670,10 @@ def dogbox(
             Js = J_free.dot(step_free)
             predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step_free, g_free))
             x_new = np.clip(x + step, lb, ub)
-            if not np.array_equal(x_new, at):
-                at, f_at, J_at = x_new, None, None
-            if f_at is None:
-                f_at = residuals(x_new.copy())
-                nfev += 1
-                if stop is not None and stop(0.5 * np.dot(f_at, f_at)):
-                    return LsqResult(x, float(cost), "stopped", nfev, njev)
-            f_new = f_at
-            spent += 1
+            f_new = residuals(x_new.copy())
+            nfev += 1
+            if stop is not None and stop(0.5 * np.dot(f_new, f_new)):
+                return LsqResult(x, float(cost), "stopped", nfev, njev)
             step_h_norm = norm(step, ord=np.inf)
             if not np.all(np.isfinite(f_new)):
                 Delta = 0.25 * step_h_norm
@@ -716,12 +706,8 @@ def dogbox(
             x[mask] = ub[mask]
             f = f_new
             cost = cost_new
-            if not np.array_equal(x, at):
-                at, f_at, J_at = x, None, None
-            if J_at is None:
-                J_at = jac(x.copy())
-                njev += 1
-            J = J_at
+            J = jac(x.copy())
+            njev += 1
             g = J.T.dot(f)
     return LsqResult(x, float(cost), "converged" if converged else "budget", nfev, njev)
 

@@ -310,63 +310,49 @@ def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
     which = args.which
     if which in ("smile", "g"):
         params = _params_from_args(args)
-        if which == "smile":
-            ws = svi(params, xs)
-            return ["k", "w"], [(float(x), float(w)) for x, w in zip(xs, ws)]
-        gs = durrleman_g(params, xs)
-        return ["k", "g"], [(float(x), float(v)) for x, v in zip(xs, gs)]
-
-    if args.alpha is None or args.b is None or args.rho is None:
-        raise InvalidInput(f"--which {which} needs --alpha, --b and --rho")
-    alpha, b, rho = args.alpha, args.b, args.rho
-    require_finite(**{"--alpha": alpha, "--b": b, "--rho": rho})
-    if b <= 0.0:
-        raise InvalidInput(f"--b must be positive, got {b!r}")
-    if abs(rho) > 1.0:
-        raise InvalidInput(f"--rho must lie in [-1, 1], got {rho!r}")
-
-    if which == "g2":
-        rows = []
-        for x in xs:
-            n0, n1, n2, _ = n_funcs(alpha, b, rho, float(x))
-            # G2 divides by N, which is not positive here
-            g2 = n2 - n1 * n1 / (2.0 * n0) if n0 > 0.0 else math.nan
-            rows.append((float(x), g2))
-        return ["l", "g2"], rows
-    if which == "gpm":
-        rows = []
-        for x in xs:
-            cells = [float(x)]
-            for side in ("-", "+"):
-                try:
-                    cells.append(g_pm(b, rho, float(x), side))
-                except ButterfreeError:
-                    cells.append(math.nan)
-            rows.append(tuple(cells))
-        return ["l", "g_minus", "g_plus"], rows
-    if which == "L":
-        rows = []
-        for x in xs:
-            cells = [float(x)]
-            for func in (L_minus, L_plus):
-                try:
-                    cells.append(func(float(x), alpha, b, rho))
-                except ButterfreeError:
-                    cells.append(math.nan)
-            rows.append(tuple(cells))
-        return ["l", "L_minus", "L_plus"], rows
+    else:
+        if args.alpha is None or args.b is None or args.rho is None:
+            raise InvalidInput(f"--which {which} needs --alpha, --b and --rho")
+        alpha, b, rho = args.alpha, args.b, args.rho
+        require_finite(**{"--alpha": alpha, "--b": b, "--rho": rho})
+        if b <= 0.0:
+            raise InvalidInput(f"--b must be positive, got {b!r}")
+        if abs(rho) > 1.0:
+            raise InvalidInput(f"--rho must lie in [-1, 1], got {rho!r}")
     if which == "f-profile":
         if args.mu is None:
             raise InvalidInput("--which f-profile needs --mu")
         require_finite(**{"--mu": args.mu})
-        rows = []
-        for x in xs:
-            if x == 0.0:
-                rows.append((0.0, math.nan))
-                continue
-            rows.append((float(x), sigma_star_profile(alpha, b, rho, args.mu, float(x))))
-        return ["h", "f"], rows
-    raise InvalidInput(f"unknown --which {which}")
+
+    def g2(l):
+        n0, n1, n2, _ = n_funcs(alpha, b, rho, l)
+        # G2 divides by N, which is not positive here
+        return l, n2 - n1 * n1 / (2.0 * n0) if n0 > 0.0 else math.nan
+
+    def half_lines(l):
+        cells = [l]
+        for func in (L_minus, L_plus):
+            try:
+                cells.append(func(l, alpha, b, rho))
+            except ButterfreeError:  # off func's half-line, or no value there
+                cells.append(math.nan)
+        return tuple(cells)
+
+    def f_profile(h):
+        if h == 0.0:
+            return 0.0, math.nan
+        return h, sigma_star_profile(alpha, b, rho, args.mu, h)
+
+    header, row = {
+        "smile": (["k", "w"], lambda k: (k, svi(params, k))),
+        "g": (["k", "g"], lambda k: (k, durrleman_g(params, k))),
+        "g2": (["l", "g2"], g2),
+        "gpm": (["l", "g_minus", "g_plus"],
+                lambda l: (l, g_pm(b, rho, l, "-"), g_pm(b, rho, l, "+"))),
+        "L": (["l", "L_minus", "L_plus"], half_lines),
+        "f-profile": (["h", "f"], f_profile),
+    }[which]
+    return header, [row(float(x)) for x in xs]
 
 
 def cmd_plot_data(args) -> int:

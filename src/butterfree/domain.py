@@ -576,14 +576,16 @@ def params_to_box(params: SviParams) -> BoxCoords:
     """Invert box_to_params on the strictly free region.
 
     Raises NotInDomain for anything the waterfall does not classify Free,
-    for |rho| = 1 (the box keeps rho open) and for b = 0 (no wing scale to
-    invert).
+    for |rho| = 1 (the box keeps rho open), for b = 0 (no wing scale to
+    invert) and for a Free smile whose alpha does not exceed the float F
+    (its float shift interval is open, but u = alpha - F is not positive).
     """
     return box_from_diagnostic(check_no_arbitrage(params))
 
 
 def box_from_diagnostic(diag: ArbitrageDiagnostic) -> BoxCoords:
-    """params_to_box for a smile whose waterfall diagnostic is in hand."""
+    """params_to_box for a smile whose waterfall diagnostic is in hand,
+    with the same NotInDomain cases."""
     params = diag.params
     if params.b <= 0.0:
         raise NotInDomain(f"b must be positive to invert, got {params.b}")
@@ -591,12 +593,18 @@ def box_from_diagnostic(diag: ArbitrageDiagnostic) -> BoxCoords:
         raise NotInDomain(f"|rho| must be below 1 to invert, got {params.rho}")
     if not diag.is_free:
         raise NotInDomain(f"parameters are not arbitrage free: {diag.message}")
+    u = diag.alpha - diag.threshold
+    if not u > 0.0:
+        raise NotInDomain(
+            f"alpha = {diag.alpha} does not exceed the float threshold F = "
+            f"{diag.threshold}; u = alpha - F must be positive"
+        )
     interval = diag.interval
     q = (2.0 * diag.mu - interval.upper - interval.lower) / interval.width()
     return BoxCoords(
         rho=params.rho,
         b_prime=params.b * (1.0 + abs(params.rho)) / 2.0,
-        u=diag.alpha - diag.threshold,
+        u=u,
         q=q,
         # Free means sigma >= sigma_star, so the rounded difference is >= 0
         v=params.sigma - diag.sigma_star,

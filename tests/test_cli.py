@@ -745,6 +745,37 @@ class TestIngestCommand:
         assert rc == 0
         assert "no chains found" in out
 
+    def test_every_line_rejected_reports_each(self, capsys, tmp_path):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(
+            "expiry,strike,kind,bid,ask\n"
+            "2026-12-18,n/a,call,1.0,1.1\n"
+            "2026-12-18,100,straddle,1.0,1.1\n"
+        )
+        rc, out, _ = run(capsys, ["ingest", "--csv", str(csv_path)])
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0] == "no chains found"
+        assert lines[1].startswith("  rejected line 2: non-numeric field")
+        assert lines[2].startswith("  rejected line 3: unknown kind")
+        assert len(lines) == 3
+
+    def test_zero_bid_strike_is_reported(self, capsys, tmp_path):
+        # the call is the quote picked above the forward; an empty bid
+        # side makes its mid half the spread, so the strike is skipped
+        lines = parity_csv(["2026-12-18"]).splitlines()
+        expiry, strike, kind, _, ask = lines[-2].split(",")
+        assert kind == "call"
+        lines[-2] = f"{expiry},{strike},call,0.0,{ask}"
+        csv_path = tmp_path / "quotes.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc, out, _ = run(capsys, [
+            "ingest", "--csv", str(csv_path), "--t", "0.5", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        assert f"  skipped strike {float(strike):g}: call bid is zero" in out.splitlines()
+        assert len(read_slice(str(tmp_path / "2026-12-18.slice.json"))) == 4
+
     def test_missing_csv(self, capsys, tmp_path):
         rc, _, err = run(capsys, ["ingest", "--csv", str(tmp_path / "absent.csv")])
         assert rc == 64

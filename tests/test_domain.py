@@ -33,6 +33,7 @@ from butterfree.errors import (
     FukasawaViolated,
     InvalidParams,
     NotInDomain,
+    NumericFailure,
 )
 from butterfree.fukasawa import fukasawa_threshold, interval_with_optimizers, l_star, mu_interval
 from butterfree.smile import SviParams, omega
@@ -617,6 +618,19 @@ class TestCheckNoArbitrage:
         with pytest.raises(InvalidParams):
             check_no_arbitrage(SviParams(a=0.1, b=0.5, rho=0.0, m=-1e300, sigma=1e-10))
 
+    @pytest.mark.parametrize("sigma", [1e-90, 1e-120, 1e-200, 1e-300])
+    def test_extreme_alpha_is_never_free(self, sigma):
+        # alpha = 0.1/sigma: at 1e-90 the verdict is Failure4 (sigma* =
+        # 2.67e-90); beyond, the optimizers' bracket walks run out of
+        # expansions.  g(0.1) = -0.75 for each of these smiles
+        p = SviParams(a=0.1, b=1.0, rho=0.0, m=0.0, sigma=sigma)
+        assert durrleman_g(p, 0.1) < 0.0
+        try:
+            diag = check_no_arbitrage(p)
+        except NumericFailure:
+            return
+        assert diag.status is Status.FAILURE4
+
     def test_sigma_star_boundary_flip(self):
         s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
         above = denormalize(
@@ -828,6 +842,16 @@ class TestBoxMap:
     def test_inverse_rejects_non_free(self):
         with pytest.raises(NotInDomain):
             params_to_box(VOGT)
+
+    def test_inverse_rejects_free_smile_at_the_float_threshold(self):
+        # the float interval at alpha is open, so the waterfall says Free,
+        # but alpha is the float F (4.5e-16 above the 50-digit F) and u = 0
+        p = SviParams(a=-1985022734708868.2, b=1.1019226743512796, rho=0.5076341479016909,
+                      m=328978350104054.75, sigma=2251799813685248.0)
+        diag = check_no_arbitrage(p)
+        assert diag.is_free and diag.alpha == diag.threshold
+        with pytest.raises(NotInDomain, match="does not exceed the float threshold"):
+            params_to_box(p)
 
     def test_inverse_rejects_flat_and_boundary_rho(self):
         with pytest.raises(NotInDomain):
