@@ -197,7 +197,7 @@ def cmd_check(args) -> int:
             f"{diag.interval.upper:.6g})"
         )
     if diag.sigma_star is not None:
-        print(f"  sigma={params.sigma:.6g} sigma_star={diag.sigma_star:.6g}")
+        print(f"  sigma={params.sigma!r} sigma_star={diag.sigma_star!r}")
     return diag.exit_code
 
 
@@ -239,8 +239,8 @@ def cmd_calibrate(args) -> int:
     _write_json(out, result_to_dict(result))
     p = result.params
     print(
-        f"params: a={p.a:.10g} b={p.b:.10g} rho={p.rho:.10g} "
-        f"m={p.m:.10g} sigma={p.sigma:.10g}"
+        f"params: a={p.a!r} b={p.b!r} rho={p.rho!r} "
+        f"m={p.m!r} sigma={p.sigma!r}"
     )
     print(f"status: {result.diagnostic.status.value}")
     print(f"cost: {result.cost:.6e}")
@@ -311,10 +311,15 @@ def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
     if which in ("smile", "g"):
         params = _params_from_args(args)
     else:
-        if args.alpha is None or args.b is None or args.rho is None:
-            raise InvalidInput(f"--which {which} needs --alpha, --b and --rho")
+        # g+- depends on b and rho alone; the other curves also on alpha
+        flags = {"--b": args.b, "--rho": args.rho}
+        if which != "gpm":
+            flags = {"--alpha": args.alpha, **flags}
+        if None in flags.values():
+            *rest, last = flags
+            raise InvalidInput(f"--which {which} needs {', '.join(rest)} and {last}")
+        require_finite(**flags)
         alpha, b, rho = args.alpha, args.b, args.rho
-        require_finite(**{"--alpha": alpha, "--b": b, "--rho": rho})
         if b <= 0.0:
             raise InvalidInput(f"--b must be positive, got {b!r}")
         if abs(rho) > 1.0:

@@ -410,8 +410,8 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
                        f"({interval.lower:.6g}, {interval.upper:.6g})")
     s_star = _sigma_star_trusted(alpha, b, rho, mu)[0]
     if sigma < s_star:
-        return verdict(Status.FAILURE4, f"sigma = {sigma:.6g} below the minimal "
-                       f"curvature scale sigma_star = {s_star:.6g}")
+        return verdict(Status.FAILURE4, f"sigma = {sigma!r} below the minimal "
+                       f"curvature scale sigma_star = {s_star!r}")
     return verdict(Status.FREE, "no butterfly arbitrage")
 
 

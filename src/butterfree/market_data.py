@@ -14,12 +14,11 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .black_scholes import implied_total_vols, inversion_error
+from .black_scholes import MAX_ITERATIONS, implied_total_vols, inversion_error
 from .calibration import MarketSlice
 from .errors import (
     EmptySlice,
@@ -27,7 +26,6 @@ from .errors import (
     InvalidInput,
     NonPositiveDiscount,
     ParseError,
-    PriceOutOfRange,
 )
 
 _strike = attrgetter("strike")
@@ -84,33 +82,36 @@ class ForwardDiscount:
 
 @dataclass(frozen=True)
 class OptionChain:
-    """All quotes for one expiry, at most one call and one put per strike."""
+    """All quotes for one expiry, at most one call and one put per strike;
+    its (strike, call, put) legs are built once, in one pass over the quotes
+    by strike, and that pass raises on the first faulty quote it meets."""
 
     expiry: str
     quotes: tuple[OptionQuote, ...]
     spot: float | None = None
 
     def __post_init__(self) -> None:
-        seen = set()
-        for quote in self.quotes:
+        legs, leg = [], [None]
+        for quote in sorted(self.quotes, key=_strike):
             if quote.expiry != self.expiry:
                 raise InvalidInput(
                     f"quote expiry {quote.expiry} does not match chain {self.expiry}"
                 )
-            key = (quote.strike, quote.kind)
-            if key in seen:
+            if leg[0] != quote.strike:
+                leg = [quote.strike, None, None]
+                legs.append(leg)
+            side = 1 if quote.kind == "call" else 2
+            if leg[side] is not None:
                 raise InvalidInput(f"duplicate {quote.kind} quote at strike {quote.strike}")
-            seen.add(key)
+            leg[side] = quote
         if self.spot is not None and not self.spot > 0.0:
             raise InvalidInput(f"spot must be positive, got {self.spot}")
-        # pairs() walks this strike-sorted view; it holds references only,
-        # so it costs far less memory than a dict index of the quotes
-        object.__setattr__(self, "_by_strike", tuple(sorted(self.quotes, key=_strike)))
+        object.__setattr__(self, "_legs", tuple(map(tuple, legs)))
 
     def pairs(self) -> list[tuple[float, OptionQuote | None, OptionQuote | None]]:
-        """(strike, call, put) for every quoted strike, in increasing order."""
-        legs = [(s, {q.kind: q for q in group}) for s, group in groupby(self._by_strike, key=_strike)]
-        return [(strike, leg.get("call"), leg.get("put")) for strike, leg in legs]
+        """(strike, call, put) for every quoted strike, in increasing order:
+        a fresh list of the legs built with the chain."""
+        return list(self._legs)
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ def _parse_row(expiry, strike, kind, bid, ask) -> OptionQuote | str:
     if not expiry:
         return "missing expiry"
     try:
-        return OptionQuote(strike=strike, expiry=expiry, kind=side, bid=bid, ask=ask)
+        return OptionQuote(strike, expiry, side, bid, ask)
     except InvalidInput as exc:
         return str(exc)
 
@@ -193,7 +194,7 @@ def _load_stream(handle) -> tuple[list[OptionChain], list[RejectedRow]]:
     if missing:
         raise ParseError(f"header is missing columns: {', '.join(missing)}")
     width, required = len(names), itemgetter(*(cols[c] for c in _REQUIRED_COLUMNS))
-    spot = itemgetter(cols["spot"]) if "spot" in cols else lambda fields: None
+    spot = cols.get("spot")
 
     def raw(fields: list) -> str:
         # one field per distinct name, a short row's missing ones empty and
@@ -213,12 +214,13 @@ def _load_stream(handle) -> tuple[list[OptionChain], list[RejectedRow]]:
         quote = reason = _parse_row(*required(fields))
         if not isinstance(quote, str):
             # an expiry gets a chain only once one of its rows is accepted
-            quotes = by_expiry.get(quote.expiry, {})
+            quotes = by_expiry.get(quote.expiry) or {}
             key = (quote.strike, quote.kind)
             if key in quotes:
                 reason = f"duplicate {quote.kind} at strike {quote.strike}"
-            elif (reason := _take_spot(spot(fields), quote.expiry, spots)) is None:
-                by_expiry.setdefault(quote.expiry, quotes)[key] = quote
+            elif spot is None or (reason := _take_spot(fields[spot], quote.expiry, spots)) is None:
+                by_expiry[quote.expiry] = quotes
+                quotes[key] = quote
                 continue
         rejects.append(RejectedRow(line_no, reason, raw(fields)))
 
@@ -287,49 +289,50 @@ def build_vol_slice(
     if not t > 0.0:
         raise InvalidInput(f"t must be positive, got {t}")
     scale = fd.discount * fd.forward
-    picked = []
-    for strike, call, put in chain.pairs():
-        preferred = (call, put) if strike >= fd.forward else (put, call)
-        quote = preferred[0] if preferred[0] is not None else preferred[1]
-        if quote is not None:
-            picked.append((strike, quote))
-    ks = [math.log(strike / fd.forward) for strike, _ in picked]
-    prices = [(q.mid / scale, q.bid / scale, q.ask / scale) for _, q in picked]
-    is_call = [q.kind == "call" for _, q in picked]
-    theta, code = implied_total_vols(
-        np.repeat(ks, 3), np.ravel(prices), np.repeat(is_call, 3))
-    w = (theta * theta).reshape(-1, 3)
+    picked = [call if call is not None and (strike >= fd.forward or put is None) else put
+              for strike, call, put in chain.pairs()]
+    bid, ask = np.array([(q.bid, q.ask) for q in picked]).reshape(-1, 2).T
+    k = np.array([math.log(q.strike / fd.forward) for q in picked])
+    is_call = np.array([q.kind == "call" for q in picked], dtype=bool)
+    with np.errstate(all="ignore"):  # the inverter refuses a price that is not finite
+        prices = np.column_stack((0.5 * (bid + ask) / scale, bid / scale, ask / scale))
+    theta, code = implied_total_vols(np.repeat(k, 3), prices.ravel(), np.repeat(is_call, 3))
+    w, code = (theta * theta).reshape(-1, 3), code.reshape(-1, 3)
     # bid <= mid <= ask in price, so in variance too; where the inverter's
     # price tolerance puts a side across the mid, the side takes the mid
     w[:, 1] = np.minimum(w[:, 1], w[:, 0])
     w[:, 2] = np.maximum(w[:, 2], w[:, 0])
 
-    rows, skipped = [], []
-    for i, ((strike, quote), codes) in enumerate(zip(picked, code.reshape(-1, 3).tolist())):
-        if quote.bid == 0.0:
-            # an empty bid side makes the mid half the spread, not a price
-            skipped.append(SkippedQuote(strike, f"{quote.kind} bid is zero"))
-            continue
-        for side, failed in enumerate(codes):
-            if failed:
-                exc = inversion_error(failed, ks[i], prices[i][side], is_call[i])
-                if not isinstance(exc, PriceOutOfRange):
-                    raise exc
-                if side == 0:
-                    skipped.append(SkippedQuote(strike, f"{quote.kind} mid: {exc}"))
-                    break
+    # an empty bid side makes the mid half the spread, not a price; a failed
+    # mid skips its strike, a failed bid or ask leaves NaN on its side, and
+    # only a solve out of iterations raises, from the first such strike
+    zero, stuck = bid == 0.0, code == MAX_ITERATIONS
+    raises = ~zero & (stuck[:, 0] | (code[:, 0] == 0) & (stuck[:, 1] | stuck[:, 2]))
+    if raises.any():
+        i = np.argmax(raises)
+        raise inversion_error(MAX_ITERATIONS, k[i], prices[i, np.argmax(stuck[i])], is_call[i])
+    ok = ~zero & (code[:, 0] == 0)
+    # distinct strikes can round to one log-moneyness: a strike is kept
+    # only above the largest log-moneyness kept before it
+    kept, kk = ok.copy(), k[ok]
+    kept[ok] = kk > np.concatenate(([-math.inf], np.maximum.accumulate(kk)[:-1]))
+    last_kept = np.maximum.accumulate(np.where(kept, np.arange(len(k)), -1))
+    skipped = []
+    for i in np.flatnonzero(~kept).tolist():
+        quote, k_i = picked[i], float(k[i])
+        if zero[i]:
+            reason = f"{quote.kind} bid is zero"
+        elif not ok[i]:
+            exc = inversion_error(int(code[i, 0]), k_i, float(prices[i, 0]), bool(is_call[i]))
+            reason = f"{quote.kind} mid: {exc}"
         else:
-            if rows and ks[i] <= ks[rows[-1]]:
-                # distinct strikes can round to one log-moneyness
-                prior = picked[rows[-1]][0]
-                skipped.append(SkippedQuote(
-                    strike, f"log-moneyness {ks[i]!r} collides with strike {prior!r}"))
-            else:
-                rows.append(i)
-    if not rows:
+            prior = picked[last_kept[i]].strike
+            reason = f"log-moneyness {k_i!r} collides with strike {prior!r}"
+        skipped.append(SkippedQuote(quote.strike, reason))
+    if not kept.any():
         raise EmptySlice(f"no invertible quotes for expiry {chain.expiry}")
     slice_ = MarketSlice(
-        k=np.asarray(ks)[rows], w_mid=w[rows, 0], w_bid=w[rows, 1], w_ask=w[rows, 2],
+        k=k[kept], w_mid=w[kept, 0], w_bid=w[kept, 1], w_ask=w[kept, 2],
         t=t, forward=fd.forward, discount=fd.discount, expiry=chain.expiry,
     )
     return slice_, skipped

@@ -22,7 +22,7 @@ from butterfree.cli import (
     write_slice,
 )
 import butterfree.calibration as calibration_module
-from butterfree.domain import Status, sigma_star, sigma_star_profile
+from butterfree.domain import Status, check_no_arbitrage, sigma_star, sigma_star_profile
 from butterfree.errors import InvalidInput
 from butterfree.fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, l_star, mu_interval
 from butterfree.market_data import year_fraction
@@ -158,7 +158,20 @@ class TestCheckCommand:
         ])
         assert rc == 5
         assert out.startswith("Failure4:")
-        assert "sigma_star=0.123554" in out
+        assert "sigma_star=0.12355390516143414" in out
+
+    def test_one_ulp_below_sigma_star_prints_both_in_full(self, capsys):
+        # a = m = 0 keeps alpha and mu at 0 whatever sigma is, so sigma*
+        # does not move when sigma steps down one ulp from it
+        flags = ["check", "--a", "0", "--b", "0.5", "--rho", "-0.3", "--m", "0"]
+        s_star = check_no_arbitrage(SviParams(0.0, 0.5, -0.3, 0.0, 1.0)).sigma_star
+        sigma = math.nextafter(s_star, 0.0)
+        rc, out, _ = run(capsys, [*flags, "--sigma", repr(sigma)])
+        assert rc == 5
+        assert f"sigma = {sigma!r} below" in out
+        assert f"sigma_star = {s_star!r}" in out
+        assert f"  sigma={sigma!r} sigma_star={s_star!r}" in out
+        assert repr(sigma) != repr(s_star)
 
     def test_degenerate_sigma_is_input_error(self, capsys):
         rc, _, err = run(capsys, [
@@ -597,6 +610,20 @@ class TestCalibrateCommand:
         assert rc == 64
         assert "cannot read" in err
 
+    def test_printed_params_are_the_result_params(self, capsys, tmp_path):
+        out = str(tmp_path / "r.json")
+        rc, text, _ = run(capsys, [
+            "calibrate", "--slice", str(DATA / "row2-slice.json"), "--out", out,
+        ])
+        assert rc == 0
+        line = next(l for l in text.splitlines() if l.startswith("params: "))
+        printed = {name: float(value) for name, value in
+                   (cell.split("=") for cell in line[len("params: "):].split())}
+        with open(out) as handle:
+            assert printed == json.load(handle)["params"]
+        flags = [f"--{name}={value!r}" for name, value in printed.items()]
+        assert run(capsys, ["check", *flags])[0] == 0
+
     def test_unwritable_out(self, capsys, tmp_path):
         slice_path = self._write_row2(tmp_path)
         rc, _, err = run(capsys, [
@@ -865,6 +892,14 @@ class TestPlotData:
         for l, minus, plus in rows:
             assert minus == g_pm(0.5, -0.3, l, "-")
             assert plus == g_pm(0.5, -0.3, l, "+")
+
+    @pytest.mark.parametrize("alpha", ["0.1", "-3", "1e300"])
+    def test_gpm_needs_no_alpha(self, capsys, alpha):
+        argv = ["plot-data", "--which", "gpm", "--from", "-1", "--to", "1",
+                "--b", "1", "--rho", "0", "--out", "-"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 0
+        assert run(capsys, [*argv, "--alpha", alpha]) == (0, out, "")
 
     def test_l_columns_respect_half_lines(self, capsys):
         rc, out, _ = run(capsys, [

@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from butterfree.black_scholes import call_price, put_price
+from butterfree import market_data
+from butterfree.black_scholes import (
+    MAX_ITERATIONS, call_price, implied_total_vols, inversion_error, put_price,
+)
 from butterfree.calibration import CalibrationConfig, calibrate
 from butterfree.errors import (
     EmptySlice,
     InsufficientPairs,
     InvalidInput,
+    MaxIterations,
     NonPositiveDiscount,
     ParseError,
 )
@@ -244,6 +248,24 @@ class TestQuoteAndChain:
             for strike in (90.0, 95.0, 105.0, 110.0)
         ]
 
+    QUOTES = tuple(
+        OptionQuote(strike=strike, expiry="e", kind=kind, bid=1.0, ask=2.0)
+        for strike, kind in ((90.0, "call"), (90.0, "put"), (95.0, "call"),
+                             (105.0, "put"), (110.0, "call"), (110.0, "put"))
+    )
+
+    @given(st.permutations(QUOTES))
+    @settings(derandomize=True, max_examples=50)
+    def test_pairs_is_a_fresh_list(self, quotes):
+        chain = OptionChain(expiry="e", quotes=tuple(quotes))
+        want = OptionChain(expiry="e", quotes=self.QUOTES).pairs()
+        got = chain.pairs()
+        assert got == want
+        got.reverse()
+        got[0] = None
+        got.append((1.0, None, None))
+        assert chain.pairs() == want
+
     def test_forward_discount_validation(self):
         with pytest.raises(InvalidInput):
             ForwardDiscount(forward=0.0, discount=0.99, residual_rmse=0.0)
@@ -410,6 +432,18 @@ class TestBuildVolSlice:
         with pytest.raises(EmptySlice):
             build_vol_slice(OptionChain("e", tuple(quotes)), self.FD, t=0.5)
 
+    def test_prices_that_are_not_finite_are_skipped(self):
+        # a mid that overflows, and a scale discount * forward that
+        # underflows to 0, make prices the inverter refuses as not finite
+        quotes = (OptionQuote(120.0, "e", "call", 1e308, 1.5e308),
+                  OptionQuote(90.0, "e", "put", 1.6, 1.8))
+        _, skipped = build_vol_slice(OptionChain("e", quotes), self.FD, t=0.5)
+        assert [(s.strike, s.reason) for s in skipped] == [
+            (120.0, "call mid: price must be finite, got inf")]
+        with pytest.raises(EmptySlice):
+            build_vol_slice(OptionChain("e", quotes),
+                            ForwardDiscount(1e-200, 1e-200, 0.0), t=0.5)
+
     def test_rejects_bad_t(self):
         chain = _flat_chain([90.0, 100.0, 110.0])
         with pytest.raises(InvalidInput):
@@ -449,6 +483,66 @@ class TestBuildVolSlice:
         for got, want in ((slice_.k, ks), (slice_.w_mid, w_mid),
                           (slice_.w_bid, w_bid), (slice_.w_ask, w_ask)):
             assert got.tobytes() == np.asarray(want).tobytes()
+
+
+class TestBuildVolSliceRaises:
+    """Only a solve out of iterations raises; the inverter is made to run
+    out on chosen normalized prices, and inversion_error is watched to see
+    which row and side raise."""
+
+    FD = ForwardDiscount(forward=100.0, discount=1.0, residual_rmse=0.0)
+
+    @pytest.fixture
+    def stuck(self, monkeypatch):
+        errors = []
+
+        def stuck_at(*prices):
+            def fake(k, price, is_call):
+                theta, code = implied_total_vols(k, price, is_call)
+                hit = np.isin(price, prices)
+                theta[hit], code[hit] = math.nan, MAX_ITERATIONS
+                return theta, code
+
+            monkeypatch.setattr(market_data, "implied_total_vols", fake)
+
+        def watch(code, k, price, is_call):
+            errors.append((code, k, price, is_call))
+            return inversion_error(code, k, price, is_call)
+
+        monkeypatch.setattr(market_data, "inversion_error", watch)
+        return stuck_at, errors
+
+    def test_first_stuck_row_in_strike_order_raises(self, stuck):
+        stuck_at, errors = stuck
+        chain = _flat_chain([80.0, 90.0, 100.0, 110.0, 120.0], discount=1.0, spread=0.04)
+        legs = {strike: put if strike < 100.0 else call for strike, call, put in chain.pairs()}
+        # given out of strike order: 110's ask, 120's mid, then 90's bid
+        stuck_at(legs[110.0].ask / 100.0, legs[120.0].mid / 100.0, legs[90.0].bid / 100.0)
+        with pytest.raises(MaxIterations):
+            build_vol_slice(chain, self.FD, t=0.5)
+        assert errors[-1] == (MAX_ITERATIONS, math.log(0.9), legs[90.0].bid / 100.0, False)
+
+    def test_zero_bid_row_is_skipped_not_raised(self, stuck):
+        stuck_at, _ = stuck
+        empty = OptionQuote(95.0, "e", "put", 0.0, 1.5)
+        chain = _flat_chain([90.0, 100.0, 110.0], discount=1.0, expiry="e")
+        chain = OptionChain("e", (*chain.quotes, empty))
+        stuck_at(empty.mid / 100.0, empty.ask / 100.0)
+        slice_, skipped = build_vol_slice(chain, self.FD, t=0.5)
+        assert [(s.strike, s.reason) for s in skipped] == [(95.0, "put bid is zero")]
+        assert len(slice_) == 3
+
+    def test_failed_mid_shadows_a_stuck_bid(self, stuck):
+        stuck_at, _ = stuck
+        # a call's mid of 1.2 forwards is above its upper bound of 1
+        bad = OptionQuote(120.0, "e", "call", 110.0, 130.0)
+        chain = _flat_chain([90.0, 100.0, 110.0], discount=1.0, expiry="e")
+        chain = OptionChain("e", (*chain.quotes, bad))
+        stuck_at(bad.bid / 100.0)
+        slice_, skipped = build_vol_slice(chain, self.FD, t=0.5)
+        assert [(s.strike, s.reason) for s in skipped] == [
+            (120.0, "call mid: call price 1.2 at or above upper bound 1.0")]
+        assert len(slice_) == 3
 
 
 class TestEndToEnd:
