@@ -26,11 +26,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DegenerateSigma, DomainError, FukasawaViolated, InvalidParams, NotInDomain
+from .errors import (
+    DegenerateSigma, DomainError, FukasawaViolated, InvalidParams, NotInDomain, NumericFailure,
+)
 from .fukasawa import (
     SLOPE_EQ_TOL,
     MuInterval,
@@ -41,11 +44,8 @@ from .fukasawa import (
     mu_interval,
     threshold_with_optimizers,
 )
-from .numerics import Bracket, expand_bracket, newton_root, require_finite
+from .numerics import expand_bracket, newton_root, require_finite
 from .smile import SviParams, n_funcs, omega, shape
-
-#: Doublings of l, out from a G2 root, allowed to bracket a tail's peak.
-_MAX_DOUBLINGS = 60
 
 #: Box coordinate indices, which are also the chart Jacobian's columns.
 _RHO, _BP, _U, _Q, _V = range(5)
@@ -160,14 +160,16 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
         base = s * r
         return level + 2.0 * p - r * base * base, 2.0 * s - base * (l / r * base + 2.0 * p)
 
-    def root(anchor: float, direction: int) -> float:
-        br = expand_bracket(lambda l: q_slope(l)[0], anchor, direction)
+    def root(anchor: float, step: float) -> float:
+        l, _, br = expand_bracket(q_slope, anchor, step)
+        if br is None:
+            return l
         secant = br.lo - br.f_lo * (br.hi - br.lo) / (br.f_hi - br.f_lo)
         return newton_root(q_slope, br, secant)
 
     anchor = l_star(rho) if abs(rho) < 1.0 else 0.0
-    l1 = -math.inf if rho == 1.0 else root(min(anchor, 0.0), -1)
-    l2 = math.inf if rho == -1.0 else root(max(anchor, 0.0), 1)
+    l1 = -math.inf if rho == 1.0 else root(min(anchor, 0.0), -1.0)
+    l2 = math.inf if rho == -1.0 else root(max(anchor, 0.0), 1.0)
     return G2Zeros(l1, l2)
 
 
@@ -303,7 +305,9 @@ def _profile_slope(
 
     Where G1 rounds to zero or below, the deficit is +inf, and both are 0
     there: a root for _side_max's walk and Newton solve, which then read a
-    supremum of +inf.
+    supremum of +inf.  Raises NumericFailure where N''' rounds to 0 (|l|
+    past about 1e77) and the l-derivative of G2 is subnormal: that slope
+    has lost its digits, and the walk would read a false turn.
     """
     value, (n0, n1, n2, n3), shift, (f_lo, f_hi), g1 = _deficit(alpha, b, rho, mu, l)
     if value == math.inf:
@@ -321,6 +325,8 @@ def _profile_slope(
     dd_g1 = dd_lo * f_hi + 2.0 * d_lo * d_hi + f_lo * dd_hi
     u = n1 / n0
     d_g2 = n3 - u * n2 + u * u * n1 / 2.0
+    if n3 == 0.0 and abs(d_g2) < sys.float_info.min:
+        raise NumericFailure(f"N''' rounds to 0 and G2's slope is subnormal at l = {l}")
     dd_g2 = n4 - (n2 * n2 + n1 * n3) / n0 + 2.5 * u * u * n2 - u * u * u * n1
     d_value = -(d_g2 + 2.0 * value * d_g1) / (2.0 * g1)
     dd_value = -(dd_g2 + 2.0 * value * dd_g1 + 4.0 * d_value * d_g1) / (2.0 * g1)
@@ -337,35 +343,19 @@ def _side_max(
     out it decays like 1/|l|, or on a wing at slope 2 keeps rising until
     G1 loses its digits.  So l doubles from the root until the profile's
     l-derivative turns, and one Newton solve inside that bracket places
-    the peak; if it never turns, the best value seen stands.  A deficit of
-    +inf on the way (G1 rounded to zero) is the supremum.
+    the peak.  A deficit of +inf on the way (G1 rounded to zero) is the
+    supremum.  A walk out to where the slope has lost its digits raises
+    NumericFailure (_profile_slope).
     """
     def slope(x: float) -> tuple[float, float]:
         return _profile_slope(alpha, b, rho, mu, x)
 
-    l, (d, dd) = root, slope(root)
-    if d == 0.0:
-        return _deficit(alpha, b, rho, mu, l).value, 1.0 / l
-    for _ in range(_MAX_DOUBLINGS):
-        l_next = 2.0 * l
-        d_next, dd_next = slope(l_next)
-        if d_next == 0.0:
-            l = l_next
-            break
-        if d * d_next < 0.0:
-            if l < l_next:
-                bracket = Bracket(l, l_next, d, d_next)
-            else:
-                bracket = Bracket(l_next, l, d_next, d)
-            # the walk holds the slope and curvature at l, so the first
-            # Newton step from there is free; a start outside the bracket
-            # (here also l itself) makes newton_root bisect instead
-            l = newton_root(slope, bracket, l - d / dd if dd != 0.0 else l)
-            break
-        l, d, dd = l_next, d_next, dd_next
-    else:
-        seen = (root * 2.0**k for k in range(_MAX_DOUBLINGS + 1))
-        return max((_deficit(alpha, b, rho, mu, x).value, 1.0 / x) for x in seen)
+    l, (d, dd), bracket = expand_bracket(slope, root, root)
+    if bracket is not None:
+        # the walk holds the slope and curvature at its inner end, so the
+        # first Newton step from there is free; a start outside the bracket
+        # (here also l itself) makes newton_root bisect instead
+        l = newton_root(slope, bracket, l - d / dd if dd != 0.0 else l)
     return _deficit(alpha, b, rho, mu, l).value, 1.0 / l
 
 

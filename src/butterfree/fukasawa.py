@@ -199,6 +199,8 @@ def _critical_point(
     side's anchor (_anchor), by Newton on the closed-form g_pm' from
     ``start`` (where it is not finite, the bracket's secant point)."""
     bracket, secant = _bracket_secant(b, rho, side, anchor, level)
+    if bracket is None:
+        return secant
     start = start if math.isfinite(start) else secant
     return newton_root(lambda l: _residual(b, rho, side, level, l), bracket, start)
 
@@ -206,13 +208,16 @@ def _critical_point(
 def _bracket_secant(
     b: float, rho: float, side: str, anchor: float, level: float,
     root_form: tuple[int, float] = (1, 0.0),
-) -> tuple[Bracket, float]:
+) -> tuple[Bracket | None, float]:
     """The bracket of g_pm(l) = level walked out from the side's anchor,
     and the secant point of its ends in the units of _residual's root_form
-    (nan where they do not tell the two ends apart)."""
-    bracket = expand_bracket(
-        lambda l: g_pm(b, rho, l, side) - level, anchor, -1 if side == "-" else 1
+    (nan where they do not tell the two ends apart); no bracket and the
+    root itself where a probe hits the level exactly."""
+    l, _, bracket = expand_bracket(
+        lambda l: g_pm(b, rho, l, side) - level, anchor, -1.0 if side == "-" else 1.0
     )
+    if bracket is None:
+        return None, l
     (l_u, f_u), (l_o, f_o) = (bracket.lo, bracket.f_lo), (bracket.hi, bracket.f_hi)
     if f_u > 0.0:
         (l_u, f_u), (l_o, f_o) = (l_o, f_o), (l_u, f_u)

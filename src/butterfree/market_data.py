@@ -52,10 +52,14 @@ class OptionQuote:
             raise InvalidInput(f"kind must be 'call' or 'put', got {self.kind!r}")
         if not self.strike > 0.0:
             raise InvalidInput(f"strike must be positive, got {self.strike}")
+        if self.strike == math.inf:
+            raise InvalidInput("strike must be finite, got inf")
         if not (0.0 <= self.bid <= self.ask):
             raise InvalidInput(
                 f"need 0 <= bid <= ask, got bid={self.bid} ask={self.ask}"
             )
+        if not self.bid + self.ask < math.inf:
+            raise InvalidInput(f"mid must be finite, got bid={self.bid} ask={self.ask}")
 
     @property
     def mid(self) -> float:

@@ -27,7 +27,6 @@ from .errors import (
 _X_TOL = 1e-12
 
 _MAX_ROOT_ITER = 200
-_MAX_EXPANSIONS = 100
 
 
 @dataclass(frozen=True)
@@ -44,7 +43,7 @@ class Bracket:
             raise NoSignChange(f"bracket endpoints out of order: [{self.lo}, {self.hi}]")
         if not (math.isfinite(self.f_lo) and math.isfinite(self.f_hi)):
             raise NoSignChange("bracket endpoint values must be finite")
-        if self.f_lo * self.f_hi >= 0.0:
+        if not (self.f_lo < 0.0 < self.f_hi or self.f_hi < 0.0 < self.f_lo):
             raise NoSignChange(
                 f"no sign change over [{self.lo}, {self.hi}]: "
                 f"f(lo)={self.f_lo}, f(hi)={self.f_hi}"
@@ -91,46 +90,38 @@ def require_real(name: str, value, least: float, strict: bool = False) -> None:
         )
 
 
-def expand_bracket(f: Callable[[float], float], start: float, direction: int) -> Bracket:
-    """Walk geometrically from ``start`` until a sign change is straddled.
+def expand_bracket(
+    f: Callable[[float], float | tuple[float, float]], start: float, step: float
+) -> tuple[float, float | tuple[float, float], Bracket | None]:
+    """Walk x <- x + step, step <- 2*step from ``start`` until f changes sign.
 
-    ``direction`` is +1 (rightward) or -1 (leftward); the steps start at 1
-    and double.  The bracket returned is the last probed sub-interval, so
-    it is as tight as the stepping allows.  Raises NoBracketFound after the
-    expansion budget is spent.
+    f returns a value or a (value, slope) pair.  A first step of +-1 probes
+    start +- 1, 3, 7, ...; a first step of ``start`` itself probes
+    start*2^k exactly.  Returns the last probe before the sign change, f
+    there and the bracket of the last probed sub-interval, so the bracket
+    is as tight as the stepping allows.  A probe where f is exactly 0, the
+    start included, is the root: it comes back with f there and no
+    bracket.  Raises DomainError for a step that is 0 or not finite, and
+    NoBracketFound once x or f(x) leaves the floats.
     """
-    if direction not in (-1, 1):
-        raise DomainError(f"direction must be +1 or -1, got {direction}")
-    x_prev = float(start)
-    f_prev = f(x_prev)
-    if not math.isfinite(f_prev):
-        raise DomainError(f"f(start) is not finite at start={start}")
-    step = 1.0
-    for _ in range(_MAX_EXPANSIONS):
-        x_next = x_prev + direction * step
-        f_next = f(x_next)
-        if not math.isfinite(f_next):
-            raise DomainError(f"f({x_next}) is not finite during bracket expansion")
-        if f_next == 0.0:
-            # Exact zero at a probe: nudge past it so the bracket is strict.
-            x_past = x_next + direction * max(abs(x_next), 1.0) * 1e-9
-            f_past = f(x_past)
-            if f_prev * f_past < 0.0:
-                x_next, f_next = x_past, f_past
-            else:
-                x_prev, f_prev = x_past, f_past
-                step *= 2.0
-                continue
-        if f_prev * f_next < 0.0:
-            if direction > 0:
-                return Bracket(x_prev, x_next, f_prev, f_next)
-            return Bracket(x_next, x_prev, f_next, f_prev)
-        x_prev, f_prev = x_next, f_next
+    if not 0.0 < abs(step) < math.inf:
+        raise DomainError(f"step must be finite and non-zero, got {step}")
+    x, x_prev, v_prev, out_prev = float(start), math.nan, math.nan, None
+    while math.isfinite(x):
+        out = f(x)
+        v = out[0] if isinstance(out, tuple) else out
+        if not math.isfinite(v):
+            break
+        if v == 0.0:
+            return x, out, None
+        if v < 0.0 < v_prev or v_prev < 0.0 < v:
+            if step > 0.0:
+                return x_prev, out_prev, Bracket(x_prev, x, v_prev, v)
+            return x_prev, out_prev, Bracket(x, x_prev, v, v_prev)
+        x_prev, v_prev, out_prev = x, v, out
+        x += step
         step *= 2.0
-    raise NoBracketFound(
-        f"no sign change within {_MAX_EXPANSIONS} expansions from {start} "
-        f"(direction {direction:+d})"
-    )
+    raise NoBracketFound(f"no sign change from {start} before x or f(x) leaves the floats")
 
 
 def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: float) -> float:

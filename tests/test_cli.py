@@ -383,6 +383,19 @@ def test_infinite_floor_beside_a_wall_exits_5(capsys):
     assert g_50_digits(params, 7674568169548.507) < -5e-14
 
 
+def test_far_tail_peak_exits_5(capsys):
+    # a/sigma = 3.5e80: the left tail's peak lies about 2^180 times out
+    # from its G2 root; a walk that stops short of it reads sigma_star =
+    # 3.7e-81, 26% low, and calls the smile Free
+    flags = ["--a=1.551430860864266", "--b=1.6653076177587125",
+             "--rho=-0.19316627640822692", "--m=-8.217163050447549e-07", "--sigma=4.4e-81"]
+    rc, out, _ = run(capsys, ["check", *flags])
+    assert rc == 5
+    assert "sigma_star = 5.026236892725524e-81" in out
+    params = SviParams(*(float(flag.split("=")[1]) for flag in flags))
+    assert g_50_digits(params, -2.085) < -0.015
+
+
 class TestBadInputFiles:
     """Malformed documents exit 64 with a message naming the field."""
 
@@ -802,6 +815,23 @@ class TestIngestCommand:
         assert rc == 0
         assert f"  skipped strike {float(strike):g}: call bid is zero" in out.splitlines()
         assert len(read_slice(str(tmp_path / "2026-12-18.slice.json"))) == 4
+
+    def test_infinite_put_is_one_reject_not_a_lost_expiry(self, capsys, tmp_path):
+        # six rows at strikes 90, 100 and 110; the 110 put reads inf,inf
+        lines = parity_csv(["2026-12-18"], ks=(math.log(0.9), 0.0, math.log(1.1))).splitlines()
+        expiry, strike, kind, _, _ = lines[-1].split(",")
+        assert kind == "put"
+        lines[-1] = f"{expiry},{strike},put,inf,inf"
+        csv_path = tmp_path / "quotes.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        rc, out, _ = run(capsys, [
+            "ingest", "--csv", str(csv_path), "--t", "0.5", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 0
+        assert out.splitlines()[1:] == [
+            "rejected line 7: mid must be finite, got bid=inf ask=inf"]
+        assert "3 strikes, forward=100" in out
+        assert len(read_slice(str(tmp_path / "2026-12-18.slice.json"))) == 3
 
     def test_missing_csv(self, capsys, tmp_path):
         rc, _, err = run(capsys, ["ingest", "--csv", str(tmp_path / "absent.csv")])

@@ -388,18 +388,6 @@ class TestSigmaStar:
                     status = check_no_arbitrage(params).status
                     assert status is Status.FAILURE4, (wall, ulps, sigma)
 
-    def test_best_point_seen_stands_if_the_walk_never_turns(self, monkeypatch):
-        # the right tail's peak lies between 2 and 4 times its root, so a
-        # walk allowed one doubling ends still rising, at twice the root
-        monkeypatch.setattr(domain_module, "_MAX_DOUBLINGS", 1)
-        root = g2_zeros(FIG_ALPHA, FIG_B, FIG_RHO).l2
-        value, h = domain_module._side_max(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, root)
-        assert h == 1.0 / (2.0 * root)
-        assert value == sigma_star_profile(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU, h)
-        monkeypatch.undo()
-        peak = _sigma_star_trusted(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)[2][1]
-        assert 0.0 < value < peak[0]
-
     def test_profile_slope_calls_per_tail(self, monkeypatch):
         # the walk from each G2 root and its one Newton solve, counted per
         # sigma_star solve on 200 criterion-5 chart points (two finite
@@ -618,18 +606,26 @@ class TestCheckNoArbitrage:
         with pytest.raises(InvalidParams):
             check_no_arbitrage(SviParams(a=0.1, b=0.5, rho=0.0, m=-1e300, sigma=1e-10))
 
-    @pytest.mark.parametrize("sigma", [1e-90, 1e-120, 1e-200, 1e-300])
+    @pytest.mark.parametrize(
+        "sigma", [1e-90, 1e-100, 1e-120, 1e-150, 1e-200, 1e-250, 1e-300, 1e-307]
+    )
     def test_extreme_alpha_is_never_free(self, sigma):
-        # alpha = 0.1/sigma: at 1e-90 the verdict is Failure4 (sigma* =
-        # 2.67e-90); beyond, the optimizers' bracket walks run out of
-        # expansions.  g(0.1) = -0.75 for each of these smiles
+        # alpha = 0.1/sigma, and g(0.1) = -0.75 for each of these smiles.
+        # Each tail of G peaks at |l| = (2/sqrt(3) - 1)*alpha, to leading
+        # order in 1/alpha, where the deficit is (2 - sqrt(3))/alpha (the
+        # same to 25 digits in a 50-digit maximization at alpha = 1e89,
+        # 1e119 and 1e159).  Past alpha of about 3e153 the slope of G2 is
+        # subnormal on the way there and N''' rounds to 0, so the walk
+        # raises instead of reading a false turn
         p = SviParams(a=0.1, b=1.0, rho=0.0, m=0.0, sigma=sigma)
         assert durrleman_g(p, 0.1) < 0.0
-        try:
-            diag = check_no_arbitrage(p)
-        except NumericFailure:
+        if sigma < 1e-154:
+            with pytest.raises(NumericFailure):
+                check_no_arbitrage(p)
             return
+        diag = check_no_arbitrage(p)
         assert diag.status is Status.FAILURE4
+        assert diag.sigma_star * diag.alpha == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-14)
 
     def test_sigma_star_boundary_flip(self):
         s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)

@@ -144,6 +144,23 @@ class TestLoadChain:
         assert [(r.line, r.reason) for r in rejects] == [
             (2 if first else 3, f"spot must be finite and positive, got {float(spot)}")]
 
+    @pytest.mark.parametrize("fields, reason", [
+        ("inf,put,1,2", "strike must be finite, got inf"),
+        ("nan,put,1,2", "strike must be positive, got nan"),
+        ("110,put,inf,inf", "mid must be finite, got bid=inf ask=inf"),
+        ("110,put,nan,2", "need 0 <= bid <= ask, got bid=nan ask=2.0"),
+        ("110,put,1e308,1.5e308",
+         "mid must be finite, got bid=1e+308 ask=1.5e+308"),
+    ])
+    def test_quote_not_finite_rejects_its_row(self, fields, reason):
+        # one such leg costs its own row; the other five keep the expiry
+        rows = [f"2026-12-18,{k},{kind},1,2" for k in (90, 100, 110) for kind in ("call", "put")]
+        rows[5] = f"2026-12-18,{fields}"
+        text = "expiry,strike,kind,bid,ask\n" + "\n".join(rows) + "\n"
+        chains, rejects = load_chain(io.StringIO(text))
+        assert [(c.expiry, len(c.quotes)) for c in chains] == [("2026-12-18", 5)]
+        assert [(r.line, r.reason) for r in rejects] == [(7, reason)]
+
 
 def dictreader_raws(text: str) -> list[str]:
     """Each data row as a csv.DictReader sees it, joined back into text."""
@@ -433,13 +450,13 @@ class TestBuildVolSlice:
             build_vol_slice(OptionChain("e", tuple(quotes)), self.FD, t=0.5)
 
     def test_prices_that_are_not_finite_are_skipped(self):
-        # a mid that overflows, and a scale discount * forward that
-        # underflows to 0, make prices the inverter refuses as not finite
-        quotes = (OptionQuote(120.0, "e", "call", 1e308, 1.5e308),
+        # a scale discount * forward that underflows to 0 makes prices the
+        # inverter refuses as not finite; a mid that overflows never gets
+        # this far, as OptionQuote refuses it
+        with pytest.raises(InvalidInput):
+            OptionQuote(120.0, "e", "call", 1e308, 1.5e308)
+        quotes = (OptionQuote(120.0, "e", "call", 1.0, 1.5),
                   OptionQuote(90.0, "e", "put", 1.6, 1.8))
-        _, skipped = build_vol_slice(OptionChain("e", quotes), self.FD, t=0.5)
-        assert [(s.strike, s.reason) for s in skipped] == [
-            (120.0, "call mid: price must be finite, got inf")]
         with pytest.raises(EmptySlice):
             build_vol_slice(OptionChain("e", quotes),
                             ForwardDiscount(1e-200, 1e-200, 0.0), t=0.5)

@@ -43,20 +43,71 @@ class TestBracket:
 
 class TestExpandBracket:
     def test_walks_right(self):
-        br = expand_bracket(lambda x: x - 10.0, 0.0, 1)
+        _, _, br = expand_bracket(lambda x: x - 10.0, 0.0, 1.0)
         assert br.lo <= 10.0 <= br.hi
 
     def test_walks_left(self):
-        br = expand_bracket(lambda x: x + 3.0, 0.0, -1)
-        assert br.lo <= -3.0 <= br.hi
+        _, _, br = expand_bracket(lambda x: x + 4.0, 0.0, -1.0)
+        assert br.lo <= -4.0 <= br.hi
 
     def test_no_root_exhausts_budget(self):
+        # 1 + x^2 leaves the floats before x does, which ends the walk too
         with pytest.raises(NoBracketFound):
-            expand_bracket(lambda x: 1.0 + x * x, 0.0, 1)
+            expand_bracket(lambda x: 1.0 + x * x, 0.0, 1.0)
 
-    def test_rejects_bad_direction(self):
+    def test_returns_the_inner_probe_and_f_there(self):
+        # probes 0, 1, 3, 7, 15: the sign changes between 7 and 15
+        x, out, br = expand_bracket(lambda x: (x - 10.0, 1.0), 0.0, 1.0)
+        assert (x, out) == (7.0, (-3.0, 1.0))
+        assert (br.lo, br.hi, br.f_lo, br.f_hi) == (7.0, 15.0, -3.0, 5.0)
+
+    def test_exact_zero_at_a_probe_is_the_root(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x - 3.0
+
+        assert expand_bracket(f, 0.0, 1.0) == (3.0, 0.0, None)
+        assert seen == [0.0, 1.0, 3.0]
+
+    def test_exact_zero_at_the_start_is_the_root(self):
+        assert expand_bracket(lambda x: (x + 2.0, 1.0), -2.0, -1.0) == (-2.0, (0.0, 1.0), None)
+
+    @pytest.mark.parametrize("step", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_a_step_that_is_zero_or_not_finite(self, step):
         with pytest.raises(DomainError):
-            expand_bracket(lambda x: x, 0.0, 2)
+            expand_bracket(lambda x: x, 1.0, step)
+
+    def test_walk_that_leaves_the_floats_raises_no_bracket_found(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1.0
+
+        with pytest.raises(NoBracketFound) as info:
+            expand_bracket(f, 0.0, 1.0)
+        assert not isinstance(info.value, DomainError)
+        # probes 2^k - 1 up to 2^1023; the next, 2^1024, is not a float
+        assert len(seen) == 1024 and seen[-1] == 2.0**1023
+
+    def test_step_from_start_probes_its_doublings_bit_for_bit(self):
+        root = -0.8538107395591117
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x + 1e30
+
+        x, _, br = expand_bracket(f, root, root)
+        assert seen == [root * 2.0**k for k in range(len(seen))]
+        assert (br.hi, br.lo) == (x, seen[-1])
+
+    def test_sign_change_between_tiny_values_is_seen(self):
+        # the product of the two ends underflows to -0.0
+        _, _, br = expand_bracket(lambda x: 1e-200 * (x - 5.0), 0.0, 1.0)
+        assert (br.lo, br.hi) == (3.0, 7.0)
 
     @given(
         root=st.floats(-50.0, 50.0),
@@ -65,7 +116,10 @@ class TestExpandBracket:
     )
     def test_bracket_invariants_on_monotone_functions(self, root, scale, start_off):
         f = lambda x: scale * (x - root)
-        br = expand_bracket(f, root - start_off, 1)
+        x, _, br = expand_bracket(f, root - start_off, 1.0)
+        if br is None:
+            assert x == root
+            return
         assert br.lo < br.hi
         assert br.f_lo * br.f_hi < 0.0
         assert br.lo <= root <= br.hi
