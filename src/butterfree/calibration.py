@@ -161,7 +161,8 @@ class CalibrationConfig:
 
 @dataclass(frozen=True)
 class StartResult:
-    """Outcome of one start: where it began, where it stopped, and the cost.
+    """Outcome of one start: where it began, its best evaluated point
+    ``x`` and the cost there, whatever ended it.
 
     ``nfev`` counts the start's residual evaluations and ``njev`` its
     Jacobian evaluations.  ``stop`` says why it
@@ -169,8 +170,7 @@ class StartResult:
     evaluations ran out), "stalled" (the stall rule ended it far above the
     best cost of the starts before it), "not run" (an earlier start reached
     the rounding floor) or "failed" (the solver raised); ``converged`` is
-    true for the first only.  Budget, stalled and failed starts keep their
-    best evaluated point and cost.  ``x is None`` (with ``cost`` infinite)
+    true for the first only.  ``x is None`` (with ``cost`` infinite)
     means the start was not run or failed before its first evaluation.
     ``error`` gives the reason a start failed or was not run.
     """
@@ -454,13 +454,13 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
     recent progress cannot close that gap within 1,000 evaluations.  The
     rule extrapolates: a start that idles on a plateau and then drops is
     protected only by the 1e3 ratio, and one idling further above the best
-    cost so far is stopped even if it would have gone on to win.  Starts
-    that exhaust their evaluation budget, stall or fail still report their
-    best evaluated point and compete with it; starts that fail before their
-    first evaluation or are not run are discarded, and NoConvergedStart is
-    raised if none survive.  ``starts`` is ordered by index, with the
-    quasi-explicit start last; each records its ``nfev``, its ``njev`` and
-    why it stopped.  The winner is its chart point's image, Free in floats
+    cost so far is stopped even if it would have gone on to win.  Every
+    start reports its best evaluated point and competes with it, whatever
+    ended it; starts that fail before their first evaluation or are not
+    run are discarded, and NoConvergedStart is raised if none survive.
+    ``starts`` is ordered by index, with the quasi-explicit start last;
+    each records its ``nfev``, its ``njev`` and why it stopped.  The
+    winner is the image of its best evaluated chart point, Free in floats
     (BoxChart.image); NumericFailure is raised should its check fail.
     """
     if config is None:
@@ -514,24 +514,21 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
         watch = _StallWatch(best_cost, _MAX_EVALS)
         objective.njev, error = 0, None
         try:
-            x, cost, stop, _, _ = dogbox(
+            stop = dogbox(
                 objective.residuals, objective.jacobian, x0s[i], lower, upper, _EPS, _MAX_EVALS,
                 stop=lambda c: watch.stalled(float(c), objective.last),
-            )
+            ).stop
         except ButterfreeError as exc:
             stop, error = "failed", str(exc)
         if stop == "stopped":
             stop = "stalled"
-        if stop in ("stalled", "failed"):
-            # the start's best evaluated point, if it has one
-            x = None if watch.best_at is None else watch.best_at.x
-            cost = watch.best_cost
+        point, cost = watch.best_at, watch.best_cost
         starts.append(StartResult(
-            i, x0, None if x is None else tuple(x), float(cost), watch.nfev, stop, error,
+            i, x0, None if point is None else point.x, cost, watch.nfev, stop, error,
             objective.njev,
         ))
-        points[i] = watch.best_at
-        best_cost = min(best_cost, float(cost))
+        points[i] = point
+        best_cost = min(best_cost, cost)
         if cost <= floor:
             stopped_by = i
     starts.sort(key=lambda s: s.index)
@@ -543,13 +540,7 @@ def calibrate(slice_: MarketSlice, config: CalibrationConfig | None = None) -> C
             + "; ".join(s.error or "?" for s in starts)
         )
     best = min(usable, key=lambda s: (s.cost, s.index))
-
-    # the winner's lowest-cost evaluation is its end point, unless the
-    # solver then set a coordinate onto a bound it had reached
-    point = points[best.index]
-    if point.x != best.x:
-        point = pipeline.point(best.x)
-    diagnostic = check_no_arbitrage(pipeline.image(point))
+    diagnostic = check_no_arbitrage(pipeline.image(points[best.index]))
     if not diagnostic.is_free:
         raise NumericFailure(
             f"calibrated smile failed the free-domain certificate: "

@@ -346,7 +346,10 @@ def _plot_columns(args) -> tuple[list[str], list[tuple[float, ...]]]:
     def f_profile(h):
         if h == 0.0:
             return 0.0, math.nan
-        return h, sigma_star_profile(alpha, b, rho, args.mu, h)
+        try:
+            return h, sigma_star_profile(alpha, b, rho, args.mu, h)
+        except NumericFailure:  # N(1/h) rounds to 0
+            return h, math.nan
 
     header, row = {
         "smile": (["k", "w"], lambda k: (k, svi(params, k))),

@@ -42,9 +42,10 @@ from .fukasawa import (
     interval_with_optimizers,
     l_star,
     mu_interval,
+    require_smile,
     threshold_with_optimizers,
 )
-from .numerics import expand_bracket, newton_root, require_finite
+from .numerics import expand_bracket, newton_root, walk_root
 from .smile import SviParams, n_funcs, omega, shape
 
 #: Box coordinate indices, which are also the chart Jacobian's columns.
@@ -148,8 +149,8 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
     infinity).  With r = sqrt(l^2+1), q = 2*alpha/b + 2(rho*l + r) -
     r*(rho*r + l)^2, read from smile.shape's terms, whose far-side form
     keeps the far root's digits as |rho| -> 1.  Each root is a Newton
-    solve started from the secant point of the bracket walked out from the
-    vertex or the origin.
+    solve from the secant point of the bracket walked out from the vertex
+    or the origin (numerics.walk_root).
     """
     _require_positive(alpha, b, rho)
     level = 2.0 * alpha / b
@@ -160,16 +161,9 @@ def g2_zeros(alpha: float, b: float, rho: float) -> G2Zeros:
         base = s * r
         return level + 2.0 * p - r * base * base, 2.0 * s - base * (l / r * base + 2.0 * p)
 
-    def root(anchor: float, step: float) -> float:
-        l, _, br = expand_bracket(q_slope, anchor, step)
-        if br is None:
-            return l
-        secant = br.lo - br.f_lo * (br.hi - br.lo) / (br.f_hi - br.f_lo)
-        return newton_root(q_slope, br, secant)
-
     anchor = l_star(rho) if abs(rho) < 1.0 else 0.0
-    l1 = -math.inf if rho == 1.0 else root(min(anchor, 0.0), -1.0)
-    l2 = math.inf if rho == -1.0 else root(max(anchor, 0.0), 1.0)
+    l1 = -math.inf if rho == 1.0 else walk_root(q_slope, min(anchor, 0.0), -1.0)
+    l2 = math.inf if rho == -1.0 else walk_root(q_slope, max(anchor, 0.0), 1.0)
     return G2Zeros(l1, l2)
 
 
@@ -177,11 +171,7 @@ def _require_positive(alpha: float, b: float, rho: float) -> None:
     """Raise DomainError unless (alpha, b, rho) is a positive smile: finite,
     b > 0, |rho| <= 1 and N > 0 at every finite l, since G2 and the tail
     deficit divide by N."""
-    require_finite(alpha=alpha, b=b, rho=rho)
-    if b <= 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if abs(rho) > 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+    require_smile(b, rho, alpha=alpha)
     min_n = alpha + b * math.sqrt(omega(rho))
     # At |rho| = 1 the infimum is reached only in the wing limit, so the
     # smile stays positive at every finite l as long as alpha >= 0.
@@ -222,12 +212,15 @@ def sigma_star_profile(alpha: float, b: float, rho: float, mu: float, h: float) 
     Returns +inf, and so does sigma_star, where G1 rounds to zero or below:
     only when mu sits within rounding of an interval wall.  Raises
     DomainError for h = 0 and where the smile is not positive, as g2_zeros
-    does.
+    does, and NumericFailure where N(1/h) of a positive smile rounds to 0.
     """
     if h == 0.0:
         raise DomainError("h must be non-zero")
     _require_positive(alpha, b, rho)
-    return _deficit(alpha, b, rho, mu, 1.0 / h).value
+    try:
+        return _deficit(alpha, b, rho, mu, 1.0 / h).value
+    except ZeroDivisionError:
+        raise NumericFailure(f"N({1.0 / h}) rounds to 0; the deficit has no value there") from None
 
 
 def sigma_star(alpha: float, b: float, rho: float, mu: float) -> float:

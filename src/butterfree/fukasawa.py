@@ -19,18 +19,21 @@ what makes the critical points unique and bracketable.
 
 The interval is non-empty exactly when alpha exceeds a threshold F(b, rho),
 the root of the strictly increasing gap alpha -> inf L_plus - sup L_minus.
-Every solve here is a safeguarded Newton iteration on exact derivatives:
-on the closed-form g_pm' for a critical point alone, and for F on the
-level and both critical points together, each step moving every l once
-toward the level and the level by the envelope slope of the gap.  All of
-it requires the wing slopes b*(1 -+ rho) to stay at or below 2; beyond
-that limit no smile is arbitrage free.
+Every solve here is a safeguarded Newton iteration on exact derivatives.
+Each solve of g_pm(l) = level reads it in one root form, which grows
+about linearly away from the side's anchor: for a critical point alone,
+from the secant point of the bracket walked out from that anchor, and
+for F on the level and both critical points together, each step moving
+every l once toward the level and the level by the envelope slope of the
+gap.  All of it requires the wing slopes b*(1 -+ rho) to stay at or below
+2; beyond that limit no smile is arbitrage free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DomainError,
@@ -39,7 +42,7 @@ from .errors import (
     NoFiniteOptimum,
     NumericFailure,
 )
-from .numerics import _X_TOL, Bracket, expand_bracket, newton_root, require_finite
+from .numerics import _X_TOL, Bracket, newton_root, require_finite, walk_root, walk_secant
 from .smile import omega, shape
 
 #: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
@@ -78,15 +81,13 @@ def l_star(rho: float) -> float:
 def L_minus(l: float, alpha: float, b: float, rho: float) -> float:
     """Shift bound factor on the left half-line l < l_star (all of the real
     line when rho = -1)."""
-    _require_side(l, rho, "-")
-    return _bound_at(l, alpha, b, rho, "-")[0]
+    return _bound_on_side(l, alpha, b, rho, "-")
 
 
 def L_plus(l: float, alpha: float, b: float, rho: float) -> float:
     """Shift bound factor on the right half-line l > l_star (all of the real
     line when rho = +1)."""
-    _require_side(l, rho, "+")
-    return _bound_at(l, alpha, b, rho, "+")[0]
+    return _bound_on_side(l, alpha, b, rho, "+")
 
 
 def bound_partials(
@@ -99,21 +100,35 @@ def bound_partials(
     so by the envelope theorem these are also the partials of the interval
     bound sup L_minus or inf L_plus itself.
     """
-    if side not in ("-", "+"):
+    require_smile(b, rho, side, l=l, alpha=alpha)
+    return _bound_at(l, alpha, b, rho, side)[1]
+
+
+def require_smile(b: float, rho: float, side: str | None = None, **values: float) -> None:
+    """Raise DomainError unless b, rho and values are finite, b > 0,
+    |rho| <= 1 and side (when given) is '-' or '+': the checks of the
+    public entry points here and in domain, which the private solves
+    trust."""
+    if side is not None and side not in ("-", "+"):
         raise DomainError(f"side must be '-' or '+', got {side!r}")
-    p, s, _ = shape(rho, l)
-    factor = _inverse_slope(b * s, l) + (0.25 if side == "-" else -0.25)
-    ratio = 2.0 * (alpha + b * p) / (b * s)
-    return 2.0 * factor, 2.0 * p * factor - ratio / b, 2.0 * b * l * factor - ratio / s
+    require_finite(b=b, rho=rho, **values)
+    if b <= 0.0:
+        raise DomainError(f"b must be positive, got {b}")
+    if abs(rho) > 1.0:
+        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
 
 
-def _require_side(l: float, rho: float, side: str) -> None:
+def _bound_on_side(l: float, alpha: float, b: float, rho: float, side: str) -> float:
+    """L_minus or L_plus at l, once the input is checked and l lies on the
+    side's half-line."""
+    require_smile(b, rho, l=l, alpha=alpha)
     name = "left" if side == "-" else "right"
     if abs(rho) == 1.0:
         if (side == "+") == (rho == -1.0):
             raise DomainError(f"the {name} half-line is empty at rho = {rho:+g}")
     elif not (l < l_star(rho) if side == "-" else l > l_star(rho)):
         raise DomainError(f"l = {l} is not {name} of the vertex {l_star(rho)}")
+    return _bound_at(l, alpha, b, rho, side)[0]
 
 
 def g_pm(b: float, rho: float, l: float, side: str) -> float:
@@ -125,8 +140,7 @@ def g_pm(b: float, rho: float, l: float, side: str) -> float:
 
     which the tests cross-check against this one.
     """
-    if side not in ("-", "+"):
-        raise DomainError(f"side must be '-' or '+', got {side!r}")
+    require_smile(b, rho, side, l=l)
     return _g_pm_slope(b, rho, l, side)[0]
 
 
@@ -144,19 +158,27 @@ def _g_pm_slope(b: float, rho: float, l: float, side: str) -> tuple[float, float
     return value, slope
 
 
-def _anchor(b: float, rho: float, side: str) -> tuple[bool, float]:
-    """Monotonicity flag and bracketing anchor for g_pm on one half-line.
+class _RootForm(NamedTuple):
+    """How the solves of g_pm(l) = level on one side read it: walked out
+    from ``anchor``, as the difference of the ``power``-th roots of
+    g_pm(l) - ``base`` and level - ``base``, base = g_pm(anchor)
+    (_residual)."""
 
-    In the monotone case g_pm runs straight into the vertex and the anchor
-    is l_star itself; otherwise g_pm turns at a single interior point m and
-    the anchor is m.  Either way g_pm is strictly monotone on the far side
-    of the anchor with g_pm(anchor) below every admissible level, so
-    expanding away from the anchor always brackets the critical point.
+    anchor: float
+    power: int
+    base: float
+
+
+def _anchor(b: float, rho: float, side: str) -> _RootForm:
+    """The root form of g_pm on one half-line.
+
+    In the monotone case g_pm runs straight into the vertex, like the
+    cube of l - l_star, and the anchor is l_star itself; otherwise g_pm
+    turns at a single interior point m, like a square, and the anchor is
+    m.  Either way g_pm is strictly monotone on the far side of the anchor
+    with g_pm(anchor) below every admissible level, so expanding away from
+    the anchor always brackets the critical point.
     """
-    if b <= 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if side not in ("-", "+"):
-        raise DomainError(f"side must be '-' or '+', got {side!r}")
     # s*rho is rho's component toward the side
     s = -1.0 if side == "-" else 1.0
     if s * rho <= -1.0:
@@ -169,8 +191,9 @@ def _anchor(b: float, rho: float, side: str) -> tuple[bool, float]:
             "its limit; the one-sided optimum is attained only at infinity"
         )
     if s * rho < 0.0 and b * omega(rho) <= -2.0 * s * rho:
-        return True, l_star(rho)
-    return False, s * b / math.sqrt((2.0 - slope) * (2.0 + b * (1.0 - s * rho)))
+        return _RootForm(l_star(rho), 3, -math.sqrt(omega(rho)))
+    m = s * b / math.sqrt((2.0 - slope) * (2.0 + b * (1.0 - s * rho)))
+    return _RootForm(m, 2, _g_pm_slope(b, rho, m, side)[0])
 
 
 def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
@@ -182,71 +205,47 @@ def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
     is unique.  Raises NoFiniteOptimum at the slope limit and DomainError
     for alpha below the admissible floor -b*sqrt(1-rho^2).
     """
-    monotone, anchor = _anchor(b, rho, side)
+    require_smile(b, rho, side, alpha=alpha)
+    return _optimizer(alpha, b, rho, side)
+
+
+def _optimizer(alpha: float, b: float, rho: float, side: str) -> float:
+    """l_pm_of_alpha on checked input."""
+    form = _anchor(b, rho, side)
     floor = -b * math.sqrt(omega(rho))
-    if alpha < floor or (monotone and alpha <= floor):
+    if alpha < floor or (form.power == 3 and alpha <= floor):
         raise DomainError(
             f"alpha = {alpha} is below the admissible floor {floor} for this smile"
         )
-    return _critical_point(b, rho, side, anchor, alpha / b)
+    return _critical_point(b, rho, side, alpha / b, form)
 
 
 def _critical_point(
-    b: float, rho: float, side: str, anchor: float, level: float,
-    start: float = math.nan,
-) -> float:
-    """The root of g_pm(l) = level, bracketed by walking away from the
-    side's anchor (_anchor), by Newton on the closed-form g_pm' from
-    ``start`` (where it is not finite, the bracket's secant point)."""
-    bracket, secant = _bracket_secant(b, rho, side, anchor, level)
-    if bracket is None:
-        return secant
-    start = start if math.isfinite(start) else secant
-    return newton_root(lambda l: _residual(b, rho, side, level, l), bracket, start)
-
-
-def _bracket_secant(
-    b: float, rho: float, side: str, anchor: float, level: float,
-    root_form: tuple[int, float] = (1, 0.0),
-) -> tuple[Bracket | None, float]:
-    """The bracket of g_pm(l) = level walked out from the side's anchor,
-    and the secant point of its ends in the units of _residual's root_form
-    (nan where they do not tell the two ends apart); no bracket and the
-    root itself where a probe hits the level exactly."""
-    l, _, bracket = expand_bracket(
-        lambda l: g_pm(b, rho, l, side) - level, anchor, -1.0 if side == "-" else 1.0
-    )
-    if bracket is None:
-        return None, l
-    (l_u, f_u), (l_o, f_o) = (bracket.lo, bracket.f_lo), (bracket.hi, bracket.f_hi)
-    if f_u > 0.0:
-        (l_u, f_u), (l_o, f_o) = (l_o, f_o), (l_u, f_u)
-    power, base = root_form
-    r_u, r_o, r = (_root(g - base, power) for g in (f_u + level, f_o + level, level))
-    if r_o == r_u:
-        return bracket, math.nan
-    return bracket, l_u + (r - r_u) * (l_o - l_u) / (r_o - r_u)
+    b: float, rho: float, side: str, level: float, form: _RootForm, walk=walk_root
+) -> float | tuple[Bracket | None, float]:
+    """The root of g_pm(l) = level, by numerics' walk_root on the root-form
+    _residual out from the side's anchor; with walk=walk_secant, the walked
+    bracket and its secant point instead.  The walk's first step is +-1,
+    or on a monotone side _vertex_step, where F starts that side too."""
+    step = _vertex_step(b, rho, side, level) if form.power == 3 else math.nan
+    if not 0.0 < (step if side == "+" else -step) < math.inf:
+        step = 1.0 if side == "+" else -1.0
+    return walk(lambda l: _residual(b, rho, side, level, l, form), form.anchor, step)
 
 
 def _residual(
-    b: float, rho: float, side: str, level: float, l: float,
-    root_form: tuple[int, float] | None = None,
+    b: float, rho: float, side: str, level: float, l: float, form: _RootForm
 ) -> tuple[float, float]:
-    """g_pm(l) - level and its l-derivative, or with root_form = (p,
-    g_pm(anchor)) the difference of the p-th roots of g_pm(l) -
-    g_pm(anchor) and level - g_pm(anchor).
+    """The difference of the p-th roots of g_pm(l) - g_pm(anchor) and
+    level - g_pm(anchor), p = form.power, and its l-derivative.
 
     Away from the side's anchor, g_pm - g_pm(anchor) grows like
-    |l - anchor|^p: p = 3 where g_pm runs monotone into the vertex, at
-    level -sqrt(1-rho^2), and p = 2 at a turning point.  So g_pm' vanishes
-    at the anchor and Newton on g_pm creeps toward a root near it, while
-    the p-th root grows about linearly.  Both residuals have the sign of
-    g_pm(l) - level.
+    |l - anchor|^p.  So g_pm' vanishes at the anchor, and Newton on
+    g_pm - level would creep toward a root near it, while the p-th root
+    grows about linearly.  The residual has the sign of g_pm(l) - level.
     """
     g, slope = _g_pm_slope(b, rho, l, side)
-    if root_form is None:
-        return g - level, slope
-    power, base = root_form
+    power, base = form.power, form.base
     root = _root(g - base, power)
     d_root = slope / (power * abs(root) ** (power - 1)) if root else 0.0
     return root - _root(level - base, power), d_root
@@ -258,31 +257,28 @@ def _root(x: float, power: int) -> float:
     return math.copysign(abs(x) ** (1.0 / power), x)
 
 
-def _vertex_start(b: float, rho: float, side: str, level: float) -> float:
-    """Newton's start for the root of g_pm(l) = level on a side where g_pm
-    runs monotone into the vertex, or nan where the cubic below is flat.
+def _vertex_step(b: float, rho: float, side: str, level: float) -> float:
+    """The offset from l_star of the root of g_pm(l) = level on a side
+    where g_pm runs monotone into the vertex, or nan where the cubic below
+    is flat.
 
     Near l_star, g_pm(l) + sqrt(1-rho^2) ~ c*(l - l_star)^3, with
     c = (1-rho^2)^2 * (-+b*(1-rho^2)/4 - rho/2) the side's factor' at
-    l_star; the start is the root of that cubic.
+    l_star; the offset is the root of that cubic.
     """
     one_m_r2 = omega(rho)
     wing = b * one_m_r2 / 4.0
     cubic = abs(one_m_r2 * one_m_r2 * ((wing if side == "-" else -wing) - rho / 2.0))
     if cubic == 0.0:
         return math.nan
-    offset = ((level + math.sqrt(one_m_r2)) / cubic) ** (1.0 / 3.0)
-    return l_star(rho) + (offset if side == "+" else -offset)
+    offset = _root((level + math.sqrt(one_m_r2)) / cubic, 3)
+    return offset if side == "+" else -offset
 
 
 def _wing_slopes(b: float, rho: float) -> tuple[float, float]:
     """The wing slopes b*(1 -+ rho), once b and rho are checked: finite,
     b > 0, |rho| <= 1 and both slopes at most 2 + SLOPE_EQ_TOL."""
-    require_finite(b=b, rho=rho)
-    if b <= 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    if abs(rho) > 1.0:
-        raise DomainError(f"rho must lie in [-1, 1], got {rho}")
+    require_smile(b, rho)
     slope_left = b * (1.0 - rho)
     slope_right = b * (1.0 + rho)
     if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
@@ -350,25 +346,24 @@ def _bound(
     """sup L_minus (side '-') or inf L_plus (side '+'), and its optimizer."""
     if slope >= 2.0 - SLOPE_EQ_TOL:
         return (-alpha if side == "-" else alpha) / 2.0, math.nan
-    l = l_pm_of_alpha(alpha, b, rho, side)
+    l = _optimizer(alpha, b, rho, side)
     return _bound_at(l, alpha, b, rho, side)[0], l
 
 
 def _bound_at(
     l: float, alpha: float, b: float, rho: float, side: str
-) -> tuple[float, float]:
-    """L_minus or L_plus at l, and its alpha-derivative."""
-    p, s, _ = shape(rho, l)
-    factor = _inverse_slope(b * s, l) + (0.25 if side == "-" else -0.25)
-    return 2.0 * (alpha + b * p) * factor - l, 2.0 * factor
-
-
-def _inverse_slope(n1: float, l: float) -> float:
-    """1/N'(l), or NumericFailure where N' rounds to 0: so close to the
+) -> tuple[float, tuple[float, float, float]]:
+    """L_minus or L_plus at l, and its partials (d/dalpha, d/db, d/drho)
+    at that l.  Raises NumericFailure where N' rounds to 0: so close to the
     vertex that floating point no longer tells it from l."""
+    p, s, _ = shape(rho, l)
+    n0, n1 = alpha + b * p, b * s
     if n1 == 0.0:
         raise NumericFailure(f"N'({l}) rounds to 0; the bound is not resolved there")
-    return 1.0 / n1
+    factor = 1.0 / n1 + (0.25 if side == "-" else -0.25)
+    ratio = 2.0 * n0 / n1
+    partials = 2.0 * factor, 2.0 * p * factor - ratio / b, 2.0 * b * l * factor - ratio / s
+    return 2.0 * n0 * factor - l, partials
 
 
 def fukasawa_threshold(b: float, rho: float) -> float:
@@ -395,22 +390,23 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     inf L_plus at every l of their half-lines, so a negative gap certifies
     a level below F wherever it is evaluated.  The level bracket starts at
     the floor plus _LEVEL_EDGE, certified by the gap at each side's start
-    point there (_vertex_start, _bracket_secant) with no critical point
-    solved.  Only where that gap is not negative, or cannot be formed, is
-    this first level solved exactly; if the gap is open there too, F is the
-    floor -b*sqrt(1-rho^2).  The bracket ends at level 0: with alpha >= 0
+    point there with no critical point solved: l_star plus _vertex_step on
+    a monotone side, the secant point of the walked bracket on a turning one.
+    Only where that gap is not negative, or cannot be formed, is this first
+    level solved exactly; if the gap is open there too, F is the floor
+    -b*sqrt(1-rho^2).  The bracket ends at level 0: with alpha >= 0
     the unshifted mu = 0 is admissible (Martini & Mingone,
     arXiv:2005.03340), so F < 0.
 
     In it one safeguarded Newton iteration runs on the level.  At each
-    level each l takes one Newton step toward it, on the p-th root of
-    g_pm - g_pm(anchor) (_residual), and the gap is evaluated at those l:
-    L_pm has zero l-derivative at a critical point, so that gap is off by
-    the square of the l error, and the envelope slope steps the level.  A
-    gap that is not negative counts only at converged critical points: the
-    l step on at that level while their steps at least halve, and a side
-    whose steps do not is solved exactly, as is one whose step would fall
-    back past its first-level point or leave the floats.
+    level each l takes one Newton step toward it on _residual, and the gap
+    is evaluated at those l: L_pm has zero l-derivative at a critical
+    point, so that gap is off by the square of the l error, and the
+    envelope slope steps the level.  A gap that is not negative counts
+    only at converged critical points: the l step on at that level while
+    their steps at least halve, and a side whose steps do not is solved
+    exactly, as is one whose step would fall back past its first-level
+    point or leave the floats.
     """
     slope_left, slope_right = _wing_slopes(b, rho)
     if abs(rho) == 1.0:
@@ -423,15 +419,11 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
         return 0.0, math.nan, math.nan
     depth = math.sqrt(omega(rho))
     level_lo = _LEVEL_EDGE - depth
-    anchors = {side: _anchor(b, rho, side) for side in sides}
-    root_forms = {
-        side: (3, -depth) if monotone else (2, g_pm(b, rho, anchor, side))
-        for side, (monotone, anchor) in anchors.items()
-    }
+    forms = {side: _anchor(b, rho, side) for side in sides}
     points = {
-        side: _vertex_start(b, rho, side, level_lo) if monotone
-        else _bracket_secant(b, rho, side, anchor, level_lo, root_forms[side])[1]
-        for side, (monotone, anchor) in anchors.items()
+        side: form.anchor + _vertex_step(b, rho, side, level_lo) if form.power == 3
+        else _critical_point(b, rho, side, level_lo, form, walk_secant)[1]
+        for side, form in forms.items()
     }
 
     def step_sides(level: float, which) -> dict[str, float]:
@@ -441,7 +433,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
         moved = {}
         for side in which:
             l = points[side]
-            value, slope = _residual(b, rho, side, level, l, root_forms[side])
+            value, slope = _residual(b, rho, side, level, l, forms[side])
             l_next = l - value / slope if slope else math.nan
             outward = l_next < first[side] if side == "-" else l_next > first[side]
             if outward and math.isfinite(l_next):
@@ -450,7 +442,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
                 if step > _X_TOL:
                     moved[side] = step
             else:
-                points[side] = _critical_point(b, rho, side, anchors[side][1], level)
+                points[side] = _critical_point(b, rho, side, level, forms[side])
         return moved
 
     def gap(level: float) -> tuple[float, float]:
@@ -458,9 +450,9 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
         # the bounds are -+alpha/2 on a side at its slope limit
         lower, d_lower, upper, d_upper = -alpha / 2.0, -0.5, alpha / 2.0, 0.5
         if "-" in points:
-            lower, d_lower = _bound_at(points["-"], alpha, b, rho, "-")
+            lower, (d_lower, _, _) = _bound_at(points["-"], alpha, b, rho, "-")
         if "+" in points:
-            upper, d_upper = _bound_at(points["+"], alpha, b, rho, "+")
+            upper, (d_upper, _, _) = _bound_at(points["+"], alpha, b, rho, "+")
         return upper - lower, b * (d_upper - d_lower)
 
     def joint(level: float) -> tuple[float, float]:
@@ -471,7 +463,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
             # step on while Newton converges, and solve the rest exactly
             last, moved = moved, step_sides(level, moved)
             for side in [side for side in moved if moved[side] > 0.5 * last[side]]:
-                points[side] = _critical_point(b, rho, side, anchors[side][1], level)
+                points[side] = _critical_point(b, rho, side, level, forms[side])
                 del moved[side]
             value, slope = gap(level)
         return value, slope
@@ -484,10 +476,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
     if not gap_lo < 0.0:
         # the start points certify nothing: solve the first level exactly
         points = {
-            side: _critical_point(
-                b, rho, side, anchor, level_lo, points[side] if monotone else math.nan
-            )
-            for side, (monotone, anchor) in anchors.items()
+            side: _critical_point(b, rho, side, level_lo, form) for side, form in forms.items()
         }
         gap_lo, slope_lo = gap(level_lo)
         if gap_lo > 0.0:

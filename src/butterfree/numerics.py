@@ -2,9 +2,10 @@
 numeric settings.
 
 Roots are found by a local safeguarded Newton iteration on certified
-brackets, on the standard library alone.  This module pins down brackets,
-tolerances and failure modes so the rest of the package gets
-deterministic behaviour and typed errors.  The bound-constrained least
+brackets, on the standard library alone: one bracket walk, and Newton from
+the secant point of the bracket it walked (walk_root).  This module pins
+down brackets, tolerances and failure modes so the rest of the package
+gets deterministic behaviour and typed errors.  The bound-constrained least
 squares that calibration runs is ``calibration.dogbox``.
 """
 from __future__ import annotations
@@ -122,6 +123,25 @@ def expand_bracket(
         x += step
         step *= 2.0
     raise NoBracketFound(f"no sign change from {start} before x or f(x) leaves the floats")
+
+
+def walk_secant(
+    f: Callable[[float], float | tuple[float, float]], start: float, step: float
+) -> tuple[Bracket | None, float]:
+    """expand_bracket's bracket and the secant point of its ends, or no
+    bracket and the root where a probe hits an exact zero."""
+    x, _, bracket = expand_bracket(f, start, step)
+    if bracket is None:
+        return None, x
+    lo, hi, f_lo = bracket.lo, bracket.hi, bracket.f_lo
+    return bracket, lo - f_lo * (hi - lo) / (bracket.f_hi - f_lo)
+
+
+def walk_root(f: Callable[[float], tuple[float, float]], start: float, step: float) -> float:
+    """The root of f that expand_bracket's walk from start brackets, by
+    newton_root from the bracket's secant point (walk_secant)."""
+    bracket, x = walk_secant(f, start, step)
+    return x if bracket is None else newton_root(f, bracket, x)
 
 
 def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: float) -> float:

@@ -106,8 +106,8 @@ def bounds_50_digits(b: float, rho: float, level) -> tuple[mpmath.mpf, mpmath.mp
             # c = +-b/4 and the sign of the slope-factor term, by side
             sign = -1 if side == "-" else 1
             c = -sign * b_ / 4
-            monotone, anchor = _anchor(b, rho, side)
-            lo = vertex if monotone else mpmath.mpf(anchor)
+            anchor, power, _ = _anchor(b, rho, side)
+            lo = vertex if power == 3 else mpmath.mpf(anchor)
             hi = lo + sign
             while g(hi, c) < level:
                 lo, hi = hi, hi + 2 * (hi - lo)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import MODEL_GRID, MODEL_ROWS, VOGT, model_slice, params_vector
-from reference import g_50_digits, threshold_50_digits
+from reference import bounds_50_digits, g_50_digits, threshold_50_digits
 
 from butterfree.arrays import durrleman_g, svi
 from butterfree.black_scholes import call_price
@@ -137,18 +137,26 @@ class TestCheckCommand:
         assert rc == 3
         assert out.startswith("Failure2:")
 
-    def test_alpha_within_rounding_above_threshold_exits_three(self, capsys):
-        # alpha = a/sigma sits one ulp above the float F, yet the float
-        # shift interval at alpha is empty: the interval decides step 2,
-        # which is a verdict, not an error
+    def test_alpha_within_rounding_above_threshold_exits_four(self, capsys):
+        # alpha = a/sigma sits one ulp above the float F and 2.5e-17 above
+        # the 50-digit F, so the shift interval at alpha is open but about
+        # 7e-16 wide; the float interval matches its 50 digits to 1e-15,
+        # and mu lies far outside it: Failure3, a verdict, not an error
+        a, b, rho = -0.2532096532398265, 0.6118455732881526, -0.7057166147385208
+        m, sigma = -0.2852695605762908, 0.6052682106794934
+        alpha, mu = a / sigma, m / sigma
+        assert alpha == math.nextafter(fukasawa_threshold(b, rho), math.inf)
+        assert 2e-17 < alpha - threshold_50_digits(b, rho) < 3e-17
+        lower, upper = bounds_50_digits(b, rho, alpha / b)
+        assert lower < upper < mu
+        interval = mu_interval(alpha, b, rho)
+        assert abs(interval.lower - lower) < 1e-15 and abs(interval.upper - upper) < 1e-15
         rc, out, _ = run(capsys, [
-            "check", "--a=-0.2532096532398265", "--b=0.6118455732881526",
-            "--rho=-0.7057166147385208", "--m=-0.2852695605762908",
-            "--sigma=0.6052682106794934",
+            "check", f"--a={a!r}", f"--b={b!r}", f"--rho={rho!r}", f"--m={m!r}",
+            f"--sigma={sigma!r}",
         ])
-        assert rc == 3
-        assert out.startswith("Failure2:")
-        assert "threshold=" in out
+        assert rc == 4
+        assert out.startswith("Failure3:")
 
     def test_sigma_below_floor_exits_five(self, capsys):
         sig = 0.5 * 0.12355390516143426
@@ -976,6 +984,20 @@ class TestPlotData:
         assert rc == 64
         assert out == ""
         assert err.startswith("error: a positive smile is required")
+
+    def test_f_profile_nan_where_n_rounds_to_zero(self, capsys):
+        # a positive smile whose N(1/h) rounds to 0 at both grid points:
+        # those rows read nan, as g2 does where N <= 0
+        rc, out, _ = run(capsys, [
+            "plot-data", "--which", "f-profile", "--from=-1e-299", "--to=-1e-300",
+            "--grid", "2", "--alpha", "0", "--b", "1e-300", "--rho", "1", "--mu", "0",
+            "--out", "-",
+        ])
+        assert rc == 0
+        header, rows = parse_plot(out)
+        assert header == ["h", "f"]
+        assert [h for h, _ in rows] == [-1e-299, -1e-300]
+        assert all(math.isnan(f) for _, f in rows)
 
     def test_single_point_grid(self, capsys):
         rc, out, _ = run(capsys, [

@@ -256,6 +256,12 @@ class TestSigmaStarProfile:
         with pytest.raises(DomainError, match="positive smile"):
             sigma_star_profile(-0.1, 0.5, 1.0, 0.0, 1.0)
 
+    def test_n_rounding_to_zero_is_a_numeric_failure(self):
+        # alpha = 0, b = 1e-300, rho = 1 is a positive smile, but N(l)
+        # rounds to 0 at l = -1e300, where the deficit divides by it
+        with pytest.raises(NumericFailure, match="rounds to 0"):
+            sigma_star_profile(0.0, 1e-300, 1.0, 0.0, -1e-300)
+
 
 class TestSigmaStar:
     def test_frozen_values(self):

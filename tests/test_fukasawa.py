@@ -22,6 +22,7 @@ from butterfree.errors import (
     ButterfreeError,
     DomainError,
     FukasawaViolated,
+    NoBracketFound,
     NoFiniteOptimum,
     NumericFailure,
 )
@@ -222,8 +223,8 @@ class TestGShape:
 
     def test_turning_case(self):
         # rho = -1, b = 1/2: turn at -b/sqrt((2-2b)*2)
-        monotone, m = _anchor(0.5, -1.0, "-")
-        assert not monotone
+        m, power, _ = _anchor(0.5, -1.0, "-")
+        assert power == 2
         assert m == pytest.approx(-0.5 / math.sqrt(2.0), abs=1e-14)
 
     def test_slope_limit_escapes(self):
@@ -236,11 +237,13 @@ class TestGShape:
         # b = 2/3, rho = 1/2: monotone toward the vertex on the left,
         # turning on the right with the dip below the vertex level
         b, rho = 2.0 / 3.0, 0.5
-        monotone, anchor = _anchor(b, rho, "-")
-        assert monotone
+        anchor, power, base = _anchor(b, rho, "-")
+        assert power == 3
         assert anchor == l_star(rho)
-        monotone, m = _anchor(b, rho, "+")
-        assert not monotone
+        assert base == pytest.approx(-math.sqrt(1.0 - rho * rho), abs=1e-15)
+        m, power, base = _anchor(b, rho, "+")
+        assert power == 2
+        assert base == g_pm(b, rho, m, "+")
         want_m = b / math.sqrt((2.0 - b * (1.0 + rho)) * (2.0 + b * (1.0 - rho)))
         assert m == pytest.approx(want_m, abs=1e-14)
         assert g_pm(b, rho, m, "+") < -math.sqrt(1.0 - rho * rho)
@@ -300,6 +303,36 @@ class TestCriticalPoints:
             l_pm_of_alpha(0.1, 1.0, -1.0, "-")
 
 
+INVALID_INPUT = [
+    # unchecked, rho = 2 takes a square root of a negative number
+    (l_pm_of_alpha, (0.0, 0.5, 2.0, "+")),
+    # and alpha = nan walks until the floats run out
+    (l_pm_of_alpha, (math.nan, 0.5, 0.3, "+")),
+    (l_pm_of_alpha, (0.1, math.inf, 0.3, "-")),
+    (l_pm_of_alpha, (0.1, 0.5, 0.3, "up")),
+    # unchecked, these return nan, or a value for b < 0
+    (g_pm, (0.5, 0.3, math.inf, "-")),
+    (g_pm, (-0.5, 0.3, 0.1, "-")),
+    (g_pm, (0.5, math.nan, 0.1, "+")),
+    (L_minus, (-1.0, math.nan, 0.5, 0.3)),
+    (L_plus, (1.0, 0.1, 0.0, 0.3)),
+    (L_plus, (1.0, 0.1, 0.5, -1.5)),
+    # unchecked, b = 0 reads as "N' rounds to 0"
+    (bound_partials, (0.1, 0.1, 0.0, 0.3, "-")),
+    (bound_partials, (0.1, 0.1, 0.5, 1.5, "+")),
+    (bound_partials, (math.nan, 0.1, 0.5, 0.3, "+")),
+]
+
+
+@pytest.mark.parametrize(
+    "func, args", INVALID_INPUT, ids=[f"{func.__name__}{args}" for func, args in INVALID_INPUT]
+)
+def test_public_entry_points_reject_invalid_input(func, args):
+    # non-finite input, b <= 0, |rho| > 1 or an unknown side
+    with pytest.raises(DomainError):
+        func(*args)
+
+
 class TestMuInterval:
     def test_running_example(self):
         iv = mu_interval(V_ALPHA, V_B, V_RHO)
@@ -354,6 +387,19 @@ class TestMuInterval:
                 mu_interval(floor + k * math.ulp(floor), b, rho)
         p = SviParams(-1.1085565746546397, b, rho, -0.28847351855742853, 5.714992504065111)
         assert check_no_arbitrage(p).status is Status.FAILURE2
+
+    @pytest.mark.parametrize("above_f, error", [
+        (-1e-3, FukasawaViolated), (0.0, FukasawaViolated), (1e-3, NoBracketFound),
+    ])
+    def test_walk_without_a_sign_change(self, monkeypatch, above_f, error):
+        # an optimizer's walk that finds no sign change is an empty
+        # interval at or below F, and the solver's own error above it
+        def no_bracket(*args):
+            raise NoBracketFound("no sign change")
+
+        monkeypatch.setattr(fukasawa, "_optimizer", no_bracket)
+        with pytest.raises(error):
+            mu_interval(fukasawa_threshold(V_B, V_RHO) + above_f, V_B, V_RHO)
 
     def test_raises_at_floor(self):
         floor = -V_B * math.sqrt(1.0 - V_RHO * V_RHO)
@@ -652,8 +698,8 @@ class TestJointThresholdSolve:
 
     def test_g_evaluations_per_threshold(self, monkeypatch):
         cases = threshold_cases(31, 200, 1e-3)
-        assert {_anchor(b, rho, side)[0] for b, rho in cases for side in "-+"
-                if b * (1.0 + abs(rho)) < 2.0} == {False, True}
+        assert {_anchor(b, rho, side).power for b, rho in cases for side in "-+"
+                if b * (1.0 + abs(rho)) < 2.0} == {2, 3}
         calls = []
         g_pm_slope = fukasawa._g_pm_slope
         monkeypatch.setattr(

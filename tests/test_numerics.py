@@ -24,6 +24,8 @@ from butterfree.numerics import (
     expand_bracket,
     newton_root,
     require_real,
+    walk_root,
+    walk_secant,
 )
 
 
@@ -123,6 +125,30 @@ class TestExpandBracket:
         assert br.lo < br.hi
         assert br.f_lo * br.f_hi < 0.0
         assert br.lo <= root <= br.hi
+
+
+class TestWalkSecant:
+    def test_secant_point_of_the_walked_bracket(self):
+        # x^3 - 10 walked from 0 by 1, 2, 4: bracket [1, 3], f -9 and 17
+        bracket, x = walk_secant(lambda x: x ** 3 - 10.0, 0.0, 1.0)
+        assert (bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi) == (1.0, 3.0, -9.0, 17.0)
+        assert x == 1.0 + 9.0 * 2.0 / 26.0
+
+    def test_exact_zero_at_a_probe_is_the_root(self):
+        assert walk_secant(lambda x: (x - 3.0, 1.0), 0.0, 1.0) == (None, 3.0)
+        assert walk_root(lambda x: (x - 3.0, 1.0), 0.0, 1.0) == 3.0
+
+    def test_walk_root_solves_from_the_secant_point(self):
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x ** 3 - 10.0, 3.0 * x * x
+
+        root = walk_root(f, 0.0, 1.0)
+        assert root == pytest.approx(10.0 ** (1.0 / 3.0), rel=1e-15)
+        # the probes 0, 1, 3, then Newton from the secant point
+        assert seen[:4] == [0.0, 1.0, 3.0, 1.0 + 9.0 * 2.0 / 26.0]
 
 
 class TestNewtonRoot:
