@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .arrays import svi, svi_raw, svi_raw_jacobian
-from .black_scholes import d1_d2, norm_pdf
+from .black_scholes import vega_total
 from .domain import (
     _Q,
     _RHO,
@@ -208,7 +208,7 @@ def sigma_upper_bound(slice_: MarketSlice) -> float:
 def vega_weights(slice_: MarketSlice) -> np.ndarray:
     """Black-Scholes total-vol vegas of the mid quotes, used as residual
     weights; computed once from the data, not from the model."""
-    return norm_pdf(d1_d2(slice_.k, np.sqrt(slice_.w_mid))[0])
+    return vega_total(slice_.k, np.sqrt(slice_.w_mid))
 
 
 class _Objective:

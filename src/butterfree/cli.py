@@ -188,14 +188,11 @@ def cmd_check(args) -> int:
         print(f"Free: {diag.message}")
     else:
         print(f"{diag.status.value}: {diag.message}")
-    print(f"  slopes: left={diag.slope_left:.6g} right={diag.slope_right:.6g}")
+    print(f"  slopes: left={diag.slope_left!r} right={diag.slope_right!r}")
     if diag.threshold is not None:
-        print(f"  alpha={diag.alpha:.6g} threshold={diag.threshold:.6g}")
+        print(f"  alpha={diag.alpha!r} threshold={diag.threshold!r}")
     if diag.interval is not None:
-        print(
-            f"  mu={diag.mu:.6g} interval=({diag.interval.lower:.6g}, "
-            f"{diag.interval.upper:.6g})"
-        )
+        print(f"  mu={diag.mu!r} interval=({diag.interval.lower!r}, {diag.interval.upper!r})")
     if diag.sigma_star is not None:
         print(f"  sigma={params.sigma!r} sigma_star={diag.sigma_star!r}")
     return diag.exit_code
@@ -461,9 +458,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT
     try:
         return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

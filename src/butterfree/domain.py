@@ -381,16 +381,16 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     if not (math.isfinite(alpha) and math.isfinite(mu)):
         raise InvalidParams(f"a/sigma and m/sigma must be finite, got ({alpha}, {mu})")
     if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
-        return verdict(Status.FAILURE1, f"wing slopes b*(1-rho) = {slope_left:.6g}, "
-                       f"b*(1+rho) = {slope_right:.6g} exceed the limit 2")
+        return verdict(Status.FAILURE1, f"wing slopes b*(1-rho) = {slope_left!r}, "
+                       f"b*(1+rho) = {slope_right!r} exceed the limit 2")
     try:
         interval = mu_interval(alpha, b, rho)
     except FukasawaViolated:
-        return verdict(Status.FAILURE2, f"the shift interval at alpha = {alpha:.6g} "
+        return verdict(Status.FAILURE2, f"the shift interval at alpha = {alpha!r} "
                        "is empty: alpha is at or below F(b, rho)")
     if not interval.contains(mu):
-        return verdict(Status.FAILURE3, f"mu = {mu:.6g} outside the open interval "
-                       f"({interval.lower:.6g}, {interval.upper:.6g})")
+        return verdict(Status.FAILURE3, f"mu = {mu!r} outside the open interval "
+                       f"({interval.lower!r}, {interval.upper!r})")
     s_star = _sigma_star_trusted(alpha, b, rho, mu)[0]
     if sigma < s_star:
         return verdict(Status.FAILURE4, f"sigma = {sigma!r} below the minimal "
@@ -456,28 +456,30 @@ class BoxChart:
         )
 
     def image(self, p: ChartPoint) -> SviParams:
-        """p's raw parameters, which the waterfall, reading alpha = a/sigma
-        and mu = m/sigma, certifies Free.  Where (alpha*sigma, mu*sigma)
-        does not divide back to the pair whose floor is held, that pair is
-        checked and its floor solved as steps 2-4 do, and a sigma below it
-        rises to floor + v; sigma only rises, and each rebuilt pair, within
-        an ulp of p's, raises it once at most.  A pair that fails step 2 or 3
-        or has no finite floor raises InvalidParams (or mu_interval's error).
+        """p's raw parameters (alpha*sigma, b, rho, mu*sigma, sigma), which
+        the waterfall certifies Free.  Where a/sigma and m/sigma do not divide
+        back to p's (alpha, mu), the waterfall judges the rebuilt smile, and a
+        Failure4 raises sigma to its sigma_star + v; sigma only rises, so each
+        pair, within an ulp of p's, fails at most once.  Raises InvalidParams
+        where alpha <= F (u lost to rounding), mu is not inside p's interval,
+        p's sigma is not positive and finite, or the waterfall gives any other
+        verdict (its NumericFailure passes through); point itself raises
+        FukasawaViolated where the interval at F + u is empty in floats.
         """
-        b, rho, v = p.b, p.x[_RHO], p.x[_V]
-        alpha, mu, interval, floor, sigma = p.alpha, p.mu, p.interval, p.sigma_star, p.sigma
-        while alpha > p.threshold and interval.contains(mu) and floor < math.inf:
-            sigma = floor + v if sigma < floor else sigma
-            a, m = p.alpha * sigma, p.mu * sigma
-            if (a / sigma, m / sigma) == (alpha, mu):
-                return SviParams(a=a, b=b, rho=rho, m=m, sigma=sigma)
-            if a / sigma != alpha:
-                interval = mu_interval(a / sigma, b, rho)
-            alpha, mu = a / sigma, m / sigma
-            if alpha > p.threshold and interval.contains(mu):
-                floor = _sigma_star_trusted(alpha, b, rho, mu)[0]
-        raise InvalidParams(f"box point {p.x} has no image: (alpha, mu) = ({alpha}, {mu}), "
-                            f"F = {p.threshold}, {interval}, sigma_star = {floor}")
+        b, rho, v, sigma = p.b, p.x[_RHO], p.x[_V], p.sigma
+        if not (p.alpha > p.threshold and p.interval.contains(p.mu) and 0.0 < sigma < math.inf):
+            raise InvalidParams(f"box point {p.x} has no image: alpha = {p.alpha!r}, F = "
+                                f"{p.threshold!r}, mu = {p.mu!r}, {p.interval}, sigma = {sigma!r}")
+        while True:
+            params = SviParams(a=p.alpha * sigma, b=b, rho=rho, m=p.mu * sigma, sigma=sigma)
+            if (params.a / sigma, params.m / sigma) == (p.alpha, p.mu):
+                return params
+            diag = check_no_arbitrage(params)
+            if diag.is_free:
+                return params
+            if diag.status is not Status.FAILURE4 or diag.sigma_star == math.inf:
+                raise InvalidParams(f"box point {p.x} has no image: {diag.message}")
+            sigma = diag.sigma_star + v
 
     def _clamp(self, threshold: float, u: float) -> tuple[float, float, float]:
         """(room, u_eff, alpha): the margin u clamped so alpha stays at or
@@ -549,7 +551,9 @@ def box_to_params(box: BoxCoords) -> SviParams:
     """Map box coordinates to raw smile parameters that the waterfall
     certifies Free: the image of their point under the uncapped BoxChart.
     Raises InvalidParams where the point has no image in floats, as where
-    G1 rounds to zero on a tail and sigma_star is +inf.
+    G1 rounds to zero on a tail and sigma_star is +inf, and
+    FukasawaViolated where the interval at alpha = F + u is empty in floats
+    (a u lost to rounding at F).
     """
     chart = BoxChart()
     return chart.image(chart.point((box.rho, box.b_prime, box.u, box.q, box.v)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -150,12 +151,13 @@ def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: 
     f returns its value and its derivative.  The iteration starts at x (the
     midpoint if x is not inside the bracket) and shrinks the bracket by the
     sign of every value it sees.  Each step is a Newton step from the latest
-    point, or a bisection when that step would leave the open bracket or
-    is not converging: it turns back on the last step and is at least half
-    as long.  Where rounding noise in f is wider than the
-    tolerance, Newton would otherwise hop between two points while the
-    bracket hardly shrinks; steps that keep shrinking or keep their
-    direction are plain Newton steps.  It stops when a Newton step is at
+    point, or a bisection when that step would leave the open bracket,
+    is not converging (it turns back on the last step and is at least half
+    as long) or divides by a subnormal derivative, which has no digits.
+    Where rounding noise in f is wider than the tolerance, Newton would
+    otherwise hop between two points while the bracket hardly shrinks;
+    steps that keep shrinking or keep their direction are plain Newton
+    steps.  It stops when a Newton step is at
     most _X_TOL*max(1, |x|), returning the stepped point, or when the
     bracket is narrower than that.  The step test comes first, so a final
     step that lands on a bracket end is kept.  Raises MaxIterations after
@@ -176,7 +178,7 @@ def newton_root(f: Callable[[float], tuple[float, float]], bracket: Bracket, x: 
             lo = x
         else:
             hi = x
-        step = fx / dfx if dfx != 0.0 else math.inf
+        step = fx / dfx if abs(dfx) >= sys.float_info.min else math.inf
         width = _X_TOL * max(1.0, abs(x))
         if abs(step) <= width:
             return min(max(x - step, lo), hi)

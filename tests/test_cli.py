@@ -104,7 +104,7 @@ class TestCheckCommand:
         ])
         assert rc == 3
         assert out.startswith("Failure2:")
-        assert "threshold=-0.499568" in out
+        assert "threshold=-0.49956789448555866" in out
 
     def test_tiny_b_below_threshold_exits_three(self, capsys):
         # F(1e-7, 0.73) is about 8.6e-10 above the positivity floor; alpha
@@ -157,6 +157,20 @@ class TestCheckCommand:
         ])
         assert rc == 4
         assert out.startswith("Failure3:")
+        # every number prints in full, so the ulp between them shows
+        assert f"alpha={alpha!r} threshold={fukasawa_threshold(b, rho)!r}" in out
+        assert f"interval=({interval.lower!r}, {interval.upper!r})" in out
+
+    def test_subnormal_curvature_at_huge_alpha_exits_zero(self, capsys):
+        # a/sigma = 9.2e105: the tail deficit's curvature is below the
+        # smallest subnormal near its peak, so the peak is bisected
+        rc, out, _ = run(capsys, [
+            "check", "--a=2.305594378940465e+90", "--b=0.2923517378154148",
+            "--rho=-0.8762690781337787", "--m=-2.087599821182418e+49",
+            "--sigma=2.4954049636731133e-16",
+        ])
+        assert rc == 0
+        assert out.startswith("Free:")
 
     def test_sigma_below_floor_exits_five(self, capsys):
         sig = 0.5 * 0.12355390516143426

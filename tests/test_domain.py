@@ -82,6 +82,31 @@ def _brute_force_max(alpha: float, b: float, rho: float, mu: float) -> float:
     return best
 
 
+def _tail_max_50_digits(alpha: float, b: float, rho: float, mu: float, l: float) -> mpmath.mpf:
+    """The tail deficit -G2/(2*G1) maximized in 50 digits by golden section
+    over [l/2, 2l], which must hold the tail's single peak."""
+    with mpmath.workdps(50):
+        a_, b_, r_, m_ = (mpmath.mpf(x) for x in (alpha, b, rho, mu))
+        quarter = mpmath.mpf(1) / 4
+
+        def deficit(x):
+            r = mpmath.sqrt(x * x + 1)
+            n0, n1, n2 = a_ + b_ * (r_ * x + r), b_ * (r_ + x / r), b_ / r**3
+            shift = (x + m_) / (2 * n0)
+            g1 = (1 - n1 * (shift + quarter)) * (1 - n1 * (shift - quarter))
+            return -(n2 - n1 * n1 / (2 * n0)) / (2 * g1)
+
+        lo, hi = mpmath.mpf(l) / 2, mpmath.mpf(l) * 2
+        shrink = (mpmath.sqrt(5) - 1) / 2
+        for _ in range(200):
+            c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+            if deficit(c) > deficit(d):
+                hi = d
+            else:
+                lo = c
+        return deficit((lo + hi) / 2)
+
+
 def _grid_g(norm: Normalized, n: int = 2001, span: float = 20.0) -> np.ndarray:
     """Diagnostic g on k = sigma*(l + mu), l in [-span, span]."""
     p = denormalize(norm)
@@ -633,6 +658,20 @@ class TestCheckNoArbitrage:
         assert diag.status is Status.FAILURE4
         assert diag.sigma_star * diag.alpha == pytest.approx(2.0 - math.sqrt(3.0), rel=1e-14)
 
+    def test_subnormal_curvature_at_huge_alpha(self):
+        # alpha = 9.2e105: near each tail's peak the deficit's curvature is
+        # below the smallest subnormal, so the peak is bisected, not crept
+        # up on by Newton steps; each tail maximum matches 50 digits
+        p = SviParams(a=2.305594378940465e+90, b=0.2923517378154148, rho=-0.8762690781337787,
+                      m=-2.087599821182418e+49, sigma=2.4954049636731133e-16)
+        diag = check_no_arbitrage(p)
+        assert diag.is_free, diag.message
+        s_star, _, tails = _sigma_star_trusted(diag.alpha, p.b, p.rho, diag.mu)
+        assert s_star == diag.sigma_star == max(value for value, _ in tails)
+        for value, h in tails:
+            exact = _tail_max_50_digits(diag.alpha, p.b, p.rho, diag.mu, 1.0 / h)
+            assert abs(value - exact) <= 1e-12 * exact
+
     def test_sigma_star_boundary_flip(self):
         s = sigma_star(FIG_ALPHA, FIG_B, FIG_RHO, FIG_MU)
         above = denormalize(
@@ -770,11 +809,33 @@ class TestBoxMap:
         pytest.param(7, 200, floor_box, id="v-zero"),
     ])
     def test_sampled_boxes_are_free(self, seed, count, draw):
+        # where a/sigma and m/sigma divide back to the point's (alpha, mu),
+        # as on 42 of 50 and 169 of 200, the waterfall reads the point's own
+        # interval and floor
         rng = np.random.default_rng(seed)
+        chart, served = BoxChart(), 0
         for _ in range(count):
             box = draw(rng)
-            diag = check_no_arbitrage(box_to_params(box))
+            p = chart.point((box.rho, box.b_prime, box.u, box.q, box.v))
+            params = chart.image(p)
+            diag = check_no_arbitrage(params)
             assert diag.is_free, (box, diag.message)
+            if (params.a / params.sigma, params.m / params.sigma) == (p.alpha, p.mu):
+                served += 1
+                assert (diag.alpha, diag.mu, diag.interval, diag.sigma_star) == (
+                    p.alpha, p.mu, p.interval, p.sigma_star)
+        assert served > count // 2
+
+    def test_margin_lost_on_rebuilding_raises_invalid_params(self):
+        # u = 8.1e-17 puts alpha one ulp above the float F, but a/sigma
+        # rounds back onto F, where the interval is empty: the waterfall
+        # calls the rebuilt smile Failure2, and there is no image
+        x = (0.27588859786652264, 0.6047773353673727, 8.07875822611683e-17,
+             -0.7903489150716425, 0.2279308477494369)
+        p = BoxChart().point(x)
+        assert p.alpha == math.nextafter(p.threshold, math.inf)
+        with pytest.raises(InvalidParams, match="is empty"):
+            box_to_params(BoxCoords(*x))
 
     def test_tiny_b_margin_is_kept(self):
         # b = 1e-7: alpha sits 1e-10 above a threshold only ~1e-9 above the

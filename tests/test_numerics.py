@@ -196,6 +196,16 @@ class TestNewtonRoot:
         root = newton_root(f, Bracket(0.0, 1.0, 1.0, math.cos(1.0) - 1.0), 0.5)
         assert root == pytest.approx(0.7390851332151607, abs=1e-15)
 
+    def test_subnormal_derivative_bisects(self):
+        # the value is about 1e-225 over a bracket near 1e100, so the true
+        # derivative, -1e-325, is below the smallest subnormal and reads as
+        # -5e-324: Newton would move 1/50 of the way a step and run out of
+        # budget.  A subnormal derivative has no digits, so each step bisects
+        f, seen = self.recorded(lambda x: ((1.7 - x / 1e100) * 1e-225, -5e-324))
+        root = newton_root(f, Bracket(1e100, 4e100, 0.7e-225, -2.3e-225), 3e100)
+        assert root == pytest.approx(1.7e100, rel=1e-12)
+        assert seen[:3] == [3e100, 2e100, 1.5000000000000001e100]
+
     def test_budget_exhaustion_raises(self):
         # a derivative far too large makes Newton creep: each step moves
         # about 2e-6, so the budget runs out long before the root
