@@ -8,9 +8,9 @@ seeded generator keeps the whole procedure deterministic.
 The box-to-smile chart (domain.BoxChart) evaluates the threshold, the
 shift interval and the curvature floor once per residual evaluation.  The
 solver gets the exact Jacobian of the residuals in box coordinates from the
-chart's partials, one-sided at the chart's kinks, with no further chart
-evaluation.  The box stops short of the face b' = 1, where the steeper
-wing slope is 2 and the chart has no finite partials.
+chart's partials (BoxChart.partials), one-sided at the chart's kinks, with
+no further chart evaluation.  The box stops short of the face b' = 1, where
+the steeper wing slope is 2 and the chart has no finite partials.
 """
 
 from __future__ import annotations
@@ -26,30 +26,22 @@ import numpy as np
 from .arrays import svi, svi_raw, svi_raw_jacobian
 from .black_scholes import vega_total
 from .domain import (
-    _Q,
-    _RHO,
-    _U,
-    _V,
     ArbitrageDiagnostic,
     BoxChart,
     BoxCoords,
     ChartPoint,
-    _profile_partials,
-    _threshold_partials,
     box_from_diagnostic,
     check_no_arbitrage,
 )
 from .errors import (
     ButterfreeError,
-    DomainError,
     InfeasibleStart,
     InsufficientData,
     InvalidInput,
     NoConvergedStart,
     NumericFailure,
 )
-from .fukasawa import SLOPE_EQ_TOL, bound_partials
-from .numerics import require_int, require_real
+from .numerics import require_int, require_positive
 from .smile import SviParams, omega
 
 #: Margin keeping box samples off the open boundaries of the rectangle.
@@ -74,10 +66,6 @@ _FLOOR_ULPS = 16.0
 #: rule can stop it.
 _STALL_WINDOW = 50
 _STALL_RATIO = 1e3
-
-#: Relative gap below which the two tail maxima of sigma_star count as a
-#: tie, where sigma_star has a kink.
-_TIE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -130,7 +118,7 @@ class MarketSlice:
         for name in ("t", "forward", "discount"):
             value = getattr(self, name)
             if value is not None:
-                require_real(name, value, 0.0, strict=True)
+                require_positive(name, value)
 
     def __len__(self) -> int:
         return int(self.k.size)
@@ -152,7 +140,7 @@ class CalibrationConfig:
     def __post_init__(self) -> None:
         require_int("n_starts", self.n_starts, 1)
         require_int("seed", self.seed, 0)
-        require_real("alpha_cap", self.alpha_cap, 0.0, strict=True)
+        require_positive("alpha_cap", self.alpha_cap)
         if not isinstance(self.vega_weighted, bool):
             raise InvalidInput(
                 f"vega_weighted must be true or false, got {self.vega_weighted!r}"
@@ -248,83 +236,7 @@ class _Objective:
         self.njev += 1
         p = self.point(x)
         d_res = svi_raw_jacobian(self.k, self.weights, *p.raw[1:])
-        return d_res @ self.partials(p)
-
-    def partials(self, p: ChartPoint) -> np.ndarray:
-        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p, as a 5x5 array.
-
-        Every chart quantity is a root or an optimum, so its partials come
-        from the solved point alone: the threshold F(b, rho) by the implicit
-        function theorem on the interval gap, the interval bounds and
-        sigma_star by the envelope theorem at their optimizers l-, l+ and
-        h*.  Where the chart has a kink it is the max or min of two smooth
-        branches: |rho| at rho = 0, the clamp u_eff = min(u, alpha_cap - F),
-        and a tie between the two tail maxima; there column j is the
-        one-sided derivative toward increasing x_j.  On the face b' = 1,
-        where the steeper wing slope is exactly 2, the chart moves like
-        sqrt(1 - b') and has no finite partials.  Raises DomainError there
-        and at sigma_star = +inf.
-        """
-        rho, b_prime, u, q, _ = p.x
-        b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
-        if b * (1.0 + abs(rho)) >= 2.0 - SLOPE_EQ_TOL:
-            raise DomainError(
-                f"b' = {b_prime} puts a wing slope at its limit 2, "
-                "where the chart has no finite partials"
-            )
-        if p.sigma_star == math.inf:
-            raise DomainError("sigma_star is +inf here, so the chart has no image")
-        eye = np.eye(5)
-        # d|rho|/drho is +1 at rho = +-0, toward increasing rho; F, the
-        # bounds and the tail maxima are smooth in rho there
-        sign = -1.0 if rho < 0.0 else 1.0
-        d_rho = eye[_RHO]
-        d_b = np.array([
-            -sign * b / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)), 0.0, 0.0, 0.0,
-        ])
-        f_b, f_rho = _threshold_partials(b, rho, p.threshold, *p.threshold_optimizers)
-        d_threshold = f_b * d_b + f_rho * d_rho
-
-        # u_eff = min(u, room) with room = alpha_cap - F
-        d_u_eff = _kink_gradient(np.minimum, u, eye[_U], p.room, -d_threshold)
-        d_alpha = d_threshold + d_u_eff
-
-        d_bounds = []
-        for side, l in zip("-+", p.optimizers):
-            pa, pb, pr = bound_partials(l, alpha, b, rho, side)
-            d_bounds.append(pa * d_alpha + pb * d_b + pr * d_rho)
-        d_lower, d_upper = d_bounds
-        d_mu = 0.5 * (1.0 + q) * d_upper + 0.5 * (1.0 - q) * d_lower
-        d_mu[_Q] += 0.5 * p.interval.width()
-
-        # sigma_star is the larger tail maximum, or 0 where neither rises
-        d_sigma = eye[_V].copy()
-        if p.sigma_star > 0.0:
-            d_tails = []
-            for value, h in p.tails:
-                if p.sigma_star - value <= _TIE_TOL * p.sigma_star:
-                    sa, sb, sr, sm = _profile_partials(alpha, b, rho, mu, h)
-                    d_tails.append(sa * d_alpha + sb * d_b + sr * d_rho + sm * d_mu)
-            d_sigma += np.maximum.reduce(d_tails)
-        return np.vstack([
-            sigma * d_alpha + alpha * d_sigma,
-            d_b,
-            d_rho,
-            sigma * d_mu + mu * d_sigma,
-            d_sigma,
-        ])
-
-
-def _kink_gradient(
-    pick, f: float, d_f: np.ndarray, g: float, d_g: np.ndarray
-) -> np.ndarray:
-    """Gradient of pick(f, g), with pick np.maximum or np.minimum, toward
-    increasing coordinates: that of the branch pick selects, or on a tie
-    the elementwise pick of both, which is each one-sided derivative of a
-    max or min of smooth branches."""
-    if f == g:
-        return pick(d_f, d_g)
-    return d_f if pick(f, g) == f else d_g
+        return d_res @ np.array(self.pipeline.partials(p))
 
 
 class _StallWatch:

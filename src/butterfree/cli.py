@@ -29,7 +29,7 @@ from dataclasses import asdict, fields
 from .domain import check_no_arbitrage, sigma_star, sigma_star_profile
 from .errors import ButterfreeError, InvalidInput, NumericFailure
 from .fukasawa import L_minus, L_plus, fukasawa_threshold, g_pm, mu_interval
-from .numerics import is_real, require_finite, require_real
+from .numerics import is_real, require_finite, require_positive
 from .smile import SviParams, n_funcs
 
 EXIT_OK = 0
@@ -251,7 +251,7 @@ def cmd_ingest(args) -> int:
     from .market_data import build_vol_slice, infer_forward_discount, load_chain, year_fraction
 
     if args.t is not None:  # a bad flag fails the command, not each chain
-        require_real("--t", args.t, 0.0, strict=True)
+        require_positive("--t", args.t)
     chains, rejects = load_chain(args.csv)
     if not chains:
         print("no chains found")

@@ -19,7 +19,7 @@ a simple box (rho, b', u, q, v), which is what the calibrator optimizes
 over: every box point's image (BoxChart.image, box_to_params) is a smile
 that this waterfall certifies Free, in floats, or a typed error where
 there is none.  This module owns that chart's forward map, its image and
-the projection of a raw smile into the box; calibration owns its partials.
+the projection of a raw smile into the box, and its partials.
 """
 
 from __future__ import annotations
@@ -50,6 +50,10 @@ from .smile import SviParams, n_funcs, omega, shape
 
 #: Box coordinate indices, which are also the chart Jacobian's columns.
 _RHO, _BP, _U, _Q, _V = range(5)
+
+#: Relative gap below which the two tail maxima of sigma_star count as a
+#: tie, where sigma_star has a kink.
+_TIE_TOL = 1e-10
 
 
 class Status(enum.Enum):
@@ -406,8 +410,6 @@ class ChartPoint(NamedTuple):
     threshold: float
     #: optimizers (l_minus, l_plus) of the interval bounds at alpha = F
     threshold_optimizers: tuple[float, float]
-    room: float
-    u_eff: float
     alpha: float
     interval: MuInterval
     #: optimizers (l_minus, l_plus) of the interval bounds at alpha
@@ -435,9 +437,9 @@ class BoxChart:
     keeps a solver's rectangle fixed while keeping alpha <= alpha_cap at
     every evaluated point.  ``image`` turns a point into raw parameters
     that the waterfall certifies Free; with the default infinite cap that
-    is box_to_params.  Its exact partials are calibration's
-    (_Objective.partials).  Where G1 rounds to zero on a tail, sigma_star
-    and the point's sigma are +inf, and it has no image.
+    is box_to_params.  ``partials`` gives the chart's exact Jacobian at a
+    point.  Where G1 rounds to zero on a tail, sigma_star and the point's
+    sigma are +inf, and it has neither image nor partials.
     """
 
     def __init__(self, alpha_cap: float = math.inf) -> None:
@@ -447,12 +449,12 @@ class BoxChart:
         rho, b_prime, u, q, v = (float(c) for c in x)
         b = b_prime * 2.0 / (1.0 + abs(rho))
         threshold, *at_threshold = threshold_with_optimizers(b, rho)
-        room, u_eff, alpha = self._clamp(threshold, u)
+        alpha = self._clamp(threshold, u)
         interval, *optimizers = interval_with_optimizers(alpha, b, rho)
         mu, floor, tails = _shift_and_floor(alpha, b, rho, interval, q)
         return ChartPoint(
-            (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), room,
-            u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, floor + v,
+            (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), alpha,
+            interval, tuple(optimizers), mu, tails, floor, floor + v,
         )
 
     def image(self, p: ChartPoint) -> SviParams:
@@ -481,12 +483,76 @@ class BoxChart:
                 raise InvalidParams(f"box point {p.x} has no image: {diag.message}")
             sigma = diag.sigma_star + v
 
-    def _clamp(self, threshold: float, u: float) -> tuple[float, float, float]:
-        """(room, u_eff, alpha): the margin u clamped so alpha stays at or
+    def _clamp(self, threshold: float, u: float) -> float:
+        """alpha = F + min(u, room): the margin u clamped so alpha stays at or
         below the cap, exactly; room = alpha_cap - F > 0, as F <= 0 < alpha_cap."""
-        room = self.alpha_cap - threshold
-        u_eff = min(u, room)
-        return room, u_eff, min(threshold + u_eff, self.alpha_cap)
+        return min(threshold + min(u, self.alpha_cap - threshold), self.alpha_cap)
+
+    def partials(self, p: ChartPoint) -> list[list[float]]:
+        """d(a, b, rho, m, sigma)/d(rho, b', u, q, v) at p: five rows of five
+        floats.
+
+        Every chart quantity is a root or an optimum, so its partials come
+        from the solved point alone: the threshold F(b, rho) by the implicit
+        function theorem on the interval gap, the interval bounds and
+        sigma_star by the envelope theorem at their optimizers l-, l+ and
+        h*.  Where the chart has a kink it is the max or min of two smooth
+        branches: |rho| at rho = 0, the clamp min(u, alpha_cap - F), and a
+        tie between the two tail maxima; there column j is the one-sided
+        derivative toward increasing x_j.  On the face b' = 1, where the
+        steeper wing slope is exactly 2, the chart moves like sqrt(1 - b')
+        and has no finite partials.  Raises DomainError there and at
+        sigma_star = +inf.
+        """
+        rho, b_prime, u, q, _ = p.x
+        b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
+        if b * (1.0 + abs(rho)) >= 2.0 - SLOPE_EQ_TOL:
+            raise DomainError(f"b' = {b_prime} puts a wing slope at its limit 2, "
+                              "where the chart has no finite partials")
+        if p.sigma_star == math.inf:
+            raise DomainError("sigma_star is +inf here, so the chart has no image")
+        # d|rho|/drho is +1 at rho = +-0, toward increasing rho; F, the
+        # bounds and the tail maxima are smooth in rho there
+        sign = -1.0 if rho < 0.0 else 1.0
+        d_rho = [1.0, 0.0, 0.0, 0.0, 0.0]
+        d_b = [-sign * b / (1.0 + abs(rho)), 2.0 / (1.0 + abs(rho)), 0.0, 0.0, 0.0]
+        f_b, f_rho = _threshold_partials(b, rho, p.threshold, *p.threshold_optimizers)
+        d_threshold = _combine((f_b, d_b), (f_rho, d_rho))
+
+        # the clamp min(u, room), room = alpha_cap - F as _clamp forms it;
+        # on a tie each column takes the smaller of the two branches
+        room = self.alpha_cap - p.threshold
+        d_room = [-d for d in d_threshold]
+        d_clamp = [0.0, 0.0, 1.0, 0.0, 0.0]  # du
+        if u == room:
+            d_clamp = [min(du, dr) for du, dr in zip(d_clamp, d_room)]
+        elif room < u:
+            d_clamp = d_room
+        d_alpha = [dt + dc for dt, dc in zip(d_threshold, d_clamp)]
+
+        d_lower, d_upper = (
+            _combine(*zip(bound_partials(l, alpha, b, rho, side), (d_alpha, d_b, d_rho)))
+            for side, l in zip("-+", p.optimizers)
+        )
+        d_mu = _combine((0.5 * (1.0 + q), d_upper), (0.5 * (1.0 - q), d_lower))
+        d_mu[_Q] += 0.5 * p.interval.width()
+
+        # sigma_star is the larger tail maximum, or 0 where neither rises
+        d_sigma = [0.0, 0.0, 0.0, 0.0, 1.0]  # dv
+        if p.sigma_star > 0.0:
+            d_tails = [
+                _combine(*zip(_profile_partials(alpha, b, rho, mu, h), (d_alpha, d_b, d_rho, d_mu)))
+                for value, h in p.tails
+                if p.sigma_star - value <= _TIE_TOL * p.sigma_star
+            ]
+            d_sigma = [ds + max(column) for ds, column in zip(d_sigma, zip(*d_tails))]
+        return [
+            _combine((sigma, d_alpha), (alpha, d_sigma)),
+            d_b,
+            d_rho,
+            _combine((sigma, d_mu), (mu, d_sigma)),
+            d_sigma,
+        ]
 
     def project(self, params: SviParams, lower, upper) -> ChartPoint:
         """The chart point of the box coordinates whose image is the closest
@@ -505,15 +571,15 @@ class BoxChart:
         b = b_prime * 2.0 / (1.0 + abs(rho))
         threshold, *at_threshold = threshold_with_optimizers(b, rho)
         u = min(max(params.a / sigma - threshold, lower[_U]), upper[_U])
-        room, u_eff, alpha = self._clamp(threshold, u)
+        alpha = self._clamp(threshold, u)
         interval, *optimizers = interval_with_optimizers(alpha, b, rho)
         q = (2.0 * params.m / sigma - interval.upper - interval.lower) / interval.width()
         q = min(max(q, -1.0 + 1e-3), 1.0 - 1e-3)
         mu, floor, tails = _shift_and_floor(alpha, b, rho, interval, q)
         v = min(max(sigma - floor, lower[_V]), upper[_V])
         return ChartPoint(
-            (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), room,
-            u_eff, alpha, interval, tuple(optimizers), mu, tails, floor, floor + v,
+            (rho, b_prime, u, q, v), b, threshold, tuple(at_threshold), alpha,
+            interval, tuple(optimizers), mu, tails, floor, floor + v,
         )
 
 
@@ -525,6 +591,15 @@ def _shift_and_floor(
     mu = 0.5 * (1.0 + q) * interval.upper + 0.5 * (1.0 - q) * interval.lower
     floor, _, tails = _sigma_star_trusted(alpha, b, rho, mu)
     return mu, floor, tails
+
+
+def _combine(*terms: tuple[float, list[float]]) -> list[float]:
+    """The sum of c*row over the (c, row) terms, elementwise, in their order."""
+    (c, row), *rest = terms
+    out = [c * x for x in row]
+    for c, row in rest:
+        out = [o + c * x for o, x in zip(out, row)]
+    return out
 
 
 def _threshold_partials(

@@ -108,8 +108,8 @@ class OptionChain:
             if leg[side] is not None:
                 raise InvalidInput(f"duplicate {quote.kind} quote at strike {quote.strike}")
             leg[side] = quote
-        if self.spot is not None and not self.spot > 0.0:
-            raise InvalidInput(f"spot must be positive, got {self.spot}")
+        if self.spot is not None and not 0.0 < self.spot < math.inf:
+            raise InvalidInput(f"spot must be finite and positive, got {self.spot}")
         object.__setattr__(self, "_legs", tuple(map(tuple, legs)))
 
     def pairs(self) -> list[tuple[float, OptionQuote | None, OptionQuote | None]]:

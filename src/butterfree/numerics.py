@@ -77,18 +77,17 @@ def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def require_real(name: str, value, least: float, strict: bool = False) -> None:
+def require_positive(name: str, value) -> None:
     """Raise InvalidInput unless value is a finite real number (is_real)
-    and at least ``least`` (above it when ``strict``)."""
+    above zero."""
     got = None
     try:
         finite = is_real(value) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range; its repr may fail too
         finite, got = False, "an integer too large for a float"
-    if not finite or value < least or (strict and value == least):
-        relation = ">" if strict else ">="
+    if not finite or value <= 0.0:
         raise InvalidInput(
-            f"{name} must be a finite number {relation} {least}, got {got or repr(value)}"
+            f"{name} must be a finite number > 0.0, got {got or repr(value)}"
         )
 
 

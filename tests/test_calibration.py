@@ -62,6 +62,24 @@ class TestMarketSlice:
                 k=np.array([-0.1, 0.0, 0.1]), w_mid=np.ones(3), w_bid=np.ones(2)
             )
 
+    @pytest.mark.parametrize("k", [np.array([]), np.array([[-0.1, 0.0, 0.1]])])
+    def test_rejects_empty_or_two_dimensional_k(self, k):
+        with pytest.raises(InvalidInput, match="non-empty one-dimensional"):
+            MarketSlice(k=k, w_mid=np.ones(k.shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_k(self, bad):
+        with pytest.raises(InvalidInput, match="k must be finite"):
+            MarketSlice(k=np.array([-0.1, 0.0, bad]), w_mid=np.ones(3))
+
+    def test_rejects_crossed_ask(self):
+        with pytest.raises(InvalidInput, match="w_ask must not fall below w_mid"):
+            MarketSlice(
+                k=np.array([-0.1, 0.0, 0.1]),
+                w_mid=np.full(3, 0.04),
+                w_ask=np.array([0.05, 0.03, 0.05]),
+            )
+
     def test_rejects_crossed_bid(self):
         with pytest.raises(InvalidInput):
             MarketSlice(
@@ -92,6 +110,14 @@ class TestConfig:
         assert c.n_starts == 8
         assert c.seed == 0
         assert not c.vega_weighted
+
+    def test_no_config_is_the_default_config(self):
+        # row 5 runs every random start, so the default seed and count show
+        s = model_slice(MODEL_ROWS[5])
+        got, want = calibrate(s), calibrate(s, CalibrationConfig())
+        assert (got.params, got.box, got.cost, got.rel_error_fro, got.starts) == (
+            want.params, want.box, want.cost, want.rel_error_fro, want.starts)
+        assert len(got.starts) == 9
 
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidInput):
@@ -507,7 +533,7 @@ class TestJacobian:
                 rng.uniform(0.0, 2.0),
             ])
             jac = jacobian_at(objective, x)
-            capped += objective.pipeline.point(x).u_eff < x[2]
+            capped += objective.pipeline.point(x).alpha == objective.pipeline.alpha_cap
             for j in range(5):
                 want = quotient(objective, x, j, 1e-5, central=True)
                 assert column_error(jac[:, j], want) <= 1e-6, (x.tolist(), j)
@@ -564,7 +590,7 @@ class TestJacobian:
             residuals = objective.residuals(x)
         assert np.all(residuals == math.inf)
         with pytest.raises(DomainError):
-            objective.partials(objective.point(x))
+            objective.pipeline.partials(objective.point(x))
 
     def test_wing_limit_kink(self):
         # b' = 1 puts the steeper wing slope exactly at 2, a face that
@@ -572,7 +598,7 @@ class TestJacobian:
         objective = chart_objective()
         x = np.array([0.35, 1.0, 0.6, 0.1, 0.5])
         with pytest.raises(DomainError):
-            objective.partials(objective.pipeline.point(x))
+            objective.pipeline.partials(objective.pipeline.point(x))
         # The chart goes like sqrt(1 - b') there, so the one-sided slope
         # grows without bound as the step shrinks: no column is finite.
         step = float(np.finfo(float).eps) ** 0.5

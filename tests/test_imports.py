@@ -261,3 +261,17 @@ def test_stdlib_modules_import_nothing_that_loads_numpy():
         if name in loading
     ]
     assert found == []
+
+
+def test_calibration_imports_no_private_name():
+    # the box chart's partials live beside its map in domain, so
+    # calibration reads the chart through its public surface alone
+    tree = ast.parse((PACKAGE / "calibration.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -245,6 +245,12 @@ class TestQuoteAndChain:
         with pytest.raises(InvalidInput):
             OptionChain(expiry="e", quotes=(q, q))
 
+    @pytest.mark.parametrize("spot", [0.0, -5.0, math.nan, math.inf])
+    def test_chain_rejects_a_spot_the_csv_path_rejects(self, spot):
+        q = OptionQuote(strike=100.0, expiry="e", kind="call", bid=1.0, ask=2.0)
+        with pytest.raises(InvalidInput, match="spot must be finite and positive"):
+            OptionChain(expiry="e", quotes=(q,), spot=spot)
+
     def test_legs_match_a_linear_scan(self):
         # 90 has both legs, 95 only a call, 105 only a put, 110 both
         quotes = tuple(

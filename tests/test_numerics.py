@@ -23,7 +23,7 @@ from butterfree.numerics import (
     Bracket,
     expand_bracket,
     newton_root,
-    require_real,
+    require_positive,
     walk_root,
     walk_secant,
 )
@@ -460,21 +460,21 @@ class TestDogboxMatchesScipy:
 
 
 class TestRequireReal:
-    def test_accepts_a_finite_number_at_the_least(self):
-        require_real("t", 0.0, 0.0)
-        require_real("t", 10**300, 0.0)
+    def test_accepts_any_finite_positive_number(self):
+        require_positive("t", 5e-324)
+        require_positive("t", 10**300)
 
     @pytest.mark.parametrize("value", [True, "1", math.nan, math.inf, -1.0])
     def test_refuses_bad_values(self, value):
         with pytest.raises(InvalidInput, match="t must be a finite number"):
-            require_real("t", value, 0.0)
+            require_positive("t", value)
 
     def test_strict_refuses_the_least(self):
         with pytest.raises(InvalidInput, match="> 0.0"):
-            require_real("t", 0.0, 0.0, strict=True)
+            require_positive("t", 0.0)
 
     def test_integer_too_long_to_print(self):
         # Python will not turn an integer of over 4,300 digits into a string,
         # so the message must not repr it
         with pytest.raises(InvalidInput, match="t must be .* too large for a float"):
-            require_real("t", 10**5000, 0.0)
+            require_positive("t", 10**5000)
