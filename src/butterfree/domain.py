@@ -35,7 +35,6 @@ from .errors import (
     DegenerateSigma, DomainError, FukasawaViolated, InvalidParams, NotInDomain, NumericFailure,
 )
 from .fukasawa import (
-    SLOPE_EQ_TOL,
     MuInterval,
     bound_partials,
     fukasawa_threshold,
@@ -384,7 +383,7 @@ def check_no_arbitrage(params: SviParams) -> ArbitrageDiagnostic:
     alpha, mu = params.a / sigma, params.m / sigma
     if not (math.isfinite(alpha) and math.isfinite(mu)):
         raise InvalidParams(f"a/sigma and m/sigma must be finite, got ({alpha}, {mu})")
-    if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
+    if slope_left > 2.0 or slope_right > 2.0:
         return verdict(Status.FAILURE1, f"wing slopes b*(1-rho) = {slope_left!r}, "
                        f"b*(1+rho) = {slope_right!r} exceed the limit 2")
     try:
@@ -499,14 +498,15 @@ class BoxChart:
         h*.  Where the chart has a kink it is the max or min of two smooth
         branches: |rho| at rho = 0, the clamp min(u, alpha_cap - F), and a
         tie between the two tail maxima; there column j is the one-sided
-        derivative toward increasing x_j.  On the face b' = 1, where the
-        steeper wing slope is exactly 2, the chart moves like sqrt(1 - b')
-        and has no finite partials.  Raises DomainError there and at
-        sigma_star = +inf.
+        derivative toward increasing x_j.  On the face b' = 1, read from b'
+        as the rounded steeper slope can fall an ulp short of 2 there, the
+        chart moves like sqrt(1 - b') and has no finite partials.  Raises
+        DomainError there and at sigma_star = +inf, and bound_partials
+        raises it where that slope rounds to 2 (its optimizer is nan).
         """
         rho, b_prime, u, q, _ = p.x
         b, alpha, mu, sigma = p.b, p.alpha, p.mu, p.sigma
-        if b * (1.0 + abs(rho)) >= 2.0 - SLOPE_EQ_TOL:
+        if b_prime >= 1.0:
             raise DomainError(f"b' = {b_prime} puts a wing slope at its limit 2, "
                               "where the chart has no finite partials")
         if p.sigma_star == math.inf:

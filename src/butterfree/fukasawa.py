@@ -26,7 +26,8 @@ from the secant point of the bracket walked out from that anchor, and
 for F on the level and both critical points together, each step moving
 every l once toward the level and the level by the envelope slope of the
 gap.  All of it requires the wing slopes b*(1 -+ rho) to stay at or below
-2; beyond that limit no smile is arbitrage free.
+2 as they round, with no band: beyond it no smile is arbitrage free, and
+at exactly 2 a side's optimum is at infinity.
 """
 
 from __future__ import annotations
@@ -44,12 +45,6 @@ from .errors import (
 )
 from .numerics import _X_TOL, Bracket, newton_root, require_finite, walk_root, walk_secant
 from .smile import omega, shape
-
-#: Slope-equality tolerance: |b*(1 -+ rho) - 2| below this is treated as the
-#: boundary regime, where the one-sided optimum moves to infinity, and a
-#: slope above 2 + SLOPE_EQ_TOL is over the limit (a DomainError here and
-#: Failure1 in the domain waterfall).
-SLOPE_EQ_TOL = 1e-12
 
 #: Offset of the threshold search above the positivity floor, in the level
 #: alpha/b, so that it holds its meaning at every scale of b.
@@ -185,7 +180,9 @@ def _anchor(b: float, rho: float, side: str) -> _RootForm:
         name = "left" if side == "-" else "right"
         raise DomainError(f"the {name} half-line is empty at rho = {rho:+g}")
     slope = b * (1.0 + s * rho)
-    if slope >= 2.0 - SLOPE_EQ_TOL:
+    if slope > 2.0:
+        raise DomainError(f"wing slope b*(1 {side} rho) = {slope} exceeds the limit 2")
+    if slope == 2.0:
         raise NoFiniteOptimum(
             f"wing slope b*(1 {side} rho) = {slope} is at "
             "its limit; the one-sided optimum is attained only at infinity"
@@ -202,8 +199,8 @@ def l_pm_of_alpha(alpha: float, b: float, rho: float, side: str) -> float:
 
     Brackets against the turning point (or the vertex in the monotone case)
     and expands away from it; g_pm is strictly monotone there, so the root
-    is unique.  Raises NoFiniteOptimum at the slope limit and DomainError
-    for alpha below the admissible floor -b*sqrt(1-rho^2).
+    is unique.  Raises NoFiniteOptimum at a wing slope of exactly 2, and
+    DomainError above 2 or for alpha below the floor -b*sqrt(1-rho^2).
     """
     require_smile(b, rho, side, alpha=alpha)
     return _optimizer(alpha, b, rho, side)
@@ -277,11 +274,11 @@ def _vertex_step(b: float, rho: float, side: str, level: float) -> float:
 
 def _wing_slopes(b: float, rho: float) -> tuple[float, float]:
     """The wing slopes b*(1 -+ rho), once b and rho are checked: finite,
-    b > 0, |rho| <= 1 and both slopes at most 2 + SLOPE_EQ_TOL."""
+    b > 0, |rho| <= 1 and both slopes at most 2."""
     require_smile(b, rho)
     slope_left = b * (1.0 - rho)
     slope_right = b * (1.0 + rho)
-    if slope_left > 2.0 + SLOPE_EQ_TOL or slope_right > 2.0 + SLOPE_EQ_TOL:
+    if slope_left > 2.0 or slope_right > 2.0:
         raise DomainError(
             f"wing slopes ({slope_left}, {slope_right}) exceed the limit 2"
         )
@@ -291,8 +288,8 @@ def _wing_slopes(b: float, rho: float) -> tuple[float, float]:
 def mu_interval(alpha: float, b: float, rho: float) -> MuInterval:
     """Open interval of shifts mu keeping both slope factors positive.
 
-    The bounds are the one-sided optima of L_minus and L_plus.  When a wing
-    slope sits at its limit 2 the corresponding bound collapses to -+alpha/2;
+    The bounds are the one-sided optima of L_minus and L_plus.  A bound at a
+    wing slope of exactly 2 is -+alpha/2, and one above 2 is a DomainError;
     at rho = -+1 the far side is unconstrained.  Raises FukasawaViolated when
     the interval is empty, exactly for alpha <= F, or unresolved at the floor.
     """
@@ -344,7 +341,7 @@ def _bound(
     alpha: float, b: float, rho: float, side: str, slope: float
 ) -> tuple[float, float]:
     """sup L_minus (side '-') or inf L_plus (side '+'), and its optimizer."""
-    if slope >= 2.0 - SLOPE_EQ_TOL:
+    if slope == 2.0:
         return (-alpha if side == "-" else alpha) / 2.0, math.nan
     l = _optimizer(alpha, b, rho, side)
     return _bound_at(l, alpha, b, rho, side)[0], l
@@ -413,7 +410,7 @@ def threshold_with_optimizers(b: float, rho: float) -> tuple[float, float, float
         return 0.0, math.nan, math.nan
     sides = [
         side for side, slope in (("-", slope_left), ("+", slope_right))
-        if slope < 2.0 - SLOPE_EQ_TOL
+        if slope < 2.0
     ]
     if not sides:
         return 0.0, math.nan, math.nan

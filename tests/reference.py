@@ -14,7 +14,7 @@ from butterfree.errors import (
     NonPositiveVariance,
     PriceOutOfRange,
 )
-from butterfree.fukasawa import _anchor, fukasawa_threshold, g_pm
+from butterfree.fukasawa import fukasawa_threshold, g_pm
 from butterfree.smile import SviParams, n_funcs
 
 
@@ -90,8 +90,11 @@ def bounds_50_digits(b: float, rho: float, level) -> tuple[mpmath.mpf, mpmath.mp
     interval of shifts mu that keeps both slope factors positive.
 
     Each bound's optimizer is the root of g_pm(l) = level on the far side
-    of the side's anchor (the vertex where g_pm runs monotone into it),
-    bisected in 50 digits in a bracket walked out from the anchor.
+    of the side's anchor, bisected in 50 digits in a bracket walked out
+    from the anchor.  The anchor is placed in 50 digits too: the vertex
+    where g_pm runs monotone into it, otherwise g_pm's turning point
+    m = +-b/sqrt((2 - s)*(2 + b*(1 -+ rho))) for the side's wing slope s.
+    At s = 2 exactly the bound is -+alpha/2, and above 2 there is none.
     """
     with mpmath.workdps(50):
         b_, r_, level = mpmath.mpf(b), mpmath.mpf(rho), mpmath.mpf(level)
@@ -106,8 +109,15 @@ def bounds_50_digits(b: float, rho: float, level) -> tuple[mpmath.mpf, mpmath.mp
             # c = +-b/4 and the sign of the slope-factor term, by side
             sign = -1 if side == "-" else 1
             c = -sign * b_ / 4
-            anchor, power, _ = _anchor(b, rho, side)
-            lo = vertex if power == 3 else mpmath.mpf(anchor)
+            slope = b_ * (1 + sign * r_)
+            if slope > 2:
+                raise DomainError(f"wing slope {slope} exceeds the limit 2")
+            if slope == 2:
+                return sign * b_ * level / 2
+            if sign * r_ < 0 and b_ * (1 - r_ * r_) <= -2 * sign * r_:
+                lo = vertex
+            else:
+                lo = sign * b_ / mpmath.sqrt((2 - slope) * (2 + b_ * (1 - sign * r_)))
             hi = lo + sign
             while g(hi, c) < level:
                 lo, hi = hi, hi + 2 * (hi - lo)

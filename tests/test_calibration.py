@@ -168,6 +168,16 @@ class TestCalibrate:
         assert len(result.starts) == FAST.n_starts + 1
         assert min(s.cost for s in result.starts) == result.cost
 
+    @pytest.mark.parametrize("shape", ["concave", "flat"])
+    def test_informed_start_survives_a_degenerate_guess(self, shape):
+        # the raw fit of a concave slice has b < 0, and of a flat one b = 0
+        # and a on the positivity floor; the guess is lifted into a valid
+        # smile, so the informed start is not lost
+        k = np.linspace(-0.5, 0.5, 11)
+        w = 0.1 - 0.02 * k * k if shape == "concave" else np.full(11, 0.04)
+        result = calibrate(MarketSlice(k=k, w_mid=w), FAST)
+        assert len(result.starts) == FAST.n_starts + 1
+
     def test_deterministic_under_seed(self):
         s = model_slice(MODEL_ROWS[0])
         first = calibrate(s, FAST)
@@ -519,6 +529,19 @@ def jacobian_at(objective: _Objective, x: np.ndarray) -> np.ndarray:
     return jac
 
 
+def check_tie_columns(x) -> None:
+    """At a symmetric chart point, where the two tail maxima tie, the
+    first four Jacobian columns match forward difference quotients."""
+    objective = chart_objective()
+    x = np.array(x)
+    tails = objective.pipeline.point(x).tails
+    assert abs(tails[0][0] - tails[1][0]) <= 1e-10 * max(tails)[0]
+    jac = jacobian_at(objective, x)
+    for j in range(4):
+        want = quotient(objective, x, j, 1e-7, central=False)
+        assert column_error(jac[:, j], want) <= 1e-5, j
+
+
 class TestJacobian:
     def test_matches_central_differences(self):
         # criterion 5's ranges; with the default cap of 1 about half of the
@@ -606,6 +629,26 @@ class TestJacobian:
         coarse = quotient(objective, x, 1, -100.0 * step, central=False)
         assert np.linalg.norm(fine) > 5.0 * np.linalg.norm(coarse)
 
+    def test_wing_limit_face_for_every_rho(self):
+        # b' = 1 is the face, though b*(1 + |rho|) rounds an ulp short of 2
+        # on it for some rho.  An ulp or more inside it the partials are
+        # finite wherever that slope is below 2; where it rounds to 2 they
+        # raise, never nan.
+        chart = BoxChart(1.0)
+        rng = np.random.default_rng(89)
+        for _ in range(50):
+            rho = float(rng.uniform(-0.95, 0.95))
+            rest = rng.uniform(1e-3, 3.0), rng.uniform(-0.95, 0.95), rng.uniform(0.0, 2.0)
+            with pytest.raises(DomainError):
+                chart.partials(chart.point((rho, 1.0, *rest)))
+            for b_prime in (1.0 - 2.0 ** -53, 1.0 - 10.0 ** rng.uniform(-15.0, -10.0)):
+                p = chart.point((rho, b_prime, *rest))
+                if p.b * (1.0 + abs(rho)) < 2.0:
+                    assert np.all(np.isfinite(chart.partials(p))), (rho, b_prime)
+                else:
+                    with pytest.raises(DomainError):
+                        chart.partials(p)
+
     def test_next_to_the_wing_limit(self):
         # On calibrate's face b' = 1 - 1e-6 the b' column is still exact,
         # though the chart curves like sqrt(1 - b') there.  The reference
@@ -627,14 +670,12 @@ class TestJacobian:
 
     def test_tail_tie_kink(self):
         # rho = 0 and q = 0 make the smile symmetric, so both tail maxima tie
-        objective = chart_objective()
-        x = np.array([0.0, 0.6, 0.5, 0.0, 0.3])
-        tails = objective.pipeline.point(x).tails
-        assert abs(tails[0][0] - tails[1][0]) <= 1e-10 * max(tails)[0]
-        jac = jacobian_at(objective, x)
-        for j in range(4):
-            want = quotient(objective, x, j, 1e-7, central=False)
-            assert column_error(jac[:, j], want) <= 1e-5, j
+        check_tie_columns([0.0, 0.6, 0.5, 0.0, 0.3])
+
+    def test_tail_near_tie_kink(self):
+        # drawn with default_rng(3): rounding puts the tail maxima 1.2e-14
+        # apart, and only _TIE_TOL counts both, as the rho and q columns need
+        check_tie_columns([0.0, 0.9520223401285168, 0.12999818333335203, 0.0, 1.695841083757816])
 
     def test_polish_jacobian_matches_central_differences(self, monkeypatch):
         calls = []

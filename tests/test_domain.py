@@ -488,6 +488,26 @@ class TestCheckNoArbitrage:
         assert diag.exit_code == 2
         assert diag.slope_left == 3.0 and diag.slope_right == 3.0
 
+    def test_every_slope_past_the_limit_is_failure1(self):
+        # a float wing slope in (2, 2 + 1e-12] is arbitrage whatever the
+        # other parameters, with no band around the limit
+        rng = np.random.default_rng(83)
+        checked = 0
+        for _ in range(200):
+            rho = float(rng.uniform(-0.9, 0.9))
+            gap = 10.0 ** float(rng.uniform(math.log10(4e-16), -12.0))
+            b = (2.0 + gap) / (1.0 + abs(rho))
+            if not b * (1.0 + abs(rho)) > 2.0:
+                continue
+            floor = -b * math.sqrt(1.0 - rho * rho)
+            alpha = floor + 10.0 ** float(rng.uniform(-2.5, 0.2))
+            sigma = 10.0 ** float(rng.uniform(-1.3, 0.4))
+            mu = float(rng.uniform(-1.3, 1.3))
+            params = SviParams(alpha * sigma, b, rho, mu * sigma, sigma)
+            assert check_no_arbitrage(params).status is Status.FAILURE1, params
+            checked += 1
+        assert checked >= 150
+
     def test_threshold_failure(self):
         # alpha = -0.4999 sits below F(0.5, 0) = -0.49957 while the smile
         # minimum 0.0001 is still positive

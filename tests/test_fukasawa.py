@@ -302,6 +302,14 @@ class TestCriticalPoints:
         with pytest.raises(NoFiniteOptimum):
             l_pm_of_alpha(0.1, 1.0, -1.0, "-")
 
+    def test_slope_over_the_limit_is_a_domain_error(self):
+        # a wing slope of 3 is bad input, as in mu_interval, not a solve
+        # that failed at its limit
+        with pytest.raises(DomainError, match="exceeds the limit 2"):
+            l_pm_of_alpha(0.1, 2.0, 0.5, "+")
+        with pytest.raises(DomainError):
+            _anchor(2.0, 0.5, "+")
+
 
 INVALID_INPUT = [
     # unchecked, rho = 2 takes a square root of a negative number
@@ -689,6 +697,46 @@ def threshold_cases(seed: int, n: int, rho_gap: float) -> list[tuple[float, floa
         rho = float(rng.uniform(-1.0 + rho_gap, 1.0 - rho_gap))
         cases.append((draw_b(rng, i, rho), rho))
     return cases
+
+
+def near_limit_cases(seed: int, n: int) -> list[tuple[float, float]]:
+    """n seeded (b, rho), rho in [-0.9, 0.9], whose float steeper wing
+    slope b*(1 + |rho|) falls short of 2 by a gap log-uniform over
+    [4e-16, 1e-12]."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < n:
+        rho = float(rng.uniform(-0.9, 0.9))
+        gap = 10.0 ** float(rng.uniform(math.log10(4e-16), -12.0))
+        b = (2.0 - gap) / (1.0 + abs(rho))
+        if b * (1.0 + abs(rho)) < 2.0:
+            cases.append((b, rho))
+    return cases
+
+
+class TestNearTheSlopeLimit:
+    """Every wing slope below 2 is solved, however close: its optimizer
+    lies out at about 1/sqrt(2 - slope), up to 1e8 here, and F and the
+    interval walls keep their digits there."""
+
+    def test_threshold_matches_50_digits(self):
+        for b, rho in near_limit_cases(71, 30):
+            f, f50 = fukasawa_threshold(b, rho), threshold_50_digits(b, rho)
+            assert abs(f - f50) <= 1e-7 * abs(f50), (b, rho)
+
+    def test_walls_match_50_digits(self):
+        # The walls lose about l*eps absolute, 1e-8 at l = 1e8, to the
+        # cancellation in L_pm on the steep side; the margins here keep
+        # the interval wider than 0.25.
+        rng = np.random.default_rng(73)
+        for b, rho in near_limit_cases(79, 30):
+            alpha = fukasawa_threshold(b, rho) + b * float(rng.uniform(0.1, 1.0))
+            interval = mu_interval(alpha, b, rho)
+            with mpmath.workdps(50):
+                lower, upper = bounds_50_digits(b, rho, mpmath.mpf(alpha) / b)
+                tol = 1e-7 * (upper - lower)
+                assert abs(interval.lower - lower) <= tol, (b, rho, alpha)
+                assert abs(interval.upper - upper) <= tol, (b, rho, alpha)
 
 
 class TestJointThresholdSolve:
